@@ -32,7 +32,7 @@ from repro.core import DetourWrapper, build_scheme
 from repro.graphs import get_context, gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     RetryPolicy,
     flapping_links,
     summarize,
@@ -52,7 +52,7 @@ SMOKE_CHURN_LEVELS = (0, 120, 240)
 
 
 def _run_under_schedule(scheme, graph, schedule, pairs, times, retry=None):
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme, fault_schedule=schedule, retry_policy=retry, retry_seed=11
     )
     for (source, destination), at_time in zip(pairs, times):

@@ -1,7 +1,7 @@
 """Experiment CHURN — convergence under live topology mutations.
 
 A routing table is correct only for the topology it was computed on.
-This bench drives the event engine while a seeded
+This bench drives the timed kernel while a seeded
 :func:`~repro.simulator.churn.random_churn` schedule rewires the graph
 mid-run, and measures what the incremental-repair path buys:
 
@@ -44,8 +44,8 @@ from repro.observability import (
     write_bench_result,
 )
 from repro.simulator import (
+    BatchKernel,
     DropReason,
-    EventDrivenSimulator,
     RetryPolicy,
     random_churn,
     summarize,
@@ -75,8 +75,8 @@ DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / (
 
 def _run_cell(scheme, schedule, pairs, times, probes, probe_times,
               incremental):
-    """One engine run; returns (pre-probe metrics, probe metrics, churn)."""
-    sim = EventDrivenSimulator(
+    """One kernel run; returns (pre-probe metrics, probe metrics, churn)."""
+    sim = BatchKernel(
         scheme,
         retry_policy=RetryPolicy(max_attempts=4, base_delay=1.0),
         retry_seed=11,

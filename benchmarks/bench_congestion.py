@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import build_scheme
 from repro.graphs import gnp_random_graph
-from repro.simulator import EventDrivenSimulator
+from repro.simulator import BatchKernel
 from repro.simulator.workloads import uniform_pairs
 
 N = 64
@@ -24,7 +24,7 @@ SERVICE = 0.2
 
 
 def _run(scheme, pairs):
-    sim = EventDrivenSimulator(scheme, link_latency=1.0, node_service_time=SERVICE)
+    sim = BatchKernel(scheme, link_latency=1.0, node_service_time=SERVICE)
     for i, (source, dest) in enumerate(pairs):
         sim.inject(source, dest, at_time=i * 0.05)
     records = sim.run()
@@ -83,13 +83,13 @@ def test_hub_congestion_tradeoff(benchmark, ii_alpha, write_result):
     assert stats_hub["p95"] >= 2 * stats_tl["p95"]
 
 
-def test_queueing_engine_speed(benchmark, ii_alpha):
+def test_queueing_kernel_speed(benchmark, ii_alpha):
     graph = gnp_random_graph(N, seed=77)
     scheme = build_scheme("thm1-two-level", graph, ii_alpha)
     pairs = uniform_pairs(graph, 100, seed=5)
 
     def run():
-        sim = EventDrivenSimulator(scheme, node_service_time=0.1)
+        sim = BatchKernel(scheme, node_service_time=0.1)
         for i, (source, dest) in enumerate(pairs):
             sim.inject(source, dest, at_time=i * 0.1)
         return sim.run()

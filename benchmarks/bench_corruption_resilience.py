@@ -12,7 +12,7 @@ bench quantifies what the charged CRC/parity framing layer
   detects every odd-weight error; the acceptance criterion pins the
   framed detection rate at >= 99%.  The unframed baseline is reported to
   show the gap integrity framing closes.
-* **End-to-end resilience** — the event engine runs the same workload
+* **End-to-end resilience** — the timed kernel runs the same workload
   while a seeded :func:`~repro.simulator.chaos.table_corruption`
   schedule damages tables mid-run, sweeping corruption intensity per
   policy.  With framing, damage is detected at decode time, the node is
@@ -50,7 +50,7 @@ from repro.observability import (
     write_bench_result,
 )
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     MutationKind,
     RetryPolicy,
     TableMutation,
@@ -111,7 +111,7 @@ def _detection_rate(scheme, policy, graph):
 
 
 def _run_sweep_cell(scheme, graph, schedule, pairs, times):
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         fault_schedule=schedule,
         retry_policy=RetryPolicy(max_attempts=4, base_delay=1.0),

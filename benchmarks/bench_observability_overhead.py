@@ -25,7 +25,7 @@ count, in three tracer configurations:
 **Steady-state workload** at 10× the message count with a realistic
 (low) fault rate, timed untraced vs. a 1%-``SamplingTracer``.  The
 sampler's keep decision is made once per message (``Tracer.wants``), so
-the engine skips span calls entirely for the suppressed 99%; anomalous
+the kernel skips span calls entirely for the suppressed 99%; anomalous
 messages (retries, drops, stale deliveries) are promoted and retained
 at 100% regardless of the rate.  The bench cross-checks retention
 against a full recording of the identical workload.
@@ -60,7 +60,7 @@ from repro.observability import (
     SamplingTracer,
     write_bench_result,
 )
-from repro.simulator import EventDrivenSimulator, RetryPolicy, flapping_links
+from repro.simulator import BatchKernel, RetryPolicy, flapping_links
 
 II_BETA = RoutingModel(Knowledge.II, Labeling.BETA)
 
@@ -109,7 +109,7 @@ def _build_workload(n, messages, flapping=None):
 
 
 def _run_once(scheme, schedule, injections, tracer):
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         fault_schedule=schedule,
         retry_policy=RetryPolicy(max_attempts=3),

@@ -4,7 +4,7 @@ The paper defines full-information schemes so that "alternative, shortest,
 paths [can] be taken whenever an outgoing link is down".  This bench fails
 an increasing number of links and compares delivery rates of the
 full-information scheme against the single-path Theorem 1 scheme, plus raw
-routing throughput of the two execution engines.
+routing throughput of the untimed walker and the timed kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core import build_scheme
 from repro.graphs import gnp_random_graph
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     Network,
     sample_link_failures,
     summarize,
@@ -76,12 +76,12 @@ def test_walker_throughput(benchmark, ii_alpha):
     benchmark(lambda: [network.route(u, w) for u, w in pairs])
 
 
-def test_event_engine_throughput(benchmark, ii_alpha):
+def test_timed_kernel_throughput(benchmark, ii_alpha):
     graph = gnp_random_graph(N, seed=83)
     scheme = build_scheme("thm4-hub", graph, ii_alpha)
 
     def run():
-        sim = EventDrivenSimulator(scheme)
+        sim = BatchKernel(scheme)
         for i in range(100):
             sim.inject(1 + i % 32, 33 + i % 32, at_time=float(i) * 0.1)
         return sim.run()

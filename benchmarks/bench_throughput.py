@@ -13,19 +13,15 @@ ratio, so nothing is hidden, but it is not what the kernel parallelised.
 The two lanes are the *same* kernel:
 
 * ``scalar``  — ``batch=False``; every active row steps through
-  ``_step_one``, the per-message walk that mirrors the event engine
-  hop for hop.  This is the reference implementation whose record
-  stream defines correctness.
+  ``_step_one``, the exact per-message step.  This is the reference
+  implementation whose record stream defines correctness.
 * ``batched`` — ``batch=True``; in-flight messages advance a whole
   generation per step through precomputed next-hop gathers, and (with
   no faults, churn or tracer) the quiescent drain walks the entire
   cohort to completion in pure gather/scatter steps.
 
 Every timed pass asserts the two lanes' record streams are
-bit-identical before any throughput number is reported, and the
-event-driven engine is run once on the identical workload as an
-external cross-check (its per-message time lands next to the scalar
-lane's — the scalar baseline is not a strawman).
+bit-identical before any throughput number is reported.
 
 The run writes ``BENCH_throughput.json`` — a schema-versioned
 ``BenchResult`` with direction-annotated metrics and the embedded run
@@ -54,7 +50,7 @@ from repro.observability import (
     RunManifest,
     write_bench_result,
 )
-from repro.simulator import BatchKernel, EventDrivenSimulator
+from repro.simulator import BatchKernel
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
 
@@ -109,16 +105,6 @@ def _drain_once(scheme, injections, batch):
     return time.perf_counter() - start, finished
 
 
-def _engine_once(scheme, injections):
-    """The event-driven engine on the identical workload (cross-check)."""
-    engine = EventDrivenSimulator(scheme)
-    for source, destination, at_time in injections:
-        engine.inject(source, destination, at_time)
-    start = time.perf_counter()
-    records = engine.run()
-    return time.perf_counter() - start, records
-
-
 def measure(n=N, messages=MESSAGES, reps=REPS, scalar_reps=SCALAR_REPS):
     """Best-of-``reps`` drain timings for both lanes, equality-checked."""
     graph, scheme, injections = _build_workload(n, messages)
@@ -141,9 +127,6 @@ def measure(n=N, messages=MESSAGES, reps=REPS, scalar_reps=SCALAR_REPS):
             )
             timings["scalar"].append(elapsed)
             assert finished.records() == reference
-    engine_seconds, engine_records = _engine_once(scheme, injections)
-    key = lambda r: r.msg_id  # noqa: E731 - local sort key
-    assert sorted(engine_records, key=key) == sorted(reference, key=key)
     best = {mode: min(values) for mode, values in timings.items()}
     speedup = best["scalar"] / best["batched"]
     hops = sum(record.hops for record in reference)
@@ -160,14 +143,12 @@ def measure(n=N, messages=MESSAGES, reps=REPS, scalar_reps=SCALAR_REPS):
         "best_seconds": best,
         "all_seconds": timings,
         "materialize_seconds": materialize,
-        "engine_seconds": engine_seconds,
         "messages_per_sec_batched": messages / best["batched"],
         "messages_per_sec_scalar": messages / best["scalar"],
         "hops_per_sec_batched": hops / best["batched"],
         "speedup_ratio": speedup,
         "end_to_end_speedup": (best["scalar"] + materialize)
         / (best["batched"] + materialize),
-        "engine_speedup": engine_seconds / (best["batched"] + materialize),
         "total_hops": hops,
         "delivered": sum(1 for r in reference if r.delivered),
         "records": len(reference),
@@ -243,14 +224,10 @@ def _format(result) -> str:
         f"   ({result['messages_per_sec_batched']:12,.0f} msg/s, "
         f"{result['hops_per_sec_batched']:,.0f} hops/s)",
         f"  record materialisation     {mat:9.3f} s   (shared epilogue)",
-        f"  event-driven engine        {result['engine_seconds']:9.3f} s"
-        f"   (external cross-check)",
         "",
         f"  speedup at the batch boundary   {result['speedup_ratio']:7.1f}x",
         f"  end to end (records included)   "
         f"{result['end_to_end_speedup']:7.1f}x",
-        f"  vs. the event engine, end to end"
-        f"{result['engine_speedup']:8.1f}x",
         "",
         "  every pass asserts the batched and scalar lanes emit",
         "  bit-identical DeliveryRecord streams before timing counts.",

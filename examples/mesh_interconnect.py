@@ -17,7 +17,7 @@ import sys
 from repro import Knowledge, Labeling, RoutingModel, build_scheme, verify_scheme
 from repro.errors import SchemeBuildError
 from repro.graphs import diameter, torus_graph
-from repro.simulator import EventDrivenSimulator, summarize
+from repro.simulator import BatchKernel, summarize
 from repro.simulator.workloads import permutation_traffic
 
 
@@ -54,7 +54,7 @@ def main(rows: int = 8, cols: int = 8) -> None:
         "tree-cover", graph, RoutingModel(Knowledge.II, Labeling.GAMMA),
         num_trees=4,
     )
-    sim = EventDrivenSimulator(scheme, link_latency=1.0, node_service_time=0.25)
+    sim = BatchKernel(scheme, link_latency=1.0, node_service_time=0.25)
     for i, (source, dest) in enumerate(permutation_traffic(graph, seed=3)):
         sim.inject(source, dest, at_time=i * 0.02)
     records = sim.run()

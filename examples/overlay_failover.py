@@ -8,7 +8,7 @@ shortest path routing schemes exactly for this: "these schemes allow
 alternative, shortest, paths to be taken whenever an outgoing link is
 down."  We simulate waves of failures and compare delivery of the
 full-information scheme against the compact single-path Theorem 1 scheme,
-then show the event-driven engine delivering a burst of traffic.
+then show the timed kernel delivering a burst of traffic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from repro import Knowledge, Labeling, RoutingModel, build_scheme, gnp_random_graph
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     Network,
     sample_link_failures,
     summarize,
@@ -53,7 +53,7 @@ def main(n: int = 96, seed: int = 5) -> None:
 
     print("\nEvent-driven burst: 200 messages through the degraded overlay")
     failures = sample_link_failures(graph, graph.edge_count // 4, seed=99)
-    sim = EventDrivenSimulator(full_info, link_latency=0.35, failed_links=failures)
+    sim = BatchKernel(full_info, link_latency=0.35, failed_links=failures)
     for i in range(200):
         sim.inject(1 + i % n, 1 + (i * 37) % n, at_time=i * 0.01)
     records = [r for r in sim.run() if r.source != r.destination]

@@ -18,24 +18,24 @@ Commands
     Push a workload through the network simulator, optionally with
     failed links.
 ``simulate-chaos SCHEME N``
-    Run the event engine under a dynamic fault schedule (flapping links,
+    Run the timed kernel under a dynamic fault schedule (flapping links,
     MTBF/MTTR renewal churn, or correlated regional outages), optionally
     with retry/backoff recovery and the bounce-once detour wrapper, and
     report delivery ratio, retry counts, and the drop-reason breakdown.
     ``--seed`` (default 0) seeds the schedule generator, the workload
     sampler, the retry jitter, and the injection clock alike.
 ``simulate-corruption SCHEME N``
-    Run the event engine while seeded ``TABLE_CORRUPT`` faults mutate
+    Run the timed kernel while seeded ``TABLE_CORRUPT`` faults mutate
     packed routing tables mid-run.  ``--framing`` wraps the scheme in a
     charged CRC/parity integrity layer (detection at decode time);
     ``--repair-delay`` enables the detection-triggered self-healer.
     Reports the corruption lifecycle (injected / detected / undetected /
     healed) alongside the delivery metrics and the integrity-bit overhead.
 ``simulate-churn SCHEME N``
-    Run the event engine under *live topology churn*: a seeded schedule
+    Run the timed kernel under *live topology churn*: a seeded schedule
     of mutation events (edge add/remove, node join/leave) rewires the
     graph while messages are in flight.  Each mutation dirties only the
-    affected routing tables; after ``--repair-delay`` the engine rebuilds
+    affected routing tables; after ``--repair-delay`` the kernel rebuilds
     exactly those tables (``--full-rebuild`` forces the rebuild-everything
     control arm) and ``--repair-rate`` staggers installs at a bits-per-time
     budget.  Reports convergence times, stale deliveries, routing loops,
@@ -132,8 +132,8 @@ from repro.observability import (
 )
 from repro.observability.bench import format_comparison as _format_bench_diff
 from repro.simulator import (
+    BatchKernel,
     DetourWrapper,
-    EventDrivenSimulator,
     MutationKind,
     Network,
     RetryPolicy,
@@ -247,24 +247,19 @@ def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
     )
 
 
-def _batch_parent() -> argparse.ArgumentParser:
-    """Shared ``--batch``/``--workers`` flags for every simulate command.
+def _workers_parent() -> argparse.ArgumentParser:
+    """Shared ``--workers`` flag for every simulate command.
 
     Same parent-parser pattern as :func:`_retry_parent`: one definition,
     composed into each subcommand instead of repeated per parser.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "--batch", action="store_true",
-        help="route through the vectorised batch kernel (bit-identical "
-             "records to the scalar path under the same configuration)",
-    )
-    parent.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="run N seed replicas (seed..seed+N-1) through the "
              "multiprocessing sweep driver and print aggregate results "
-             "(replicas use the kernel-expressible core of this command; "
-             "tracing/metrics flags apply only to single runs)",
+             "(flags a replica cannot reproduce, tracing and metrics "
+             "included, are rejected)",
     )
     return parent
 
@@ -371,12 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--pairs", type=int, default=500)
     verify.add_argument("--model", type=parse_model, default=None)
 
-    batch_parent = _batch_parent()
+    workers_parent = _workers_parent()
 
     simulate = sub.add_parser(
         "simulate",
         help="run a workload through the simulator",
-        parents=[batch_parent],
+        parents=[workers_parent],
     )
     simulate.add_argument("scheme", choices=available_schemes())
     simulate.add_argument("n", type=int)
@@ -395,14 +390,19 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("uniform", "hotspot", "all-to-one", "one-to-all", "permutation"),
         default="uniform",
     )
+    simulate.add_argument(
+        "--batch", action="store_true",
+        help="route through the timed batch kernel (simultaneous injection "
+             "at time 0, unit hop latency) instead of the untimed walker",
+    )
     _add_observability_flags(simulate)
 
     retry_parent = _retry_parent()
 
     chaos = sub.add_parser(
         "simulate-chaos",
-        help="run the event engine under a dynamic fault schedule",
-        parents=[retry_parent, batch_parent],
+        help="run the timed kernel under a dynamic fault schedule",
+        parents=[retry_parent, workers_parent],
     )
     chaos.add_argument("scheme", choices=available_schemes())
     chaos.add_argument("n", type=int)
@@ -450,9 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     corruption = sub.add_parser(
         "simulate-corruption",
-        help="run the event engine while seeded faults corrupt routing "
+        help="run the timed kernel while seeded faults corrupt routing "
              "tables mid-run (integrity framing + self-healing)",
-        parents=[retry_parent, batch_parent],
+        parents=[retry_parent, workers_parent],
     )
     corruption.add_argument("scheme", choices=available_schemes())
     corruption.add_argument("n", type=int)
@@ -508,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     churn = sub.add_parser(
         "simulate-churn",
-        help="run the event engine under live topology churn with "
+        help="run the timed kernel under live topology churn with "
              "incremental scheme repair and convergence reporting",
-        parents=[retry_parent, batch_parent],
+        parents=[retry_parent, workers_parent],
     )
     churn.add_argument("scheme", choices=available_schemes())
     churn.add_argument("n", type=int)
@@ -819,13 +819,48 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok() else 1
 
 
+_SWEEP_SHARED = frozenset({"command", "scheme", "n", "seed", "workers", "json"})
+"""Flags that shape the fan-out itself (graph, seeds, workers, output)."""
+_TRAFFIC_KNOBS = {"messages": "messages", "workload": "workload"}
+_RETRY_KNOBS = {
+    **_TRAFFIC_KNOBS,
+    "horizon": "horizon",
+    "retries": "retries",
+    "backoff_base": "retry_base_delay",
+}
+_SWEEP_KNOBS = {
+    "plain": {
+        **_TRAFFIC_KNOBS, "failures": "failures",
+        "node_failures": "node_failures",
+    },
+    "chaos": {
+        **_RETRY_KNOBS, "chaos_links": "chaos_links",
+        "chaos_nodes": "chaos_nodes",
+    },
+    "corruption": {
+        **_RETRY_KNOBS, "corrupt_nodes": "corrupt_nodes",
+        "repair_delay": "repair_delay", "framing": "framing",
+    },
+    "churn": {
+        **_RETRY_KNOBS, "events": "churn_events",
+        "repair_delay": "churn_repair_delay",
+    },
+}
+"""Per sweep variant: the CLI flag (argparse dest) each SweepTask field
+takes its value from.  Any other non-default flag cannot reach a replica."""
+_SWEEP_CHECKED = {"plain": {"batch"}, "chaos": {"schedule"}}
+"""Flags checked rather than forwarded: replicas run the timed kernel
+(``simulate`` needs ``--batch`` to run it too) on the renewal schedule."""
+
 
 def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     """Shard N seed replicas of a simulate command over worker processes.
 
     Each replica is a :class:`~repro.simulator.sweep.SweepTask` built from
-    the command's kernel-expressible knobs; records never cross the
-    process boundary, only per-replica aggregates and record digests.
+    the command's flags; a flag the task cannot carry is an error, never
+    silently dropped, so replica 0 reproduces the single run's delivery,
+    retry and drop counts.  Records never cross the process boundary,
+    only per-replica aggregates and record digests.
     """
     from repro.simulator.sweep import run_sweep, seed_replicas
 
@@ -833,30 +868,32 @@ def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
         print(f"--workers sweeps support uniform/hotspot/permutation "
               f"workloads, not {args.workload!r}", file=sys.stderr)
         return 2
+    defaults = vars(
+        _build_parser().parse_args([args.command, args.scheme, str(args.n)])
+    )
+    forwarded = _SWEEP_KNOBS[variant]
+    carried = _SWEEP_SHARED | forwarded.keys() | _SWEEP_CHECKED.get(
+        variant, set()
+    )
+    dropped = sorted(
+        key for key, value in vars(args).items()
+        if key not in carried and value != defaults.get(key)
+    )
+    if dropped:
+        flags = ", ".join("--" + key.replace("_", "-") for key in dropped)
+        print(f"--workers sweeps cannot forward {flags}; run a single "
+              f"replica for them", file=sys.stderr)
+        return 2
+    if variant == "plain" and not args.batch:
+        print("--workers replicas run the timed kernel; add --batch so "
+              "the single run does too", file=sys.stderr)
+        return 2
     knobs: dict = {
-        "messages": args.messages,
-        "workload": args.workload,
-        "variant": variant,
-        "batch": True,
+        field: getattr(args, dest) for dest, field in forwarded.items()
     }
-    if variant == "plain":
-        knobs["failures"] = args.failures
-        knobs["node_failures"] = args.node_failures
-    else:
-        knobs["horizon"] = args.horizon
-        knobs["retries"] = args.retries
-        knobs["retry_base_delay"] = args.backoff_base
-    if variant == "chaos":
-        knobs["chaos_links"] = args.chaos_links
-        knobs["chaos_nodes"] = args.chaos_nodes
-    elif variant == "corruption":
-        knobs["corrupt_nodes"] = args.corrupt_nodes
-        knobs["repair_delay"] = (
-            args.repair_delay if args.repair_delay > 0 else None
-        )
-    elif variant == "churn":
-        knobs["churn_events"] = args.events
-        knobs["churn_repair_delay"] = args.repair_delay
+    if variant == "corruption" and args.repair_delay <= 0:
+        knobs["repair_delay"] = None  # --repair-delay 0 means no healing
+    knobs["variant"] = variant
     tasks = seed_replicas(
         args.scheme, args.n, graph_seed=args.seed, base_seed=args.seed,
         count=args.workers, **knobs,
@@ -991,25 +1028,13 @@ def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
         pairs = permutation_traffic(graph, seed=args.seed)
     retry = _retry_policy(args)
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        sim = BatchKernel(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-        )
+    sim = BatchKernel(
+        scheme,
+        fault_schedule=schedule,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+    )
     clock = _random.Random(args.seed)
     for source, destination in pairs:
         sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
@@ -1096,27 +1121,14 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
     retry = _retry_policy(args)
     repair_delay = args.repair_delay if args.repair_delay > 0 else None
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        sim = BatchKernel(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            repair_delay=repair_delay,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            repair_delay=repair_delay,
-        )
+    sim = BatchKernel(
+        scheme,
+        fault_schedule=schedule,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+        repair_delay=repair_delay,
+    )
     clock = _random.Random(args.seed)
     for source, destination in pairs:
         sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
@@ -1204,34 +1216,16 @@ def _cmd_simulate_churn(args: argparse.Namespace) -> int:
         pairs = permutation_traffic(graph, seed=args.seed)
     retry = _retry_policy(args)
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        if args.repair_rate is not None:
-            print("--batch installs repairs instantly; --repair-rate "
-                  "needs the scalar engine", file=sys.stderr)
-            return 2
-        sim = BatchKernel(
-            scheme,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            churn_schedule=schedule,
-            churn_repair_delay=args.repair_delay,
-            incremental_repair=not args.full_rebuild,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            churn_schedule=schedule,
-            churn_repair_delay=args.repair_delay,
-            churn_repair_rate=args.repair_rate,
-            incremental_repair=not args.full_rebuild,
-        )
+    sim = BatchKernel(
+        scheme,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+        churn_schedule=schedule,
+        churn_repair_delay=args.repair_delay,
+        churn_repair_rate=args.repair_rate,
+        incremental_repair=not args.full_rebuild,
+    )
     clock = _random.Random(args.seed)
     for source, destination in pairs:
         sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))

@@ -243,8 +243,6 @@ _WELL_KNOWN_HELP: Dict[str, str] = {
     "repro_scheme_max_node_bits": "Largest per-node table in bits.",
     "repro_phase_seconds": "Wall time per profiled phase.",
     "repro_phase_calls_total": "Invocations per profiled phase.",
-    "repro_distance_cache_total":
-        "Distance-matrix cache accesses, labelled by hit/miss.",
     "repro_graph_ctx_total":
         "GraphContext derivation accesses, labelled by kind and op.",
     "repro_graph_ctx_invalidations_total":

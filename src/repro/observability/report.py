@@ -4,7 +4,7 @@ Answers the questions the aggregate :class:`RoutingMetrics` cannot:
 
 * **hot nodes** — which nodes forwarded the most traffic;
 * **hop latency percentiles** — distribution of per-hop end-to-end cost
-  (queue wait + service + wire) from the event engine's hop durations;
+  (queue wait + service + wire) from the timed kernel's hop durations;
 * **fault-window attribution** — for every drop, whether a traced fault
   window (link/node down interval) was active on the failed subject at
   drop time, and which fault subjects caused the most drops.

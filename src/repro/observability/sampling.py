@@ -19,11 +19,11 @@ loop.  :class:`SamplingTracer` keeps tracing affordable at scale with
   summarised by the synthetic inject rather than replayed in full.
 * Control-plane spans (faults, corruption lifecycle, churn lifecycle,
   ctx derivations) always pass through — they are rare and load-bearing.
-* High-rate emission sites (the event engine) can skip suppressed
+* High-rate emission sites (the timed kernel) can skip suppressed
   messages entirely: they ask :meth:`~SamplingTracer.wants` once per
   message, cache the verdict on the message, and bypass every span call
   for suppressed ones — a field test per hop instead of a method call.
-  When a bypassed message turns anomalous the engine calls
+  When a bypassed message turns anomalous the kernel calls
   :meth:`~SamplingTracer.promote` with the inject facts it still holds,
   which emits the synthetic inject and re-opens the stream.  The
   breadcrumb path above remains for emitters that do not cooperate
@@ -132,7 +132,7 @@ class SamplingTracer(Tracer):
     def wants(self, msg_id: int) -> bool:
         """The seeded keep decision, memoised (and tallied) per message.
 
-        Cooperating emission sites (the event engine) call this once per
+        Cooperating emission sites (the timed kernel) call this once per
         message and skip span construction entirely for suppressed ones;
         when one of those turns anomalous they call :meth:`promote` with
         the inject facts they still hold, replacing the breadcrumb path.

@@ -1,16 +1,16 @@
 """Message-level network simulator.
 
 Executes any :class:`~repro.core.scheme.RoutingScheme` on its graph:
-immediate walking (:class:`~repro.simulator.network.Network`), discrete
-events (:class:`~repro.simulator.network.EventDrivenSimulator`),
-reproducible static failure injection (:mod:`~repro.simulator.failures`),
-dynamic chaos schedules (:mod:`~repro.simulator.chaos`), live topology
-churn with incremental repair (:mod:`~repro.simulator.churn`),
-retry/backoff recovery (:mod:`~repro.simulator.recovery`),
-delivery/stretch/resilience metrics, a vectorised batch kernel behind a
-scalar-equivalent boundary (:mod:`~repro.simulator.kernel`), and a
-multiprocessing sweep driver sharding ``(graph, seed)`` instances
-(:mod:`~repro.simulator.sweep`).
+immediate walking (:class:`~repro.simulator.network.Network`), timed
+execution in simulated time — link latency, node queueing, retries —
+behind a scalar-equivalent batch boundary
+(:class:`~repro.simulator.kernel.BatchKernel`), reproducible static
+failure injection (:mod:`~repro.simulator.failures`), dynamic chaos
+schedules (:mod:`~repro.simulator.chaos`), live topology churn with
+incremental repair (:mod:`~repro.simulator.churn`), retry/backoff
+recovery (:mod:`~repro.simulator.recovery`), delivery/stretch/resilience
+metrics, and a multiprocessing sweep driver sharding ``(graph, seed)``
+instances (:mod:`~repro.simulator.sweep`).
 """
 
 from repro.simulator.bootstrap import BootstrapResult, simulate_dissemination
@@ -38,7 +38,7 @@ from repro.simulator.failures import (
     sample_link_failures,
     sample_node_failures,
 )
-from repro.simulator.kernel import BatchKernel, run_batch
+from repro.simulator.kernel import BatchKernel
 from repro.simulator.message import (
     DeliveryRecord,
     DropReason,
@@ -47,12 +47,11 @@ from repro.simulator.message import (
 )
 from repro.simulator.metrics import (
     RoutingMetrics,
-    cached_distance_matrix,
     drop_breakdown,
     retry_histogram,
     summarize,
 )
-from repro.simulator.network import EventDrivenSimulator, Network
+from repro.simulator.network import Network
 from repro.simulator.recovery import DetourWrapper, RetryPolicy
 from repro.simulator.sweep import (
     SweepResult,
@@ -76,7 +75,6 @@ __all__ = [
     "DeliveryRecord",
     "DetourWrapper",
     "DropReason",
-    "EventDrivenSimulator",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
@@ -93,7 +91,6 @@ __all__ = [
     "TopologyMutationKind",
     "adjacency_mask",
     "all_to_one",
-    "cached_distance_matrix",
     "drop_breakdown",
     "failure_masks",
     "flapping_links",
@@ -104,7 +101,6 @@ __all__ = [
     "regional_failures",
     "renewal_faults",
     "retry_histogram",
-    "run_batch",
     "run_sweep",
     "run_task",
     "sample_incident_failures",

@@ -2,7 +2,7 @@
 
 The static failure sets in :mod:`repro.simulator.failures` freeze the
 network before a run.  A :class:`FaultSchedule` instead evolves the failure
-set *during* an :class:`~repro.simulator.network.EventDrivenSimulator` run:
+set *during* a :class:`~repro.simulator.kernel.BatchKernel` run:
 links flap, nodes crash and recover, whole regions go dark and come back.
 That is the regime the paper's full-information schemes are designed for
 ("allow alternative, shortest, paths to be taken whenever an outgoing link
@@ -322,7 +322,7 @@ class FaultSchedule:
         """Replay the schedule: (failed links, failed nodes) at ``time``.
 
         Events stamped exactly ``time`` are considered applied, matching the
-        event engine's fault-before-message tie-break.  Table events do not
+        kernel's fault-before-message tie-break.  Table events do not
         crash nodes; replay them with :meth:`corrupted_at`.
         """
         links: Set[FrozenSet[int]] = set()

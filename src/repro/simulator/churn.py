@@ -3,7 +3,7 @@
 A :class:`~repro.simulator.chaos.FaultSchedule` perturbs the *availability*
 of links and nodes — every fault can be undone and the graph underneath
 never changes.  A :class:`ChurnSchedule` instead mutates the topology
-itself while an :class:`~repro.simulator.network.EventDrivenSimulator` is
+itself while a :class:`~repro.simulator.kernel.BatchKernel` is
 running: links appear and disappear permanently, nodes leave and rejoin.
 After a mutation the installed routing tables are *stale* — they describe
 a graph that no longer exists — and the simulator's convergence layer
@@ -13,7 +13,7 @@ long the network routes on stale state and what that staleness costs.
 This is the regime of "Compact Routing on Internet-Like Graphs"
 (Krioukov/Fall/Yang): statically optimal compact tables meeting an
 evolving topology.  All generators here are seeded and fully
-deterministic, like the chaos-engine generators they sit beside.
+deterministic, like the chaos generators they sit beside.
 
 The node set is fixed ``1..n`` throughout (the paper's labelling models
 need it): a *leave* isolates a node rather than deleting its label, and a
@@ -212,7 +212,7 @@ class ChurnSchedule:
     """An immutable, time-ordered sequence of :class:`TopologyMutation` s.
 
     Mirrors :class:`~repro.simulator.chaos.FaultSchedule` so the two can
-    ride through the same event engine side by side; additionally offers
+    ride through the same timed kernel side by side; additionally offers
     *replay* — reconstructing the live graph at any point in time — which
     is what makes schedules checkable before a run starts.
     """
@@ -288,7 +288,7 @@ class ChurnSchedule:
         """The live graph at ``time``, replayed from base graph ``graph``.
 
         Mutations stamped exactly ``time`` count as applied, matching the
-        event engine's mutation-before-message tie-break.
+        kernel's mutation-before-message tie-break.
         """
         current = graph
         for mutation in self._mutations:

@@ -1,51 +1,58 @@
-"""Vectorised batch routing kernel behind a scalar-equivalent boundary.
+"""The timed routing kernel: one simulator, two lanes, one record stream.
 
-:class:`BatchKernel` advances *all* in-flight messages one generation of
-hops at a time over the struct-of-arrays
-:class:`~repro.simulator.message.MessageBatch`.  Each generation splits
-the cohort (the messages whose ready time equals the current simulated
-time) into two lanes:
+:class:`BatchKernel` executes a routing scheme in simulated time over the
+struct-of-arrays :class:`~repro.simulator.message.MessageBatch`.  Hops
+cost ``link_latency`` on the wire; with ``node_service_time`` set every
+node serialises its forwarding work (``queue_capacity`` turns backlog
+into drops); a :class:`~repro.simulator.chaos.FaultSchedule` evolves the
+failure and table-corruption state during the run; a
+:class:`~repro.simulator.churn.ChurnSchedule` rewires the topology while
+repair installs stream in; a
+:class:`~repro.simulator.recovery.RetryPolicy` re-injects dropped
+messages at their source.
 
-* the **fast lane** — messages whose next step is provably a clean
-  advance or a clean delivery.  Eligibility is decided by pure numpy mask
-  algebra over precomputed lookups: the scheme's dense next-hop matrix
+The drain loop takes one *cohort* at a time — the rows whose ready time
+equals the earliest pending time — from an index of ready times (a heap
+of distinct times, one row bucket per time), and the kernel picks the
+cohort's lane:
+
+* the **scalar lane** — :meth:`BatchKernel._step_one`, one exact step per
+  row in ascending row order: liveness, quarantine, hop-limit and
+  routing-loop checks, the forwarding decision via
+  :meth:`~repro.simulator.network.Network._choose_hop`, drop details,
+  spans and counters.  Cohorts smaller than :data:`_MIN_BATCH_ROWS` take
+  it (one Python step beats a round of mask algebra there), and so does
+  every cohort while a node service time is set, because per-node busy
+  state depends on processing order.
+* the **batch lane** — every larger cohort.  Rows whose next step is
+  provably a clean advance or delivery, decided by numpy mask algebra
+  over the scheme's dense next-hop matrix
   (:meth:`~repro.graphs.context.GraphContext.next_hop_matrix`), the
   failure masks (:func:`~repro.simulator.chaos.failure_masks`), the live
   adjacency under churn (:func:`~repro.simulator.churn.adjacency_mask`)
-  and overlay masks for corrupted/quarantined/healed/updated tables.
-  Fast rows gather their next hop from the matrix and scatter it back in
-  one vector operation — no Python per message.
-* the **slow lane** — everything else: traced messages (span emission),
-  arrivals needing promotion, anything adjacent to a failure, overlay or
-  churn boundary, stateful headers, hop-limit and loop candidates.  Slow
-  rows replay the *exact* scalar step of
-  :class:`~repro.simulator.network.EventDrivenSimulator` (same check
-  order, same :meth:`~repro.simulator.network.Network._choose_hop`, same
-  drop details, spans and counters), in ascending row order.
+  and overlay masks for corrupted/quarantined/healed/updated tables,
+  gather their next hop from the matrix and scatter it back in one
+  vector operation; the rest (traced rows, header state, anything near
+  a failure, overlay or churn boundary) take the scalar step.
 
-Because fast-lane eligibility is deliberately conservative — a row is
-fast only when no shared state it touches can change this generation —
-``batch=True`` and ``batch=False`` (every row through the slow lane)
-produce **bit-identical** :class:`~repro.simulator.message.DeliveryRecord`
-streams.  That equivalence is the batch boundary's contract, enforced by
-a hypothesis property over every registered scheme with chaos, churn and
-corruption enabled.
+Because batch-lane eligibility is deliberately conservative — a row is
+advanced in bulk only when no shared state it touches can change this
+generation — the default lane choice and ``batch=False`` (every cohort
+through the scalar lane) produce **bit-identical**
+:class:`~repro.simulator.message.DeliveryRecord` streams.  That
+equivalence is the batch boundary's contract, enforced by a hypothesis
+property over every registered scheme with latency, queueing, chaos,
+churn and corruption enabled.
 
-Relation to the event engine: the kernel is the engine restricted to
-``link_latency=1.0``, ``node_service_time=0``, unbounded queues and
-instantaneous churn installs (``churn_repair_rate`` has no batched
-counterpart).  One deliberate divergence: retry backoff jitter draws from
-a *per-message* :class:`random.Random` seeded as
-``retry_seed * 1_000_003 + msg_id`` (the engine shares one stream in
-completion order, which has no stable batched analogue), so engine and
-kernel runs only match bit-for-bit when retries are disabled.
+Retry backoff jitter draws from a *per-message* :class:`random.Random`
+seeded as ``retry_seed * 1_000_003 + msg_id``, so a message's backoffs
+do not depend on how other messages' outcomes interleave.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -75,42 +82,96 @@ from repro.simulator.message import (
     Message,
     MessageBatch,
 )
-from repro.simulator.network import (
-    _RETRYABLE,
-    Network,
-    _live_tracer,
-    _mutation_subject,
-)
+from repro.simulator.network import Network, _live_tracer, _mutation_subject
 from repro.simulator.recovery import RetryPolicy
 
-__all__ = ["BatchKernel", "run_batch"]
+__all__ = ["BatchKernel"]
 
-_HOP_LATENCY = 1.0
+_MIN_BATCH_ROWS = 8
+"""Smallest cohort the batch lane takes; smaller cohorts step row by row.
+
+Measured on full-table over G(128, 1/2) with renewal faults and table
+corruption live (so the quiescent drain is off), cohorts of k rows moving
+in lockstep, batch-lane time over scalar-lane time: 1.27-1.36 at k=2,
+0.62-1.00 at k=4, 0.61-0.74 at k=8, 0.21 at k=128.  A batch-lane round
+costs a fixed mask set-up per cohort, so below a handful of rows one
+exact scalar step per row is cheaper."""
+
+# Drops worth retrying: the condition that caused them can heal as the
+# fault schedule advances (ROUTING_LOOP: as churn repair converges).  A
+# scheme bug (INVALID_FORWARD) cannot.
+_RETRYABLE = frozenset(
+    {
+        DropReason.ENDPOINT_DOWN,
+        DropReason.LINK_DOWN,
+        DropReason.NODE_DOWN,
+        DropReason.HOP_LIMIT,
+        DropReason.NO_ROUTE,
+        DropReason.QUEUE_OVERFLOW,
+        DropReason.TABLE_CORRUPT,
+        DropReason.ROUTING_LOOP,
+    }
+)
 
 
 @dataclass(frozen=True)
 class _RepairTick:
-    """Internal event: plan and apply the repair for one churn generation."""
+    """Internal event: start planning a repair for one churn generation."""
 
     generation: int
 
 
-_Event = Union[FaultEvent, TopologyMutation, _RepairTick]
+@dataclass(frozen=True)
+class _TableInstall:
+    """Internal event: one staggered table install of the active plan."""
+
+    generation: int
+    node: int
+    final: bool
+    """Last install of the plan — convergence finalises after it."""
+
+
+_Event = Union[FaultEvent, TopologyMutation, _RepairTick, _TableInstall]
 _EventEntry = Tuple[float, int, _Event]
+_Bucket = Tuple[List[int], List[np.ndarray]]
+"""The rows due at one ready time: single rows, and ascending row arrays."""
 
 
 class BatchKernel:
-    """Generation-stepped batch execution of one routing scheme.
+    """Timed execution of one routing scheme, cohort by cohort.
 
-    Accepts the same fault/churn/retry configuration as the event engine
-    (minus service times, queue capacities and rate-staggered installs);
     :meth:`inject` schedules messages and :meth:`run` drains them,
     returning one record per message **in injection order** (the batch's
-    row order — stable across worker counts and lane splits, unlike the
-    engine's completion order).
+    row order — stable across worker counts and lane splits).  Events at
+    time ``t`` (faults, mutations, repair steps) apply before any message
+    step at ``t``, so a link that dies at ``t`` is dead for every hop
+    taken at ``t``.
 
-    ``batch=False`` routes every row through the scalar slow lane — the
-    reference stream the vectorised mode must reproduce bit-for-bit.
+    ``link_latency`` is the wire time of one hop.  A positive
+    ``node_service_time`` makes each node forward one message at a time,
+    so traffic concentrating on a node — the Theorem 4 hub, a hotspot
+    destination — queues up; ``queue_capacity`` (messages of backlog)
+    turns overload into ``QUEUE_OVERFLOW`` drops.
+
+    ``TABLE_CORRUPT`` fault events mutate a node's packed routing
+    function.  When the damage is *detected* (checksum or structural
+    failure at decode/route time) the node is quarantined and — with a
+    ``repair_delay`` — healed that long after detection; the detection
+    latency lands in the ``repro_corruption_detection_latency`` histogram.
+
+    Under a ``churn_schedule`` each mutation updates the live graph at
+    once while the installed tables keep describing the old topology.
+    ``churn_repair_delay`` after a mutation a repair plan rebuilds only
+    the dirtied tables (``incremental_repair=False`` forces the
+    full-rebuild control arm); ``churn_repair_rate`` (bits per time unit,
+    ``None`` = instantaneous) staggers the installs.  A newer mutation
+    aborts an in-flight plan, and the tables it already installed are
+    forced dirty in the next one.  Messages forwarded during the stale
+    window are marked ``stale`` and watched by a per-attempt routing-loop
+    detector; :meth:`churn_summary` reports the episode accounting.
+
+    ``batch=False`` routes every cohort through the scalar lane — the
+    reference stream the default lane choice reproduces bit-for-bit.
     """
 
     def __init__(
@@ -118,8 +179,11 @@ class BatchKernel:
         scheme: Optional[RoutingScheme] = None,
         *,
         network: Optional[Network] = None,
+        link_latency: float = 1.0,
         failed_links: Iterable[Tuple[int, int]] = (),
         failed_nodes: Iterable[int] = (),
+        node_service_time: float = 0.0,
+        queue_capacity: Optional[int] = None,
         fault_schedule: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retry_seed: int = 0,
@@ -127,6 +191,7 @@ class BatchKernel:
         repair_delay: Optional[float] = None,
         churn_schedule: Optional[ChurnSchedule] = None,
         churn_repair_delay: float = 5.0,
+        churn_repair_rate: Optional[float] = None,
         incremental_repair: bool = True,
         batch: bool = True,
     ) -> None:
@@ -136,6 +201,18 @@ class BatchKernel:
             self._network = Network(scheme, failed_links, failed_nodes)
         else:
             raise RoutingError("BatchKernel needs a scheme or a network")
+        if link_latency <= 0:
+            raise RoutingError(
+                f"link latency must be positive, got {link_latency}"
+            )
+        if node_service_time < 0:
+            raise RoutingError(
+                f"service time must be non-negative, got {node_service_time}"
+            )
+        if queue_capacity is not None and queue_capacity < 1:
+            raise RoutingError(
+                f"queue capacity must be positive, got {queue_capacity}"
+            )
         if repair_delay is not None and repair_delay <= 0:
             raise RoutingError(
                 f"repair delay must be positive, got {repair_delay}"
@@ -144,15 +221,24 @@ class BatchKernel:
             raise RoutingError(
                 f"churn repair delay must be positive, got {churn_repair_delay}"
             )
+        if churn_repair_rate is not None and churn_repair_rate <= 0:
+            raise RoutingError(
+                f"churn repair rate must be positive, got {churn_repair_rate}"
+            )
         if (
             churn_schedule is not None
             and self._network.scheme.address_of(1) != 1
         ):
+            # Repaired schemes re-derive their own labels; only plain-label
+            # addressing survives a table swap mid-flight.
             raise RoutingError(
                 "live topology churn requires a plain-label scheme "
                 "(address_of(u) == u)"
             )
         self._batch = batch
+        self._latency = link_latency
+        self._service = node_service_time
+        self._capacity = queue_capacity
         self._schedule = fault_schedule
         self._retry = retry_policy
         self._retry_seed = retry_seed
@@ -169,14 +255,23 @@ class BatchKernel:
         self._hop_sets: Dict[Tuple[int, int], Set[Tuple[int, Any]]] = {}
         self._addresses: Dict[int, Any] = {}
         self._forward_counts: Dict[int, int] = {}
-        # Live topology churn state (instant installs: no staggered plan).
+        self._busy_until: Dict[int, float] = {}
+        # Ready index: a heap of distinct pending ready times, and the
+        # rows filed under each one.
+        self._ready_times: List[float] = []
+        self._buckets: Dict[float, _Bucket] = {}
+        # Live topology churn state.
         self._churn = churn_schedule
         self._churn_delay = churn_repair_delay
+        self._churn_rate = churn_repair_rate
         self._incremental = incremental_repair
         self._base_scheme = self._network.scheme
         self._generation = 0
         self._pending_mutations: List[TopologyMutation] = []
         self._stale_since: Optional[float] = None
+        self._active_plan: Optional[RepairPlan] = None
+        self._plan_installed: Set[int] = set()
+        self._aborted_installs: Set[int] = set()
         self._convergence_times: List[float] = []
         self._churn_stats: Dict[str, int] = {
             "mutations": 0,
@@ -186,6 +281,9 @@ class BatchKernel:
             "bits_rewritten": 0,
             "bits_reused": 0,
         }
+        # Open trace spans for causal links: corrupt span per damaged
+        # node, the latest mutate span (repairs link to it) and the first
+        # mutate span of the current churn episode (converged links to it).
         self._corrupt_spans: Dict[int, int] = {}
         self._mutate_span: Optional[int] = None
         self._episode_root_span: Optional[int] = None
@@ -209,6 +307,9 @@ class BatchKernel:
         self._fwd_pending: List[np.ndarray] = []
         # Per-row kernel bookkeeping (sized at run()).
         self._has_state = np.zeros(0, dtype=bool)
+        # ``batch.traced`` mirrored as a list (filled only under a tracer)
+        # so the scalar step's per-hop test costs no numpy call.
+        self._traced: List[bool] = []
         self.batch: Optional[MessageBatch] = None
 
     # -- public surface -------------------------------------------------------
@@ -239,7 +340,12 @@ class BatchKernel:
         return counts
 
     def churn_summary(self) -> Dict[str, object]:
-        """Episode accounting mirroring the event engine's summary."""
+        """Episode accounting of the last run's churn convergence.
+
+        ``bits_full`` is what full rebuilds would have pushed over the
+        same episodes; ``converged`` reports whether every mutation's
+        repair completed before the run drained.
+        """
         stats = self._churn_stats
         return {
             "mutations": stats["mutations"],
@@ -282,6 +388,7 @@ class BatchKernel:
         self._hop_sets = {}
         self._retry_rngs = {}
         self._forward_counts = {}
+        self._busy_until = {}
         self._fwd_vec = None
         self._fwd_pending = []
         msg_ids = [p[0] for p in self._pending]
@@ -289,11 +396,16 @@ class BatchKernel:
         destinations = [p[2] for p in self._pending]
         times = [p[3] for p in self._pending]
         batch = MessageBatch(msg_ids, sources, destinations, times, self._limit)
-        for i, pending in enumerate(self._pending):
-            batch.traced[i] = pending[4]
+        if self._tracer is None:
+            self._traced = []
+            batch.traced[:] = False
+        else:
+            self._traced = [p[4] for p in self._pending]
+            batch.traced[:] = self._traced
         self._pending = []
         self._has_state = np.zeros(batch.size, dtype=bool)
         self.batch = batch
+        self._index_injections(batch)
         if self._schedule is not None:
             for event in self._schedule:
                 heapq.heappush(
@@ -303,19 +415,20 @@ class BatchKernel:
         if self._churn is not None:
             for mutation in self._churn:
                 self._push_control(mutation, mutation.time)
+        ready_times = self._ready_times
+        events = self._events
         while True:
-            if bool(batch.active.any()):
-                now = float(batch.ready[batch.active].min())
-                while self._events and self._events[0][0] <= now:
-                    time, _, payload = heapq.heappop(self._events)
+            if ready_times:
+                now = ready_times[0]
+                while events and events[0][0] <= now:
+                    time, _, payload = heapq.heappop(events)
                     self._dispatch_event(payload, time)
-                # The retry RNG is seeded from retry_seed and msg_id only;
-                # the simulated clock never feeds it.
-                self._step_cohort(batch, now)  # repro-lint: disable=R010
+                heapq.heappop(ready_times)
+                self._step_cohort(batch, self._buckets.pop(now), now)
             elif self._control_events:
-                if not self._events:  # pragma: no cover - defensive
+                if not events:  # pragma: no cover - defensive
                     break
-                time, _, payload = heapq.heappop(self._events)
+                time, _, payload = heapq.heappop(events)
                 self._dispatch_event(payload, time)
             else:
                 break
@@ -323,10 +436,51 @@ class BatchKernel:
         self._control_events = 0
         return batch
 
+    # -- ready index ----------------------------------------------------------
+
+    def _index_injections(self, batch: MessageBatch) -> None:
+        """File every injected row under its ready time.
+
+        A batch injected at one instant becomes a single bucket without
+        sorting; mixed times are filed in one stable argsort order, so
+        the heap of distinct times comes out already sorted.
+        """
+        self._ready_times = []
+        self._buckets = {}
+        if batch.size == 0:
+            return
+        ready = batch.ready
+        first = float(ready[0])
+        if bool((ready == first).all()):
+            self._buckets[first] = ([], [np.arange(batch.size)])
+            self._ready_times.append(first)
+            return
+        order = np.argsort(ready, kind="stable")
+        buckets = self._buckets
+        for time, i in zip(ready[order].tolist(), order.tolist()):
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = ([i], [])
+            else:
+                bucket[0].append(i)
+        self._ready_times = list(buckets)
+
+    def _bucket(self, time: float) -> _Bucket:
+        """The bucket of rows due at ``time``, opened on first use."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = ([], [])
+            heapq.heappush(self._ready_times, time)
+        return bucket
+
     # -- event plumbing -------------------------------------------------------
 
     def _push_control(self, payload: _Event, at_time: float) -> None:
-        """Queue a churn control event; keeps the drain loop alive."""
+        """Queue a churn control event (mutation / repair tick / install).
+
+        Control events keep the drain loop alive after every message has
+        resolved, so convergence always completes.
+        """
         heapq.heappush(
             self._events, (at_time, next(self._sequence), payload)
         )
@@ -335,20 +489,23 @@ class BatchKernel:
     def _dispatch_event(self, payload: _Event, now: float) -> None:
         if isinstance(payload, FaultEvent):
             self._apply_timed_fault(payload, now)
+            return
+        self._control_events -= 1
+        if isinstance(payload, TopologyMutation):
+            self._apply_mutation_event(payload, now)
+        elif isinstance(payload, _RepairTick):
+            self._start_repair(payload, now)
         else:
-            self._control_events -= 1
-            if isinstance(payload, TopologyMutation):
-                self._apply_mutation_event(payload, now)
-            else:
-                self._start_repair(payload, now)
+            self._apply_install(payload, now)
 
     def _apply_timed_fault(self, event: FaultEvent, now: float) -> None:
-        """Mirror of the engine's fault application and lifecycle spans.
+        """Apply one scheduled fault, with corruption-lifecycle tracing.
 
         The kernel's own network is untraced, so corruption spans are
-        emitted here with simulated timestamps; when the kernel adopts an
-        externally traced network (:meth:`Network.route_batch`) span
-        emission stays with the network and is skipped here.
+        emitted here with simulated timestamps (quarantine spans in
+        :meth:`_on_detection`); when the kernel adopts an externally
+        traced network (:meth:`Network.route_batch`) span emission stays
+        with the network and is skipped here.
         """
         tracer = self._tracer
         network_traced = self._network._tracer is not None
@@ -356,6 +513,7 @@ class BatchKernel:
             node = event.subject[0]
             self._network.apply_fault(event)
             self._corrupted_at[node] = now
+            # Fresh damage re-arms detection for this node.
             self._reacted.discard(node)
             if tracer is not None:
                 if not network_traced:
@@ -390,7 +548,7 @@ class BatchKernel:
         self._network.apply_fault(event)
 
     def _on_detection(self, node: int, now: float) -> None:
-        """React once per corruption episode, as the engine does."""
+        """React once per corruption episode: record latency, plan the heal."""
         if node in self._reacted:
             return
         self._reacted.add(node)
@@ -416,16 +574,24 @@ class BatchKernel:
                 ),
             )
 
-    # -- live topology churn (instant installs) -------------------------------
+    # -- live topology churn --------------------------------------------------
 
     def _apply_mutation_event(
         self, mutation: TopologyMutation, now: float
     ) -> None:
+        """Mutate the live topology and (re)arm the repair reaction."""
         self._network.apply_mutation(mutation)
         self._pending_mutations.append(mutation)
         self._churn_stats["mutations"] += 1
         if self._stale_since is None:
             self._stale_since = now
+        if self._active_plan is not None:
+            # A newer mutation invalidates the in-flight repair; whatever
+            # it already installed describes neither the old nor the next
+            # converged graph, so those nodes are forced dirty next plan.
+            self._aborted_installs |= self._plan_installed
+            self._active_plan = None
+            self._plan_installed = set()
         self._generation += 1
         tracer = self._tracer
         if tracer is not None:
@@ -447,14 +613,17 @@ class BatchKernel:
         )
 
     def _start_repair(self, tick: _RepairTick, now: float) -> None:
-        """Plan, install and converge in one step (instant installs)."""
-        if tick.generation != self._generation:
+        """Plan the repair for the current generation and begin installs."""
+        if tick.generation != self._generation or self._active_plan is not None:
             return  # superseded by a newer mutation
         plan = plan_repair(
             self._base_scheme,
             self._network.live_graph,
             full=not self._incremental,
+            extra_dirty=self._aborted_installs,
         )
+        self._active_plan = plan
+        self._plan_installed = set()
         stats = self._churn_stats
         stats["repairs"] += 1
         stats["tables_rebuilt"] += len(plan.dirty)
@@ -462,14 +631,33 @@ class BatchKernel:
         stats["bits_rewritten"] += plan.bits_rewritten
         stats["bits_reused"] += plan.bits_reused
         get_registry().counter("repro_churn_repairs_total").inc()
-        for node, _bits in plan.table_bits:
-            self._install_node(plan, node, now)
-        self._finalize_convergence(plan, now)
+        if not plan.table_bits or self._churn_rate is None:
+            for node, _bits in plan.table_bits:
+                self._install_node(plan, node, now)
+            self._finalize_convergence(now)
+            return
+        elapsed = 0.0
+        last = len(plan.table_bits) - 1
+        for index, (node, bits) in enumerate(plan.table_bits):
+            # Deliberate ratio: bits over a bits-per-time rate is a time.
+            elapsed += bits / self._churn_rate  # repro-lint: disable=R001
+            self._push_control(
+                _TableInstall(tick.generation, node, index == last),
+                now + elapsed,
+            )
 
     def _install_node(self, plan: RepairPlan, node: int, now: float) -> None:
+        """Install one repaired table, decoded from its pristine bits.
+
+        Going through ``decode_function`` on the memoised pristine
+        encoding — the heal machinery's re-install path — rather than the
+        scheme's in-memory function keeps repaired tables on the same
+        serialised-knowledge footing as corruption heals.
+        """
         scheme = plan.new_scheme
         bits = scheme.ctx.pristine_bits(scheme, node)
         self._network.install_table(node, scheme.decode_function(node, bits))
+        self._plan_installed.add(node)
         tracer = self._tracer
         if tracer is not None:
             tracer.repair(
@@ -478,7 +666,18 @@ class BatchKernel:
                 cause=self._mutate_span,
             )
 
-    def _finalize_convergence(self, plan: RepairPlan, now: float) -> None:
+    def _apply_install(self, install: _TableInstall, now: float) -> None:
+        """Apply one staggered install; the final one converges."""
+        if install.generation != self._generation or self._active_plan is None:
+            return  # superseded by a newer mutation
+        self._install_node(self._active_plan, install.node, now)
+        if install.final:
+            self._finalize_convergence(now)
+
+    def _finalize_convergence(self, now: float) -> None:
+        """Swap in the converged scheme and close the churn episode."""
+        plan = self._active_plan
+        assert plan is not None
         self._network.install_scheme(plan.new_scheme)
         self._base_scheme = plan.new_scheme
         histogram = get_registry().histogram("repro_churn_convergence_time")
@@ -497,6 +696,9 @@ class BatchKernel:
             self._episode_root_span = None
         self._pending_mutations = []
         self._stale_since = None
+        self._active_plan = None
+        self._plan_installed = set()
+        self._aborted_installs = set()
 
     # -- vectorised masks -----------------------------------------------------
 
@@ -535,7 +737,7 @@ class BatchKernel:
         override = quar_like.copy()
         # Corrupted tables count as quarantine-like: a mid-cohort detection
         # can only quarantine an already-corrupted node, so excluding them
-        # up front keeps fast advances independent of slow-lane ordering.
+        # up front keeps bulk advances independent of scalar-step ordering.
         for u in nw._corrupt_tables:
             quar_like[u] = True
             override[u] = True
@@ -578,11 +780,26 @@ class BatchKernel:
 
     # -- cohort stepping ------------------------------------------------------
 
-    def _step_cohort(self, batch: MessageBatch, now: float) -> None:
-        rows = np.nonzero(batch.active & (batch.ready == now))[0]
-        if rows.size == 0:  # pragma: no cover - defensive
+    def _step_cohort(
+        self, batch: MessageBatch, bucket: _Bucket, now: float
+    ) -> None:
+        """Step the cohort due at ``now``, through the lane it fits.
+
+        Either lane visits the cohort's rows in ascending row order.
+        """
+        scalar = not self._batch or self._service > 0
+        singles, arrays = bucket
+        if not arrays and (scalar or len(singles) < _MIN_BATCH_ROWS):
+            for i in sorted(singles):
+                self._step_one(batch, i, now)
             return
-        if not self._batch:
+        if singles:
+            arrays.append(np.array(sorted(singles), dtype=np.intp))
+        if len(arrays) == 1:
+            rows = arrays[0]
+        else:
+            rows = np.sort(np.concatenate(arrays))
+        if scalar or rows.size < _MIN_BATCH_ROWS:
             for i in rows:
                 self._step_one(batch, int(i), now)
             return
@@ -660,21 +877,22 @@ class BatchKernel:
         """Advance lockstep cohorts with pure gather/scatter steps.
 
         Entered only when nothing outside a row can perturb it: no
-        failures, overlays or churn (``_all_clear``), no tracer, and no
-        queued events — so rows are mutually independent and the whole
-        cohort can be walked to completion without returning to the
-        event loop.  Rows that arrive deliver unconditionally; rows that
-        carry header state, hit the hop limit or lack a matrix entry
-        leave the lockstep set through the exact scalar step (and, after
-        a retry backoff, re-enter via the outer loop at their own ready
-        time).  Each surviving step is one arrival compare plus one
-        matrix gather — the untraced hot path the throughput bench
-        measures.
+        failures, overlays or churn (``_all_clear``), no tracer, no
+        service time and no queued events — so rows are mutually
+        independent and the whole cohort can be walked to completion
+        without returning to the drain loop.  Rows that arrive deliver
+        unconditionally; rows that carry header state, hit the hop limit
+        or lack a matrix entry leave the lockstep set through the exact
+        scalar step (and, after a retry backoff, re-enter via the ready
+        index at their own ready time).  Each surviving step is one
+        arrival compare plus one matrix gather — the untraced hot path
+        the throughput bench measures.
         """
         matrix = self._matrix
         assert matrix is not None
         nw = self._network
         limit = self._limit
+        latency = self._latency
         idx = rows
         # Row position is kept in compacted local copies; the shared
         # arrays are scattered to only when a row delivers, leaves for
@@ -733,6 +951,8 @@ class BatchKernel:
                         batch.current[idx] = cur0 + 1
                         batch.plen[idx] = plen
                         batch.ready[idx] = now
+                        if idx.size:
+                            self._bucket(now)[1].append(idx)
                         break
                     if not idx.size:
                         break
@@ -743,7 +963,7 @@ class BatchKernel:
             batch.path[idx, plen] = nxt
             plen = plen + 1
             cur0 = nxt - 1
-            now += _HOP_LATENCY
+            now += latency
             safe_steps -= 1
             needed += 1
         if done_idx:
@@ -773,17 +993,19 @@ class BatchKernel:
         next_nodes: np.ndarray,
         now: float,
     ) -> None:
-        """Scatter one clean hop for every fast-lane row."""
+        """Scatter one clean hop for every batch-lane row."""
         self._count_forwards(batch.current[fast_rows])
         batch.ensure_path_capacity(int(batch.plen[fast_rows].max()) + 1)
         batch.path[fast_rows, batch.plen[fast_rows]] = next_nodes
         batch.plen[fast_rows] += 1
         batch.current[fast_rows] = next_nodes
-        batch.ready[fast_rows] = now + _HOP_LATENCY
+        arrival = now + self._latency
+        batch.ready[fast_rows] = arrival
+        self._bucket(arrival)[1].append(fast_rows)
         if self._churn is not None and self._stale_since is not None:
             batch.stale[fast_rows] = True
 
-    # -- scalar slow lane (exact engine step) ---------------------------------
+    # -- scalar lane ----------------------------------------------------------
 
     def _address_of(self, destination: int) -> Any:
         address = self._addresses.get(destination)
@@ -793,10 +1015,10 @@ class BatchKernel:
         return address
 
     def _step_one(self, batch: MessageBatch, i: int, now: float) -> None:
-        """One scalar step for row ``i`` — the engine's run-loop body."""
+        """One exact scalar step for row ``i`` at time ``now``."""
         nw = self._network
-        current = int(batch.current[i])
-        destination = int(batch.destination[i])
+        current = batch.current.item(i)
+        destination = batch.destination.item(i)
         if current == destination:
             if current in nw._failed_nodes:
                 self._finish(
@@ -809,7 +1031,7 @@ class BatchKernel:
                 self._finish(batch, i, now, None)
             return
         if current in nw._failed_nodes:
-            hops = int(batch.plen[i]) - 1
+            hops = batch.plen.item(i) - 1
             reason = (
                 DropReason.ENDPOINT_DOWN if hops == 0 else DropReason.NODE_DOWN
             )
@@ -827,7 +1049,7 @@ class BatchKernel:
                 subject=node_subject(current),
             )
             return
-        if int(batch.plen[i]) - 1 >= self._limit:
+        if batch.plen.item(i) - 1 >= self._limit:
             self._finish(
                 batch, i, now,
                 DropReason.HOP_LIMIT,
@@ -836,6 +1058,9 @@ class BatchKernel:
             return
         state = batch.state[i]
         if self._churn is not None:
+            # A forwarding decision made while tables are converging
+            # marks the message stale; revisiting a node with identical
+            # header state during that window is a routing loop.
             if self._stale_since is not None:
                 batch.stale[i] = True
             if self._looped(batch, i, current, state):
@@ -849,12 +1074,12 @@ class BatchKernel:
                 )
                 return
         message = Message(
-            msg_id=int(batch.msg_id[i]),
-            source=int(batch.source[i]),
+            msg_id=batch.msg_id.item(i),
+            source=batch.source.item(i),
             destination=destination,
             address=self._address_of(destination),
             state=state,
-            attempt=int(batch.attempt[i]),
+            attempt=batch.attempt.item(i),
         )
         try:
             decision = nw._choose_hop(current, message)
@@ -900,7 +1125,8 @@ class BatchKernel:
                     f"{current} forwarded to non-adjacent {next_node}",
                 )
             return
-        if frozenset((current, next_node)) in nw._failed:
+        # A single-path scheme may have chosen a dead link or node.
+        if nw._failed and frozenset((current, next_node)) in nw._failed:
             self._finish(
                 batch, i, now,
                 DropReason.LINK_DOWN,
@@ -916,50 +1142,69 @@ class BatchKernel:
                 subject=node_subject(next_node),
             )
             return
+        # Serialise forwarding through the node's processor.
+        departure = now
+        if self._service > 0:
+            busy = self._busy_until.get(current, 0.0)
+            if (
+                self._capacity is not None
+                and max(busy - now, 0.0) / self._service >= self._capacity
+            ):
+                self._finish(
+                    batch, i, now,
+                    DropReason.QUEUE_OVERFLOW,
+                    f"queue overflow at node {current}",
+                    subject=node_subject(current),
+                )
+                return
+            departure = max(now, busy) + self._service
+            self._busy_until[current] = departure
         self._forward_counts[current] = (
             self._forward_counts.get(current, 0) + 1
         )
+        arrival = departure + self._latency
         tracer = self._tracer
-        if tracer is not None and bool(batch.traced[i]):
+        if tracer is not None and self._traced[i]:
             tracer.hop(
-                int(batch.msg_id[i]),
+                batch.msg_id.item(i),
                 node=current,
                 next_node=next_node,
-                hop=int(batch.plen[i]) - 1,
+                hop=batch.plen.item(i) - 1,
                 time=now,
-                duration=_HOP_LATENCY,
-                attempt=int(batch.attempt[i]),
+                duration=arrival - now,
+                attempt=batch.attempt.item(i),
             )
         batch.state[i] = decision.state
         if decision.state is not None:
             self._has_state[i] = True
         batch.append_hop(i, next_node)
-        batch.ready[i] = now + _HOP_LATENCY
+        batch.ready[i] = arrival
+        self._bucket(arrival)[0].append(i)
 
     def _looped(
         self, batch: MessageBatch, i: int, current: int, state: Any
     ) -> bool:
-        """The engine's per-attempt ``(node, state)`` revisit check.
+        """The per-attempt ``(node, state)`` revisit check.
 
         While every header state of the attempt has been ``None`` the
-        engine's seen-set is exactly the previously visited nodes, so the
-        path prefix answers membership without a side table.  Once a
-        non-``None`` state appears the row is pinned to the slow lane and
-        an explicit seen-set takes over, seeded from the (all-``None``)
-        path prefix.
+        seen-set is exactly the previously visited nodes, so the path
+        prefix answers membership without a side table.  Once a
+        non-``None`` state appears the row is pinned to the scalar lane
+        and an explicit seen-set takes over, seeded from the
+        (all-``None``) path prefix.
         """
         if not self._has_state[i]:
-            plen = int(batch.plen[i])
+            plen = batch.plen.item(i)
             for j in range(plen - 1):
                 if int(batch.path[i, j]) == current:
                     return True
             return False
-        key = (int(batch.msg_id[i]), int(batch.attempt[i]))
+        key = (batch.msg_id.item(i), batch.attempt.item(i))
         seen = self._hop_sets.get(key)
         if seen is None:
             seen = {
                 (int(batch.path[i, j]), None)
-                for j in range(int(batch.plen[i]) - 1)
+                for j in range(batch.plen.item(i) - 1)
             }
             self._hop_sets[key] = seen
         entry = (current, state)
@@ -982,17 +1227,24 @@ class BatchKernel:
         detail: Optional[str] = None,
         subject: Optional[Tuple[str, ...]] = None,
     ) -> None:
-        """Record a final outcome or re-arm the row for a retry."""
+        """Record a final outcome, or re-arm the row for a retry.
+
+        ``subject`` names the failed entity behind a fault-caused drop
+        (``("link", u, v)`` / ``("node", u)``) so traces can attribute the
+        drop to the fault window that produced it.
+        """
         tracer = self._tracer
-        msg_id = int(batch.msg_id[i])
-        source = int(batch.source[i])
-        destination = int(batch.destination[i])
-        attempt = int(batch.attempt[i])
-        traced = bool(batch.traced[i])
-        stale = bool(batch.stale[i])
-        hops = int(batch.plen[i]) - 1
-        injected_at = float(batch.injected[i])
+        msg_id = batch.msg_id.item(i)
+        source = batch.source.item(i)
+        destination = batch.destination.item(i)
+        attempt = batch.attempt.item(i)
+        traced = tracer is not None and self._traced[i]
+        stale = batch.stale.item(i)
+        hops = batch.plen.item(i) - 1
+        injected_at = batch.injected.item(i)
         if reason is None:
+            # A stale delivery is anomalous: promote it even though the
+            # message was suppressed at inject and never dropped.
             if tracer is not None and (traced or stale):
                 if not traced:
                     tracer.promote(msg_id, source, destination, injected_at)
@@ -1028,17 +1280,20 @@ class BatchKernel:
                     duration=backoff,
                 )
             batch.reset_for_retry(i, now + backoff)
+            self._bucket(now + backoff)[0].append(i)
             self._has_state[i] = False
             if tracer is not None:
-                # The engine's retry message defaults back to traced.
+                # A retried message is traced from here on: it turned
+                # anomalous, and its promotion already opened its span.
                 batch.traced[i] = True
+                self._traced[i] = True
             return
         if tracer is not None:
             if not traced:
                 tracer.promote(msg_id, source, destination, injected_at)
             tracer.drop(
                 msg_id,
-                node=int(batch.current[i]),
+                node=batch.current.item(i),
                 reason=reason.name,
                 time=now,
                 detail=detail,
@@ -1047,21 +1302,3 @@ class BatchKernel:
                 hop=hops,
             )
         batch.finish_dropped(i, reason, detail, now)
-
-
-def run_batch(
-    scheme: RoutingScheme,
-    pairs: Iterable[Tuple[int, int]],
-    *,
-    batch: bool = True,
-    **kwargs: Any,
-) -> List[DeliveryRecord]:
-    """Route ``pairs`` through a fresh :class:`BatchKernel` at time 0.
-
-    Convenience wrapper for the common all-at-once workload; keyword
-    arguments pass through to the kernel constructor.
-    """
-    kernel = BatchKernel(scheme, batch=batch, **kwargs)
-    for source, destination in pairs:
-        kernel.inject(source, destination)
-    return kernel.run()

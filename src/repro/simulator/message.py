@@ -1,11 +1,12 @@
 """Message objects carried by the network simulator.
 
 Two representations coexist: the scalar :class:`Message` dataclass the
-walker and event engine pass hop by hop, and the struct-of-arrays
-:class:`MessageBatch` the vectorised kernel (:mod:`repro.simulator.kernel`)
-advances a whole generation at a time.  Both funnel into the same frozen
-:class:`DeliveryRecord`, so everything downstream of the batch boundary
-(metrics, analysis, persistence) is representation-blind.
+walker and the kernel's scalar lane pass hop by hop, and the
+struct-of-arrays :class:`MessageBatch` the kernel
+(:mod:`repro.simulator.kernel`) keeps every in-flight message in.  Both
+funnel into the same frozen :class:`DeliveryRecord`, so everything
+downstream of the batch boundary (metrics, analysis, persistence) is
+representation-blind.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Message:
     convergence layer aggregates)."""
     traced: bool = True
     """Whether span emission is on for this message.  A sampling tracer
-    may decline a message at inject (``Tracer.wants``); the engine then
+    may decline a message at inject (``Tracer.wants``); the kernel then
     skips every per-hop span call until the message turns anomalous and
     is promoted back to traced."""
 
@@ -152,7 +153,7 @@ class MessageBatch:
     lane reads and writes the same arrays per index, so the two lanes can
     interleave freely without conversion.  Outcomes scatter back out as
     ordinary :class:`DeliveryRecord` objects via :meth:`records`, built by
-    the same field mapping as the scalar engine's record builders.
+    the same field mapping as the walker's record builders.
 
     Per-attempt path prefixes live in a shared ``[size, capacity]`` buffer
     that doubles on demand (:meth:`ensure_path_capacity`) instead of being
@@ -221,9 +222,10 @@ class MessageBatch:
 
     def append_hop(self, i: int, node: int) -> None:
         """Record one traversed hop for row ``i`` and move it to ``node``."""
-        self.ensure_path_capacity(int(self.plen[i]) + 1)
-        self.path[i, self.plen[i]] = node
-        self.plen[i] += 1
+        plen = self.plen.item(i)
+        self.ensure_path_capacity(plen + 1)
+        self.path[i, plen] = node
+        self.plen[i] = plen + 1
         self.current[i] = node
 
     def path_of(self, i: int) -> List[int]:
@@ -248,9 +250,9 @@ class MessageBatch:
     def reset_for_retry(self, i: int, ready_at: float) -> None:
         """Re-arm row ``i`` as a fresh attempt from its source at ``ready_at``.
 
-        Mirrors the event engine's retry ``Message``: path, header state
-        and the staleness mark reset; the attempt counter advances; the
-        first injection time is preserved for latency accounting.
+        Path, header state and the staleness mark reset; the attempt
+        counter advances; the first injection time is preserved for
+        latency accounting.
         """
         self.attempt[i] += 1
         self.current[i] = self.source[i]

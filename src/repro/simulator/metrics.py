@@ -20,27 +20,10 @@ from repro.simulator.message import DeliveryRecord, DropReason
 
 __all__ = [
     "RoutingMetrics",
-    "cached_distance_matrix",
     "drop_breakdown",
     "retry_histogram",
     "summarize",
 ]
-
-
-def cached_distance_matrix(graph: LabeledGraph) -> np.ndarray:
-    """All-pairs distances of ``graph``, memoised in its shared context.
-
-    Deprecated shim: the simulator's private LRU was unified into
-    :class:`~repro.graphs.context.GraphContext`, so this now returns the
-    *same* ndarray object the builders and the verifier use.  The legacy
-    ``repro_distance_cache_total`` hit/miss counters are still published
-    for dashboards; evictions happen at the context-store level and are
-    counted as ``repro_graph_ctx_store_total{op="eviction"}``.
-    """
-    ctx = get_context(graph)
-    op = "hit" if ctx.has_cached_distances else "miss"
-    get_registry().counter("repro_distance_cache_total", op=op).inc()
-    return ctx.distances()
 
 
 @dataclass(frozen=True)
@@ -131,7 +114,7 @@ def summarize(
     records: Sequence[DeliveryRecord], graph: LabeledGraph
 ) -> RoutingMetrics:
     """Compute metrics; stretch is hops over graph distance per pair."""
-    dist = cached_distance_matrix(graph)
+    dist = get_context(graph).distances()
     stretches = []
     hops = []
     latencies = []

@@ -1,30 +1,19 @@
-"""Message-level network simulation.
+"""The network's routing state and the untimed hop-by-hop walker.
 
-Two execution modes over the same routing schemes:
+:class:`Network` holds everything a forwarding decision depends on: the
+installed scheme, failed links and crashed nodes, the table-corruption
+overlay (corrupted, quarantined and healed tables), repaired tables
+installed during churn convergence, and the live topology after
+mutations.  :meth:`Network.route` walks one message immediately, hop by
+hop, for delivery/stretch measurements: full-information functions route
+*around* failed incident links (the exact capability the paper defines
+them for); detour-wrapped functions bounce once to a live neighbour;
+plain single-path functions drop when their chosen link is down.
 
-* :class:`Network` — an immediate hop-by-hop walker with link-failure
-  awareness, used for delivery/stretch measurements.  Full-information
-  functions route *around* failed incident links (the exact capability the
-  paper defines them for); detour-wrapped functions bounce once to a live
-  neighbour; plain single-path functions drop when their chosen link is
-  down.
-* :class:`EventDrivenSimulator` — a discrete-event engine (FIFO links of
-  configurable latency, global event queue) for time-domain experiments:
-  congestion-free latency distributions, and — given a
-  :class:`~repro.simulator.chaos.FaultSchedule` — resilience under churn,
-  with optional source-side :class:`~repro.simulator.recovery.RetryPolicy`
-  recovery.
-
-Given a :class:`~repro.simulator.churn.ChurnSchedule` the engine also
-mutates the *topology itself* mid-run: each
-:class:`~repro.simulator.churn.TopologyMutation` updates the network's
-live graph while the installed tables keep describing the old one, a
-repair plan (:func:`~repro.core.repair.plan_repair`) rebuilds only the
-dirtied tables after a reaction delay, installs stream in at a
-configurable bits-per-time rate, and a ``converged`` span closes the
-episode.  Traffic routed during the stale window is marked
-(``DeliveryRecord.stale``) and guarded by per-message routing-loop
-detection (``DropReason.ROUTING_LOOP``).
+Timed execution — link latency, node queueing, fault and churn
+schedules, retries — is :class:`~repro.simulator.kernel.BatchKernel`,
+which drives this state through :meth:`Network._choose_hop`;
+:meth:`Network.route_batch` routes many pairs through it at once.
 
 Every drop is classified by the structured
 :class:`~repro.simulator.message.DropReason` taxonomy; the human-readable
@@ -33,27 +22,13 @@ context (which link, which node) rides in ``DeliveryRecord.drop_detail``.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import random
-from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bitio import BitArray
 from repro.core import HopDecision, RoutingScheme
 from repro.core.detour import DetourFunction
 from repro.core.full_information import FullInformationFunction
-from repro.core.repair import RepairPlan, plan_repair
 from repro.core.scheme import LocalRoutingFunction
 from repro.errors import IntegrityError, ReproError, RoutingError
 from repro.graphs import LabeledGraph
@@ -64,25 +39,13 @@ from repro.observability.tracer import (
     link_subject,
     node_subject,
 )
-from repro.simulator.chaos import (
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    TableMutation,
-)
-from repro.simulator.churn import (
-    ChurnSchedule,
-    TopologyMutation,
-    TopologyMutationKind,
-)
+from repro.simulator.chaos import FaultEvent, FaultKind, TableMutation
+from repro.simulator.churn import TopologyMutation, TopologyMutationKind
 from repro.simulator.message import DeliveryRecord, DropReason, Message
-from repro.simulator.recovery import RetryPolicy
 
-__all__ = ["Network", "EventDrivenSimulator"]
+__all__ = ["Network"]
 
 Link = FrozenSet[int]
-
-_NAN = float("nan")
 
 
 def _live_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
@@ -107,14 +70,9 @@ def _mutation_subject(mutation: TopologyMutation) -> Subject:
 
 
 def _drop_record(
-    message: Message,
-    reason: DropReason,
-    detail: Optional[str] = None,
-    latency: float = 0.0,
-    injected_at: float = _NAN,
-    completed_at: float = _NAN,
+    message: Message, reason: DropReason, detail: Optional[str] = None
 ) -> DeliveryRecord:
-    """The single builder for drop records (walker and event engine)."""
+    """A walker drop record (untimed: latency 0, no timestamps)."""
     return DeliveryRecord(
         msg_id=message.msg_id,
         source=message.source,
@@ -122,22 +80,16 @@ def _drop_record(
         delivered=False,
         hops=message.hops,
         path=tuple(message.path),
-        latency=latency,
+        latency=0.0,
         drop_reason=reason,
         drop_detail=detail,
         retries=message.attempt,
-        injected_at=injected_at,
-        completed_at=completed_at,
         stale=message.stale,
     )
 
 
-def _delivered_record(
-    message: Message,
-    latency: float = 0.0,
-    injected_at: float = _NAN,
-    completed_at: float = _NAN,
-) -> DeliveryRecord:
+def _delivered_record(message: Message) -> DeliveryRecord:
+    """A walker delivery record (untimed: latency 0, no timestamps)."""
     return DeliveryRecord(
         msg_id=message.msg_id,
         source=message.source,
@@ -145,10 +97,8 @@ def _delivered_record(
         delivered=True,
         hops=message.hops,
         path=tuple(message.path),
-        latency=latency,
+        latency=0.0,
         retries=message.attempt,
-        injected_at=injected_at,
-        completed_at=completed_at,
         stale=message.stale,
     )
 
@@ -510,26 +460,26 @@ class Network:
         """
         function = self._function_for(node)
         corrupted = node in self._corrupt_tables
+        degraded = bool(
+            self._failed
+            or self._failed_nodes
+            or self._quarantined
+            or self._churned
+        )
         try:
-            if (
-                self._failed
-                or self._failed_nodes
-                or self._quarantined
-                or self._churned
-            ):
-                blocked = self._blocked_neighbors(node, message.destination)
-                if isinstance(function, FullInformationFunction):
-                    decision = function.next_hop_avoiding(
-                        int(message.address), blocked
-                    )
-                elif isinstance(function, DetourFunction):
-                    decision = function.next_hop_avoiding(
-                        message.address, blocked, message.state
-                    )
-                else:
-                    decision = function.next_hop(
-                        message.address, message.state
-                    )
+            # Only fault-aware functions read the blocked set; a plain
+            # table answers the same either way, so it never pays for it.
+            if degraded and isinstance(function, FullInformationFunction):
+                decision = function.next_hop_avoiding(
+                    int(message.address),
+                    self._blocked_neighbors(node, message.destination),
+                )
+            elif degraded and isinstance(function, DetourFunction):
+                decision = function.next_hop_avoiding(
+                    message.address,
+                    self._blocked_neighbors(node, message.destination),
+                    message.state,
+                )
             else:
                 decision = function.next_hop(message.address, message.state)
         except RoutingError:
@@ -715,813 +665,3 @@ class Network:
         for source, destination in pairs:
             kernel.inject(source, destination)
         return kernel.run()
-
-
-# Heap entries: (time, priority, sequence, payload, first_injected_at).
-# Fault events carry priority 0 so a link that dies at time t is dead for
-# every message hop scheduled at the same t; topology mutations and the
-# engine's internal repair-control events share that priority.
-_FAULT_PRIORITY = 0
-_MESSAGE_PRIORITY = 1
-
-
-@dataclass(frozen=True)
-class _RepairTick:
-    """Internal event: start planning a repair for one churn generation."""
-
-    generation: int
-
-
-@dataclass(frozen=True)
-class _TableInstall:
-    """Internal event: one staggered table install of the active plan."""
-
-    generation: int
-    node: int
-    final: bool
-    """Last install of the plan — convergence finalises after it."""
-
-
-_Payload = Union[Message, FaultEvent, TopologyMutation, _RepairTick, _TableInstall]
-_Entry = Tuple[float, int, int, _Payload, float]
-
-# Drops worth retrying: the condition that caused them can heal as the
-# fault schedule advances (ROUTING_LOOP: as churn repair converges).  A
-# scheme bug (INVALID_FORWARD) cannot.
-_RETRYABLE = frozenset(
-    {
-        DropReason.ENDPOINT_DOWN,
-        DropReason.LINK_DOWN,
-        DropReason.NODE_DOWN,
-        DropReason.HOP_LIMIT,
-        DropReason.NO_ROUTE,
-        DropReason.QUEUE_OVERFLOW,
-        DropReason.TABLE_CORRUPT,
-        DropReason.ROUTING_LOOP,
-    }
-)
-
-
-class EventDrivenSimulator:
-    """Discrete-event execution with FIFO forwarding queues.
-
-    Each hop costs ``link_latency`` time units on the wire; when
-    ``node_service_time`` is positive every node additionally serialises its
-    forwarding work (one message at a time), so traffic concentrating on a
-    node — the Theorem 4 hub, a hotspot destination — queues up and the
-    latency distribution shows it.  ``queue_capacity`` (in messages of
-    backlog) turns overload into explicit drops.
-
-    ``fault_schedule`` interleaves timed link/node failures and recoveries
-    with the message events, so the failure set evolves *during* the run;
-    ``retry_policy`` re-injects dropped messages at their source after an
-    exponential backoff, modelling end-to-end recovery.  Delivered records
-    then report the total time including backoff, and ``retries`` counts
-    re-transmissions.
-
-    ``TABLE_CORRUPT`` fault events mutate a node's packed routing function
-    in place.  When the damage is *detected* (checksum or structural
-    failure at decode/route time) the node is quarantined, and — with a
-    ``repair_delay`` configured — a self-heal event is scheduled
-    ``repair_delay`` time units after detection, rebuilding the table
-    pristine from the scheme's graph+model knowledge.  The detection
-    latency (corruption time to detection time) lands in the
-    ``repro_corruption_detection_latency`` histogram.
-
-    A :class:`~repro.simulator.churn.ChurnSchedule` interleaves *topology
-    mutations* with the traffic: each mutation updates the network's live
-    graph immediately, while the installed tables keep describing the old
-    topology until the repair path converges.  ``churn_repair_delay``
-    models the control plane's reaction time; after it a repair plan
-    rebuilds only the dirtied tables (``incremental_repair=False`` forces
-    the full-rebuild control arm) and ``churn_repair_rate`` (bits per time
-    unit, ``None`` = instantaneous) staggers the installs, so large dirty
-    sets genuinely take longer to converge.  During the stale window every
-    forwarded message is marked ``stale`` and watched by a per-attempt
-    routing-loop detector (revisiting a node with identical header state
-    drops as retryable ``ROUTING_LOOP``).  Convergence closes the episode
-    with a ``converged`` span and a ``repro_churn_convergence_time``
-    observation per mutation; :meth:`churn_summary` reports the episode
-    accounting.
-
-    An enabled :class:`~repro.observability.tracer.Tracer` receives
-    inject/hop/retry/fault/drop/deliver span events — plus
-    corrupt/quarantine/heal for the table-corruption lifecycle and
-    mutate/repair/converged for churn; ``tracer=None`` (the default) keeps
-    the event loop identical to the untraced engine.
-    """
-
-    def __init__(
-        self,
-        scheme: RoutingScheme,
-        link_latency: float = 1.0,
-        failed_links: Iterable[Tuple[int, int]] = (),
-        node_service_time: float = 0.0,
-        queue_capacity: Optional[int] = None,
-        failed_nodes: Iterable[int] = (),
-        fault_schedule: Optional[FaultSchedule] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        repair_delay: Optional[float] = None,
-        churn_schedule: Optional[ChurnSchedule] = None,
-        churn_repair_delay: float = 5.0,
-        churn_repair_rate: Optional[float] = None,
-        incremental_repair: bool = True,
-    ) -> None:
-        if link_latency <= 0:
-            raise RoutingError(f"link latency must be positive, got {link_latency}")
-        if node_service_time < 0:
-            raise RoutingError(
-                f"service time must be non-negative, got {node_service_time}"
-            )
-        if queue_capacity is not None and queue_capacity < 1:
-            raise RoutingError(
-                f"queue capacity must be positive, got {queue_capacity}"
-            )
-        if repair_delay is not None and repair_delay <= 0:
-            raise RoutingError(
-                f"repair delay must be positive, got {repair_delay}"
-            )
-        if churn_repair_delay <= 0:
-            raise RoutingError(
-                f"churn repair delay must be positive, got {churn_repair_delay}"
-            )
-        if churn_repair_rate is not None and churn_repair_rate <= 0:
-            raise RoutingError(
-                f"churn repair rate must be positive, got {churn_repair_rate}"
-            )
-        if churn_schedule is not None and scheme.address_of(1) != 1:
-            # Repaired schemes re-derive their own labels; only plain-label
-            # addressing survives a table swap mid-flight.
-            raise RoutingError(
-                "live topology churn requires a plain-label scheme "
-                "(address_of(u) == u)"
-            )
-        self._network = Network(scheme, failed_links, failed_nodes)
-        self._scheme = scheme
-        self._latency = link_latency
-        self._service = node_service_time
-        self._capacity = queue_capacity
-        self._schedule = fault_schedule
-        self._retry = retry_policy
-        self._retry_rng = random.Random(retry_seed)
-        self._repair_delay = repair_delay
-        self._queue: List[_Entry] = []
-        self._sequence = itertools.count()
-        self._records: List[DeliveryRecord] = []
-        self._busy_until: dict[int, float] = {}
-        self._forward_counts: dict[int, int] = {}
-        self._corrupted_at: Dict[int, float] = {}
-        self._reacted: Set[int] = set()
-        self._live_messages = 0
-        self._tracer = _live_tracer(tracer)
-        # Live topology churn state.
-        self._churn = churn_schedule
-        self._churn_delay = churn_repair_delay
-        self._churn_rate = churn_repair_rate
-        self._incremental = incremental_repair
-        self._base_scheme = scheme
-        self._generation = 0
-        self._control_events = 0
-        self._pending_mutations: List[TopologyMutation] = []
-        self._stale_since: Optional[float] = None
-        self._active_plan: Optional[RepairPlan] = None
-        self._plan_installed: Set[int] = set()
-        self._aborted_installs: Set[int] = set()
-        self._convergence_times: List[float] = []
-        self._hop_sets: Dict[Tuple[int, int], Set[Tuple[int, Any]]] = {}
-        self._churn_stats: Dict[str, int] = {
-            "mutations": 0,
-            "repairs": 0,
-            "tables_rebuilt": 0,
-            "tables_reused": 0,
-            "bits_rewritten": 0,
-            "bits_reused": 0,
-        }
-        # Open trace spans for causal links: corrupt span per damaged
-        # node, the latest mutate span (repairs link to it) and the first
-        # mutate span of the current churn episode (converged links to it).
-        self._corrupt_spans: Dict[int, int] = {}
-        self._mutate_span: Optional[int] = None
-        self._episode_root_span: Optional[int] = None
-
-    @property
-    def network(self) -> Network:
-        """The underlying failure-state holder (live during a run)."""
-        return self._network
-
-    @property
-    def forward_counts(self) -> dict[int, int]:
-        """Messages forwarded per node in the last :meth:`run` (congestion)."""
-        return dict(self._forward_counts)
-
-    def inject(self, source: int, destination: int, at_time: float = 0.0) -> None:
-        """Schedule a message injection."""
-        message = Message(
-            msg_id=next(self._network._counter),
-            source=source,
-            destination=destination,
-            address=self._scheme.address_of(destination),
-            path=[source],
-        )
-        if self._tracer is not None:
-            if self._tracer.wants(message.msg_id):
-                self._tracer.inject(
-                    message.msg_id, source, destination, time=at_time
-                )
-            else:
-                message.traced = False
-        self._push_message(message, at_time, at_time)
-
-    def _push_message(
-        self, message: Message, at_time: float, injected_at: float
-    ) -> None:
-        heapq.heappush(
-            self._queue,
-            (
-                at_time,
-                _MESSAGE_PRIORITY,
-                next(self._sequence),
-                message,
-                injected_at,
-            ),
-        )
-        self._live_messages += 1
-
-    def _finish(
-        self,
-        message: Message,
-        now: float,
-        injected_at: float,
-        reason: Optional[DropReason],
-        detail: Optional[str] = None,
-        subject: Optional[Tuple[str, ...]] = None,
-    ) -> None:
-        """Record a final outcome, or schedule a retry for a drop.
-
-        ``subject`` names the failed entity behind a fault-caused drop
-        (``("link", u, v)`` / ``("node", u)``) so traces can attribute the
-        drop to the fault window that produced it.
-        """
-        tracer = self._tracer
-        if reason is None:
-            # A stale delivery is anomalous: promote it even though the
-            # message was suppressed at inject and never dropped.
-            if tracer is not None and (message.traced or message.stale):
-                if not message.traced:
-                    tracer.promote(
-                        message.msg_id,
-                        message.source,
-                        message.destination,
-                        injected_at,
-                    )
-                tracer.deliver(
-                    message.msg_id,
-                    node=message.destination,
-                    time=now,
-                    hop=message.hops,
-                    attempt=message.attempt,
-                    detail="stale" if message.stale else None,
-                )
-            self._records.append(
-                _delivered_record(
-                    message,
-                    latency=now - injected_at,
-                    injected_at=injected_at,
-                    completed_at=now,
-                )
-            )
-            return
-        if (
-            self._retry is not None
-            and reason in _RETRYABLE
-            and message.attempt < self._retry.max_retries
-        ):
-            backoff = self._retry.delay(message.attempt, self._retry_rng)
-            fresh = Message(
-                msg_id=message.msg_id,
-                source=message.source,
-                destination=message.destination,
-                address=message.address,
-                path=[message.source],
-                attempt=message.attempt + 1,
-            )
-            if tracer is not None:
-                if not message.traced:
-                    tracer.promote(
-                        message.msg_id,
-                        message.source,
-                        message.destination,
-                        injected_at,
-                    )
-                tracer.retry(
-                    message.msg_id,
-                    source=message.source,
-                    attempt=fresh.attempt,
-                    time=now,
-                    reason=reason.name,
-                    duration=backoff,
-                )
-            self._push_message(fresh, now + backoff, injected_at)
-            return
-        if tracer is not None:
-            if not message.traced:
-                tracer.promote(
-                    message.msg_id,
-                    message.source,
-                    message.destination,
-                    injected_at,
-                )
-            tracer.drop(
-                message.msg_id,
-                node=message.path[-1],
-                reason=reason.name,
-                time=now,
-                detail=detail,
-                subject=subject,
-                attempt=message.attempt,
-                hop=message.hops,
-            )
-        self._records.append(
-            _drop_record(
-                message,
-                reason,
-                detail,
-                latency=now - injected_at,
-                injected_at=injected_at,
-                completed_at=now,
-            )
-        )
-
-    def _apply_timed_fault(self, event: FaultEvent, now: float) -> None:
-        """Apply one scheduled fault, with corruption-lifecycle tracing.
-
-        The internal :class:`Network` is untraced (the engine owns span
-        emission with proper simulated timestamps), so corrupt/heal spans
-        are emitted here and quarantine spans in :meth:`_on_detection`.
-        """
-        tracer = self._tracer
-        if event.kind is FaultKind.TABLE_CORRUPT:
-            node = event.subject[0]
-            self._network.apply_fault(event)
-            self._corrupted_at[node] = now
-            # Fresh damage re-arms detection for this node.
-            self._reacted.discard(node)
-            if tracer is not None:
-                detail = (
-                    event.mutation.describe()
-                    if event.mutation is not None
-                    else None
-                )
-                self._corrupt_spans[node] = tracer.corrupt(
-                    node=node, time=now, detail=detail
-                )
-            return
-        if event.kind is FaultKind.TABLE_REPAIR:
-            node = event.subject[0]
-            healed = self._network.heal_table(node)
-            self._corrupted_at.pop(node, None)
-            self._reacted.discard(node)
-            if healed and tracer is not None:
-                tracer.heal(
-                    node=node, time=now,
-                    cause=self._corrupt_spans.pop(node, None),
-                )
-            return
-        if tracer is not None:
-            subject = (
-                link_subject(*event.subject)
-                if len(event.subject) == 2
-                else node_subject(event.subject[0])
-            )
-            tracer.fault(kind=event.kind.value, subject=subject, time=now)
-        self._network.apply_fault(event)
-
-    def _on_detection(self, node: int, now: float) -> None:
-        """React once per corruption episode: record latency, plan the heal."""
-        if node in self._reacted:
-            return
-        self._reacted.add(node)
-        if self._tracer is not None:
-            self._tracer.quarantine(
-                node=node, time=now, cause=self._corrupt_spans.get(node)
-            )
-        corrupted_since = self._corrupted_at.pop(node, None)
-        if corrupted_since is not None:
-            get_registry().histogram(
-                "repro_corruption_detection_latency"
-            ).observe(now - corrupted_since)
-        if self._repair_delay is not None:
-            heal_time = now + self._repair_delay
-            heapq.heappush(
-                self._queue,
-                (
-                    heal_time,
-                    _FAULT_PRIORITY,
-                    next(self._sequence),
-                    FaultEvent.table_repair(heal_time, node),
-                    heal_time,
-                ),
-            )
-
-    # -- live topology churn --------------------------------------------------
-
-    def _push_control(self, payload: _Payload, at_time: float) -> None:
-        """Queue a churn control event (mutation / repair tick / install).
-
-        Control events keep the run loop draining even after all messages
-        resolve, so convergence always completes.
-        """
-        heapq.heappush(
-            self._queue,
-            (at_time, _FAULT_PRIORITY, next(self._sequence), payload, at_time),
-        )
-        self._control_events += 1
-
-    def _apply_mutation_event(
-        self, mutation: TopologyMutation, now: float
-    ) -> None:
-        """Mutate the live topology and (re)arm the repair reaction."""
-        self._network.apply_mutation(mutation)
-        self._pending_mutations.append(mutation)
-        self._churn_stats["mutations"] += 1
-        if self._stale_since is None:
-            self._stale_since = now
-        if self._active_plan is not None:
-            # A newer mutation invalidates the in-flight repair; whatever
-            # it already installed describes neither the old nor the next
-            # converged graph, so those nodes are forced dirty next plan.
-            self._aborted_installs |= self._plan_installed
-            self._active_plan = None
-            self._plan_installed = set()
-        self._generation += 1
-        # The mutation counter is incremented by Network.apply_mutation
-        # above — the single accounting point for both walker and engine.
-        if self._tracer is not None:
-            self._mutate_span = self._tracer.mutate(
-                kind=mutation.kind.value,
-                subject=_mutation_subject(mutation),
-                time=now,
-                detail=mutation.describe(),
-            )
-            if self._episode_root_span is None:
-                self._episode_root_span = self._mutate_span
-        self._push_control(
-            _RepairTick(self._generation), now + self._churn_delay
-        )
-
-    def _start_repair(self, tick: _RepairTick, now: float) -> None:
-        """Plan the repair for the current generation and begin installs."""
-        if tick.generation != self._generation or self._active_plan is not None:
-            return  # superseded by a newer mutation
-        plan = plan_repair(
-            self._base_scheme,
-            self._network.live_graph,
-            full=not self._incremental,
-            extra_dirty=self._aborted_installs,
-        )
-        self._active_plan = plan
-        self._plan_installed = set()
-        stats = self._churn_stats
-        stats["repairs"] += 1
-        stats["tables_rebuilt"] += len(plan.dirty)
-        stats["tables_reused"] += len(plan.clean)
-        stats["bits_rewritten"] += plan.bits_rewritten
-        stats["bits_reused"] += plan.bits_reused
-        get_registry().counter("repro_churn_repairs_total").inc()
-        if not plan.table_bits or self._churn_rate is None:
-            for node, _bits in plan.table_bits:
-                self._install_node(plan, node, now)
-            self._finalize_convergence(now)
-            return
-        elapsed = 0.0
-        last = len(plan.table_bits) - 1
-        for index, (node, bits) in enumerate(plan.table_bits):
-            # Deliberate ratio: bits over a bits-per-time rate is a time.
-            elapsed += bits / self._churn_rate  # repro-lint: disable=R001
-            self._push_control(
-                _TableInstall(tick.generation, node, index == last),
-                now + elapsed,
-            )
-
-    def _install_node(self, plan: RepairPlan, node: int, now: float) -> None:
-        """Install one repaired table, decoded from its pristine bits.
-
-        Going through ``decode_function`` on the memoised pristine
-        encoding — the heal machinery's re-install path — rather than the
-        scheme's in-memory function keeps repaired tables on the same
-        serialised-knowledge footing as corruption heals.
-        """
-        scheme = plan.new_scheme
-        bits = scheme.ctx.pristine_bits(scheme, node)
-        self._network.install_table(
-            node, scheme.decode_function(node, bits)
-        )
-        self._plan_installed.add(node)
-        if self._tracer is not None:
-            self._tracer.repair(
-                node=node, time=now,
-                detail=f"{len(bits)} bits reinstalled",
-                cause=self._mutate_span,
-            )
-
-    def _apply_install(self, install: _TableInstall, now: float) -> None:
-        """Apply one staggered install; the final one converges."""
-        if install.generation != self._generation or self._active_plan is None:
-            return  # superseded by a newer mutation
-        self._install_node(self._active_plan, install.node, now)
-        if install.final:
-            self._finalize_convergence(now)
-
-    def _finalize_convergence(self, now: float) -> None:
-        """Swap in the converged scheme and close the churn episode."""
-        plan = self._active_plan
-        assert plan is not None
-        self._network.install_scheme(plan.new_scheme)
-        self._base_scheme = plan.new_scheme
-        self._scheme = plan.new_scheme
-        histogram = get_registry().histogram("repro_churn_convergence_time")
-        for mutation in self._pending_mutations:
-            histogram.observe(now - mutation.time)
-        duration = (
-            now - self._stale_since if self._stale_since is not None else 0.0
-        )
-        self._convergence_times.append(duration)
-        if self._tracer is not None:
-            self._tracer.converged(
-                time=now, duration=duration, detail=plan.describe(),
-                cause=self._episode_root_span,
-            )
-            self._episode_root_span = None
-        self._pending_mutations = []
-        self._stale_since = None
-        self._active_plan = None
-        self._plan_installed = set()
-        self._aborted_installs = set()
-
-    def churn_summary(self) -> Dict[str, object]:
-        """Episode accounting of the last run's churn convergence.
-
-        ``bits_full`` is what full rebuilds would have pushed over the
-        same episodes; ``converged`` reports whether every mutation's
-        repair completed before the run drained.
-        """
-        stats = self._churn_stats
-        return {
-            "mutations": stats["mutations"],
-            "repairs": stats["repairs"],
-            "tables_rebuilt": stats["tables_rebuilt"],
-            "tables_reused": stats["tables_reused"],
-            "bits_rewritten": stats["bits_rewritten"],
-            "bits_reused": stats["bits_reused"],
-            "bits_full": stats["bits_rewritten"] + stats["bits_reused"],
-            "convergence_times": list(self._convergence_times),
-            "converged": self._stale_since is None,
-        }
-
-    def run(self) -> List[DeliveryRecord]:
-        """Process all events; returns one record per injected message."""
-        limit_base = self._scheme.hop_limit()
-        self._busy_until = {}
-        self._forward_counts = {}
-        self._hop_sets = {}
-        if self._schedule is not None:
-            for event in self._schedule:
-                heapq.heappush(
-                    self._queue,
-                    (
-                        event.time,
-                        _FAULT_PRIORITY,
-                        next(self._sequence),
-                        event,
-                        event.time,
-                    ),
-                )
-        if self._churn is not None:
-            for mutation in self._churn:
-                self._push_control(mutation, mutation.time)
-        # Control events (mutations, repair ticks, installs) keep the loop
-        # alive past the last message so convergence always completes.
-        while self._queue and (self._live_messages or self._control_events):
-            now, priority, _, payload, injected_at = heapq.heappop(self._queue)
-            if priority == _FAULT_PRIORITY:
-                if isinstance(payload, FaultEvent):
-                    self._apply_timed_fault(payload, now)
-                else:
-                    self._control_events -= 1
-                    if isinstance(payload, TopologyMutation):
-                        self._apply_mutation_event(payload, now)
-                    elif isinstance(payload, _RepairTick):
-                        self._start_repair(payload, now)
-                    else:
-                        assert isinstance(payload, _TableInstall)
-                        self._apply_install(payload, now)
-                continue
-            message = payload
-            assert isinstance(message, Message)
-            self._live_messages -= 1
-            current = message.path[-1]
-            if current == message.destination:
-                if current in self._network.failed_nodes:
-                    self._finish(
-                        message,
-                        now,
-                        injected_at,
-                        DropReason.ENDPOINT_DOWN,
-                        f"destination {current} crashed before arrival",
-                        subject=node_subject(current),
-                    )
-                else:
-                    self._finish(message, now, injected_at, None)
-                continue
-            if current in self._network.failed_nodes:
-                reason = (
-                    DropReason.ENDPOINT_DOWN
-                    if message.hops == 0
-                    else DropReason.NODE_DOWN
-                )
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    reason,
-                    f"node {current} holding the message is down",
-                    subject=node_subject(current),
-                )
-                continue
-            if current in self._network._quarantined:
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.TABLE_CORRUPT,
-                    f"node {current} is quarantined with a corrupt table",
-                    subject=node_subject(current),
-                )
-                continue
-            if message.hops >= limit_base:
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.HOP_LIMIT,
-                    f"hop limit {limit_base} exceeded",
-                )
-                continue
-            if self._churn is not None:
-                # A forwarding decision made while tables are converging
-                # marks the message stale; revisiting a node with identical
-                # header state during that window is a routing loop.
-                if self._stale_since is not None:
-                    message.stale = True
-                seen = self._hop_sets.setdefault(
-                    (message.msg_id, message.attempt), set()
-                )
-                key = (current, message.state)
-                try:
-                    looped = key in seen
-                    if not looped:
-                        seen.add(key)
-                except TypeError:
-                    # Unhashable header state: loop detection skipped; the
-                    # hop limit still bounds the walk.
-                    looped = False
-                if looped:
-                    get_registry().counter("repro_routing_loops_total").inc()
-                    self._finish(
-                        message,
-                        now,
-                        injected_at,
-                        DropReason.ROUTING_LOOP,
-                        f"revisited node {current} with identical header "
-                        f"state during churn convergence",
-                        subject=node_subject(current),
-                    )
-                    continue
-            try:
-                decision = self._network._choose_hop(current, message)
-            except IntegrityError as exc:
-                self._on_detection(current, now)
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.TABLE_CORRUPT,
-                    str(exc),
-                    subject=node_subject(current),
-                )
-                continue
-            except RoutingError as exc:
-                self._finish(
-                    message, now, injected_at, DropReason.NO_ROUTE, str(exc)
-                )
-                continue
-            if (
-                decision.next_node in self._network._quarantined
-                and decision.next_node != message.destination
-            ):
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.TABLE_CORRUPT,
-                    f"next hop {decision.next_node} is quarantined with a "
-                    f"corrupt table",
-                    subject=node_subject(decision.next_node),
-                )
-                continue
-            if (
-                self._network.churned
-                and decision.next_node != current
-                and not self._network.live_graph.has_edge(
-                    current, decision.next_node
-                )
-            ):
-                if self._network.scheme.graph.has_edge(
-                    current, decision.next_node
-                ):
-                    # Stale table forwarding over a mutated-away edge.
-                    self._finish(
-                        message,
-                        now,
-                        injected_at,
-                        DropReason.LINK_DOWN,
-                        f"link {current}-{decision.next_node} was removed "
-                        f"by a topology mutation",
-                        subject=link_subject(current, decision.next_node),
-                    )
-                else:
-                    self._finish(
-                        message,
-                        now,
-                        injected_at,
-                        DropReason.INVALID_FORWARD,
-                        f"{current} forwarded to non-adjacent "
-                        f"{decision.next_node}",
-                    )
-                continue
-            # A single-path scheme may have chosen a dead link or node:
-            # drop (or retry), as the hop-by-hop walker does.
-            chosen_link = frozenset((current, decision.next_node))
-            if chosen_link in self._network.failed_links:
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.LINK_DOWN,
-                    f"link {current}-{decision.next_node} is down",
-                    subject=link_subject(current, decision.next_node),
-                )
-                continue
-            if decision.next_node in self._network.failed_nodes:
-                self._finish(
-                    message,
-                    now,
-                    injected_at,
-                    DropReason.NODE_DOWN,
-                    f"node {decision.next_node} is down",
-                    subject=node_subject(decision.next_node),
-                )
-                continue
-            # Serialise forwarding through the node's processor.
-            departure = now
-            if self._service > 0:
-                backlog = max(self._busy_until.get(current, 0.0) - now, 0.0)
-                if (
-                    self._capacity is not None
-                    and backlog / self._service >= self._capacity
-                ):
-                    self._finish(
-                        message,
-                        now,
-                        injected_at,
-                        DropReason.QUEUE_OVERFLOW,
-                        f"queue overflow at node {current}",
-                        subject=node_subject(current),
-                    )
-                    continue
-                start = max(now, self._busy_until.get(current, 0.0))
-                departure = start + self._service
-                self._busy_until[current] = departure
-            self._forward_counts[current] = (
-                self._forward_counts.get(current, 0) + 1
-            )
-            arrival = departure + self._latency
-            if self._tracer is not None and message.traced:
-                self._tracer.hop(
-                    message.msg_id,
-                    node=current,
-                    next_node=decision.next_node,
-                    hop=message.hops,
-                    time=now,
-                    duration=arrival - now,
-                    attempt=message.attempt,
-                )
-            message.state = decision.state
-            message.path.append(decision.next_node)
-            self._push_message(message, arrival, injected_at)
-        # Remaining entries can only be fault events (no live messages).
-        self._queue.clear()
-        records, self._records = self._records, []
-        return records

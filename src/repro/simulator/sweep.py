@@ -11,8 +11,9 @@ suite pins via the per-task record digest.
 
 Variants mirror the CLI simulate commands: ``plain`` (static sampled
 failures), ``chaos`` (renewal fault schedule), ``corruption`` (timed
-table corruption with optional repair) and ``churn`` (random topology
-mutations with incremental repair).
+table corruption with optional repair, over tables under the task's
+integrity framing) and ``churn`` (random topology mutations with
+incremental repair).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import build_scheme
 from repro.errors import ReproError
 from repro.graphs import gnp_random_graph
+from repro.integrity import FramingPolicy, IntegrityWrapper
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator.chaos import renewal_faults, table_corruption
 from repro.simulator.failures import (
@@ -88,6 +90,8 @@ class SweepTask:
     corrupt_nodes: Optional[int] = None
     """Corrupted tables to schedule (defaults to ``n // 4``)."""
     repair_delay: Optional[float] = None
+    framing: str = FramingPolicy.NONE.value
+    """Integrity framing charged on every table (a ``FramingPolicy`` value)."""
     churn_events: int = 4
     churn_repair_delay: float = 5.0
 
@@ -101,6 +105,12 @@ class SweepTask:
             raise ReproError(
                 f"unknown sweep workload {self.workload!r}; "
                 f"expected one of {_WORKLOADS}"
+            )
+        framings = tuple(policy.value for policy in FramingPolicy)
+        if self.framing not in framings:
+            raise ReproError(
+                f"unknown sweep framing {self.framing!r}; "
+                f"expected one of {framings}"
             )
 
 
@@ -146,6 +156,9 @@ def _task_pairs(task: SweepTask, graph: object) -> List[Tuple[int, int]]:
 def _task_kernel(task: SweepTask) -> Tuple[BatchKernel, List[Tuple[int, int]]]:
     graph = gnp_random_graph(task.n, seed=task.graph_seed)
     scheme = build_scheme(task.scheme, graph, _default_model(task.scheme))
+    policy = FramingPolicy(task.framing)
+    if policy is not FramingPolicy.NONE:
+        scheme = IntegrityWrapper(scheme, policy)
     retry = (
         RetryPolicy(
             max_attempts=task.retries + 1, base_delay=task.retry_base_delay

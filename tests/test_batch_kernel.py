@@ -1,13 +1,14 @@
-"""Scalar/batch equivalence for the vectorised routing kernel.
+"""Scalar/batch equivalence for the timed routing kernel.
 
 The batch boundary's contract is *bit identity*: for any fixed seed the
-``BatchKernel`` must emit exactly the ``DeliveryRecord`` stream the
-scalar per-message walk emits — across every scheme, with chaos,
-corruption and churn enabled, with tracing on or off.  These tests pin
-that contract with a hypothesis property over all 11 schemes, check the
-kernel against ``EventDrivenSimulator`` itself, pin the sweep driver's
-worker-count independence, and regression-test that the untraced kernel
-pays nothing for the (disabled) tracer hooks.
+``BatchKernel``'s default lane choice must emit exactly the
+``DeliveryRecord`` stream of its all-scalar reference (``batch=False``)
+— across every scheme, with link latency, node queueing, chaos,
+corruption and churn (instant or rate-staggered installs) enabled, over
+one-row and many-row cohorts, with tracing on or off.  These tests pin
+that contract with a hypothesis property over all 11 schemes, pin the
+sweep driver's worker-count independence, and regression-test that the
+untraced kernel pays nothing for the (disabled) tracer hooks.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from repro.core import available_schemes, build_scheme
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import NULL_TRACER, RecordingTracer, SamplingTracer
-from repro.simulator import (
-    BatchKernel,
-    EventDrivenSimulator,
-    RetryPolicy,
-    SweepTask,
-    run_sweep,
+from repro.simulator import BatchKernel, RetryPolicy, SweepTask, run_sweep
+from repro.simulator.chaos import (
+    FaultEvent,
+    FaultSchedule,
+    renewal_faults,
+    table_corruption,
 )
-from repro.simulator.chaos import renewal_faults, table_corruption
 from repro.simulator.churn import random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
+from repro.simulator.sweep import _task_kernel
 
 II_GAMMA = RoutingModel(Knowledge.II, Labeling.GAMMA)
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
@@ -60,13 +61,19 @@ def _scheme(name):
     return build_scheme(name, graph, II_GAMMA), graph
 
 
-def _injections(graph, messages, seed, horizon=30.0):
+def _injections(graph, messages, seed, horizon=30.0, burst=0, burst_at=0.0):
+    """``messages`` pairs at uniform times, then ``burst`` more at once.
+
+    Uniform times make one-row cohorts; the burst (at ``burst_at``) is
+    one many-row cohort that moves in lockstep and so keeps the batch
+    lane busy.
+    """
     clock = random.Random(seed)
     nodes = sorted(graph.nodes)
     return [
         (*clock.sample(nodes, 2), clock.uniform(0.0, horizon))
         for _ in range(messages)
-    ]
+    ] + [(*clock.sample(nodes, 2), burst_at) for _ in range(burst)]
 
 
 def _run(scheme, injections, batch, **kwargs):
@@ -76,36 +83,66 @@ def _run(scheme, injections, batch, **kwargs):
     return kernel.run()
 
 
+def _tracer(kind):
+    """A fresh tracer of ``kind`` and the list its spans land in."""
+    if kind == "recording":
+        tracer = RecordingTracer()
+        return tracer, tracer.events
+    if kind == "sampled":
+        sink = RecordingTracer()
+        return SamplingTracer(sink, rate=0.1, seed=3), sink.events
+    return None, []
+
+
 # -- the tentpole property ----------------------------------------------------
 
 
 @st.composite
 def fault_cases(draw):
-    scheme_name = draw(st.sampled_from(ALL_SCHEMES))
+    variant = draw(
+        st.sampled_from(("static", "chaos", "corruption", "churn"))
+    )
+    scheme_name = draw(
+        st.sampled_from(CHURN_SCHEMES if variant == "churn" else ALL_SCHEMES)
+    )
     seed = draw(st.integers(0, 3))
-    variant = draw(st.sampled_from(("static", "chaos", "corruption")))
     messages = draw(st.integers(1, 20))
+    burst = draw(st.sampled_from((0, 0, 24, 40)))
     retries = draw(st.integers(0, 2))
-    return scheme_name, seed, variant, messages, retries
+    # Zero jitter re-injects rows dropped together as one retry cohort.
+    jitter = draw(st.sampled_from((0.1, 0.0)))
+    timing = {"link_latency": draw(st.sampled_from((0.35, 1.0, 2.0)))}
+    service = draw(st.sampled_from((0.0, 0.0, 0.2, 0.7)))
+    if service:
+        timing["node_service_time"] = service
+        timing["queue_capacity"] = draw(st.sampled_from((None, 1, 3)))
+    repair_rate = draw(st.sampled_from((None, 40.0, 400.0)))
+    tracer = draw(st.sampled_from((None, "recording", "sampled")))
+    return (scheme_name, seed, variant, messages, burst, retries, jitter,
+            timing, repair_rate, tracer)
 
 
 @given(fault_cases())
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_batch_matches_scalar_under_faults(case):
-    """Bit-identical records, all 11 schemes, faults and retries on."""
-    scheme_name, seed, variant, messages, retries = case
+    """Bit-identical records and spans, all 11 schemes, every axis."""
+    (scheme_name, seed, variant, messages, burst, retries, jitter, timing,
+     repair_rate, tracer_kind) = case
     scheme, graph = _scheme(scheme_name)
     kwargs = {
         "retry_policy": (
-            RetryPolicy(max_attempts=retries + 1, base_delay=0.5)
+            RetryPolicy(
+                max_attempts=retries + 1, base_delay=0.5, jitter=jitter
+            )
             if retries
             else None
         ),
         "retry_seed": seed,
+        **timing,
     }
     if variant == "static":
         # keep_connected=False: a chain has no expendable links, and the
@@ -124,74 +161,72 @@ def test_batch_matches_scalar_under_faults(case):
             link_count=graph.edge_count // 3,
             node_count=2,
         )
-    else:
+    elif variant == "corruption":
         kwargs["fault_schedule"] = table_corruption(
             graph, max(graph.n // 4, 1), horizon=40.0, seed=seed
         )
         kwargs["repair_delay"] = 6.0
-    injections = _injections(graph, messages, seed)
-    batched = _run(scheme, injections, True, **kwargs)
-    scalar = _run(scheme, injections, False, **kwargs)
-    assert batched == scalar
-    assert len(batched) == messages
+    else:
+        kwargs["churn_schedule"] = random_churn(
+            graph, 3, horizon=20.0, seed=seed
+        )
+        kwargs["churn_repair_delay"] = 2.0
+        kwargs["churn_repair_rate"] = repair_rate
+    injections = _injections(graph, messages, seed, burst=burst)
+    runs = {}
+    for batch in (True, False):
+        tracer, spans = _tracer(tracer_kind)
+        records = _run(scheme, injections, batch, tracer=tracer, **kwargs)
+        runs[batch] = (records, spans)
+    assert runs[True] == runs[False]
+    assert len(runs[True][0]) == messages + burst
 
 
 @pytest.mark.parametrize("scheme_name", CHURN_SCHEMES)
 def test_batch_matches_scalar_under_churn(scheme_name):
+    """Churn, untraced and sampled, with a burst routed on stale tables.
+
+    The burst lands at t=2.5, inside the first mutation's (t=2.17)
+    repair window, so its rows travel and deliver stale as one cohort;
+    a sampling tracer must promote each of those deliveries.
+    """
     graph = gnp_random_graph(18, seed=11)
     scheme = build_scheme(scheme_name, graph, II_ALPHA)
-    injections = _injections(graph, 80, seed=5, horizon=35.0)
+    injections = _injections(
+        graph, 80, seed=5, horizon=35.0, burst=40, burst_at=2.5
+    )
     kwargs = {
         "retry_policy": RetryPolicy(max_attempts=3, base_delay=0.5),
         "retry_seed": 5,
         "churn_repair_delay": 4.0,
     }
-    results = {}
-    for batch in (True, False):
-        kernel = BatchKernel(
-            scheme,
-            batch=batch,
-            churn_schedule=random_churn(graph, 6, horizon=30.0, seed=7),
-            **kwargs,
-        )
-        for source, destination, at_time in injections:
-            kernel.inject(source, destination, at_time)
-        results[batch] = (kernel.run(), kernel.churn_summary())
-    assert results[True] == results[False]
-
-
-# -- kernel vs. the event-driven engine ---------------------------------------
-
-
-def test_kernel_matches_event_driven_engine():
-    """Both kernel lanes reproduce the engine's records exactly."""
-    graph = gnp_random_graph(20, seed=3)
-    scheme = build_scheme("full-table", graph, II_ALPHA)
-    failed_links = tuple(sample_link_failures(graph, 4, seed=9))
-    failed_nodes = tuple(sample_node_failures(graph, 2, seed=9))
-    injections = _injections(graph, 60, seed=9)
-    engine = EventDrivenSimulator(
-        scheme, failed_links=failed_links, failed_nodes=failed_nodes
-    )
-    for source, destination, at_time in injections:
-        engine.inject(source, destination, at_time)
-    reference = sorted(engine.run(), key=lambda r: r.msg_id)
-    for batch in (True, False):
-        records = _run(
-            scheme,
-            injections,
-            batch,
-            failed_links=failed_links,
-            failed_nodes=failed_nodes,
-        )
-        assert sorted(records, key=lambda r: r.msg_id) == reference
+    for tracer_kind in (None, "sampled"):
+        results = {}
+        for batch in (True, False):
+            tracer, spans = _tracer(tracer_kind)
+            kernel = BatchKernel(
+                scheme,
+                batch=batch,
+                churn_schedule=random_churn(graph, 6, horizon=30.0, seed=7),
+                tracer=tracer,
+                **kwargs,
+            )
+            for source, destination, at_time in injections:
+                kernel.inject(source, destination, at_time)
+            results[batch] = (kernel.run(), kernel.churn_summary(), spans)
+        assert results[True] == results[False]
+        assert sum(r.stale for r in results[True][0][80:]) >= 8
 
 
 def test_tracing_is_preserved_behind_the_boundary():
-    """Full tracing: identical records AND identical span streams."""
+    """Full tracing: identical records AND identical span streams.
+
+    The t=0 burst is one many-row cohort, so the batch lane must route
+    every traced row to the scalar step to keep its spans.
+    """
     graph = gnp_random_graph(16, seed=21)
     scheme = build_scheme("full-table", graph, II_ALPHA)
-    injections = _injections(graph, 40, seed=13)
+    injections = _injections(graph, 40, seed=13, burst=40)
     schedule = renewal_faults(
         graph, horizon=40.0, seed=13, link_count=6, node_count=1
     )
@@ -213,12 +248,20 @@ def test_tracing_is_preserved_behind_the_boundary():
 
 
 def test_sampled_tracing_promotion_matches_scalar():
-    """Sampled tracing (with anomaly promotion) stays bit-identical."""
+    """Sampled tracing (with anomaly promotion) stays bit-identical.
+
+    Burst rows share cohorts with the sampled-in rows.  Node 2's outage
+    at t=0 makes 18 of them retry, and without jitter rows dropped at
+    the same instant come back as one cohort of promoted rows, so the
+    batch lane has to split each cohort by its traced flag.
+    """
     graph = gnp_random_graph(16, seed=21)
     scheme = build_scheme("full-table", graph, II_ALPHA)
-    injections = _injections(graph, 60, seed=17)
+    injections = _injections(graph, 60, seed=17, burst=60)
     schedule = renewal_faults(
         graph, horizon=40.0, seed=17, link_count=6, node_count=1
+    ) + FaultSchedule(
+        [FaultEvent.node_down(0.0, 2), FaultEvent.node_up(0.25, 2)]
     )
     streams = {}
     for batch in (True, False):
@@ -228,7 +271,9 @@ def test_sampled_tracing_promotion_matches_scalar():
             injections,
             batch,
             fault_schedule=schedule,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay=0.5, jitter=0.0
+            ),
             retry_seed=17,
             tracer=tracer,
         )
@@ -266,11 +311,25 @@ def test_sweep_digests_independent_of_worker_count():
 
 
 def test_sweep_digests_independent_of_batch_flag():
+    """The flag reaches every variant's kernel and changes no outcome.
+
+    Sweeps inject at uniform random times, so their cohorts hold one row
+    and both flags step them identically; the same kernels fed their
+    pairs as one t=0 cohort make the batch lane carry it.
+    """
     batched = run_sweep(_sweep_tasks(batch=True), workers=1)
     scalar = run_sweep(_sweep_tasks(batch=False), workers=1)
     for fast, slow in zip(batched, scalar):
         assert fast.record_digest == slow.record_digest
         assert replace(fast.task, batch=False) == slow.task
+    for task in _sweep_tasks():
+        runs = {}
+        for batch in (True, False):
+            kernel, pairs = _task_kernel(replace(task, batch=batch))
+            for source, destination in pairs:
+                kernel.inject(source, destination, 0.0)
+            runs[batch] = kernel.run()
+        assert runs[True] == runs[False], task
 
 
 # -- disabled-tracing overhead ------------------------------------------------

@@ -1,7 +1,7 @@
 """Property test: the simulator invariants hold under arbitrary chaos.
 
 Whatever fault schedule and workload hypothesis throws at it,
-``EventDrivenSimulator.run()`` must never raise, must return exactly one
+``BatchKernel.run()`` must never raise, must return exactly one
 record per injected message, and every delivered record's path must be a
 walk in the graph from the source ending at the destination.
 """
@@ -15,7 +15,7 @@ from repro.core import DetourWrapper, build_scheme
 from repro.graphs import gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     FaultEvent,
     FaultSchedule,
     RetryPolicy,
@@ -75,7 +75,7 @@ def test_run_never_raises_and_paths_are_walks(case):
     scheme = build_scheme(scheme_name, graph, II_ALPHA)
     if detour:
         scheme = DetourWrapper(scheme)
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         fault_schedule=schedule,
         retry_policy=(

@@ -19,9 +19,9 @@ from repro.graphs import (
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, RecordingTracer, set_registry
 from repro.simulator import (
+    BatchKernel,
     ChurnSchedule,
     DropReason,
-    EventDrivenSimulator,
     RetryPolicy,
     TopologyMutation,
     TopologyMutationKind,
@@ -283,9 +283,9 @@ class TestSelectiveInvalidation:
         ).value == before + 1
 
 
-def _edge_churn_engine(graph, schedule, messages=40, **kwargs):
+def _edge_churn_kernel(graph, schedule, messages=40, **kwargs):
     scheme = build_scheme("full-table", graph, IA_ALPHA)
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         retry_policy=RetryPolicy(max_attempts=5, base_delay=1.0),
         retry_seed=3,
@@ -304,7 +304,7 @@ class TestEngineChurn:
         graph = gnp_random_graph(16, seed=21)
         schedule = random_churn(graph, 4, horizon=15.0, seed=6)
         tracer = RecordingTracer()
-        sim = _edge_churn_engine(
+        sim = _edge_churn_kernel(
             graph, schedule, churn_repair_delay=3.0, tracer=tracer
         )
         records = sim.run()
@@ -335,7 +335,7 @@ class TestEngineChurn:
     def test_stale_deliveries_are_counted_during_the_repair_window(self):
         graph = gnp_random_graph(16, seed=21)
         schedule = random_churn(graph, 4, horizon=15.0, seed=6)
-        sim = _edge_churn_engine(graph, schedule, churn_repair_delay=3.0)
+        sim = _edge_churn_kernel(graph, schedule, churn_repair_delay=3.0)
         metrics = summarize(sim.run(), sim.network.live_graph)
         assert metrics.stale_deliveries > 0
         assert metrics.to_dict()["stale_deliveries"] == (
@@ -348,12 +348,12 @@ class TestEngineChurn:
             random_churn(graph, 1, horizon=5.0, seed=6).mutations
         )
         assert len(schedule) == 1
-        instant = _edge_churn_engine(
+        instant = _edge_churn_kernel(
             graph, schedule, churn_repair_delay=2.0
         )
         instant.run()
         fast = instant.churn_summary()["convergence_times"]
-        slow_sim = _edge_churn_engine(
+        slow_sim = _edge_churn_kernel(
             graph, schedule, churn_repair_delay=2.0, churn_repair_rate=200.0
         )
         slow_sim.run()
@@ -371,7 +371,7 @@ class TestEngineChurn:
             TopologyMutation.node_join(10.0, node, neighbors),
         ])
         scheme = build_scheme("full-table", graph, IA_ALPHA)
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             churn_schedule=schedule,
             churn_repair_delay=2.0,
@@ -396,7 +396,7 @@ class TestEngineChurn:
         graph = gnp_random_graph(16, seed=17)
         base = random_churn(graph, 5, horizon=2.0, seed=8)
         assert len(base) >= 3
-        sim = _edge_churn_engine(graph, base, churn_repair_delay=5.0)
+        sim = _edge_churn_kernel(graph, base, churn_repair_delay=5.0)
         sim.run()
         summary = sim.churn_summary()
         assert summary["converged"]
@@ -408,11 +408,11 @@ class TestEngineChurn:
         scheme = build_scheme("full-table", graph, IA_ALPHA)
         schedule = random_churn(graph, 1, seed=1)
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(
+            BatchKernel(
                 scheme, churn_schedule=schedule, churn_repair_delay=0.0
             )
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(
+            BatchKernel(
                 scheme, churn_schedule=schedule, churn_repair_rate=-1.0
             )
 
@@ -432,7 +432,7 @@ class TestEngineChurn:
                 return ("lbl", node)
 
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(
+            BatchKernel(
                 _Relabeled(scheme), churn_schedule=schedule
             )
 

@@ -18,7 +18,7 @@ from repro.core.repair import dirty_nodes
 from repro.graphs import gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     RetryPolicy,
     TopologyMutationKind,
     random_churn,
@@ -107,7 +107,7 @@ def test_engine_converges_and_post_churn_probes_are_never_stale(
     graph = gnp_random_graph(12, seed=5)
     scheme = build_scheme("full-table", graph, IA_ALPHA)
     schedule = random_churn(graph, events, horizon=10.0, seed=churn_seed)
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         retry_policy=RetryPolicy(max_attempts=5, base_delay=1.0),
         retry_seed=churn_seed,

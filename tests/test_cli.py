@@ -352,3 +352,61 @@ class TestBenchReport:
              "--fresh", "/nonexistent/f.json"]
         ) == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestWorkerReplicas:
+    """``--workers`` replica 0 reproduces the single run it shards."""
+
+    COMMANDS = {
+        "plain": ["simulate", "full-table", "24", "--messages", "120",
+                  "--failures", "25", "--node-failures", "2", "--batch"],
+        "chaos": ["simulate-chaos", "full-table", "24", "--messages", "80",
+                  "--schedule", "renewal", "--chaos-nodes", "2",
+                  "--retries", "2"],
+        "corruption": ["simulate-corruption", "full-table", "24",
+                       "--messages", "120", "--corrupt-nodes", "5"],
+        "churn": ["simulate-churn", "full-table", "24", "--messages", "80",
+                  "--events", "3", "--retries", "2"],
+    }
+
+    @pytest.mark.parametrize("variant", sorted(COMMANDS))
+    def test_replica_zero_matches_the_single_run(self, variant, capsys):
+        import json
+
+        argv = self.COMMANDS[variant]
+        assert main(argv + ["--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--workers", "2", "--json"]) == 0
+        replica = json.loads(capsys.readouterr().out)[0]
+        assert replica["seed"] == single["seed"]
+        assert replica["messages"] == single["messages"]
+        assert replica["delivered"] == single["delivered"]
+        assert replica["retries"] == single["total_retries"]
+        assert replica["drop_reasons"] == single["drop_breakdown"]
+        if variant == "corruption":
+            # Under the default crc8 framing corruption is detected and
+            # drops; an unframed replica would deliver everything.
+            assert single["drop_breakdown"].get("TABLE_CORRUPT", 0) > 0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate-corruption", "full-table", "16", "--mutation",
+              "burst"], "--mutation"),
+            (["simulate-churn", "full-table", "16", "--repair-rate", "500"],
+             "--repair-rate"),
+            (["simulate-chaos", "interval", "16", "--schedule", "renewal",
+              "--detour"], "--detour"),
+            (["simulate", "full-table", "16", "--metrics-out", "m.json"],
+             "--metrics-out"),
+            # Replicas run the timed kernel, never the untimed walker.
+            (["simulate", "full-table", "16"], "--batch"),
+        ],
+    )
+    def test_flags_a_replica_cannot_carry_are_rejected(
+        self, argv, flag, capsys
+    ):
+        assert main(argv + ["--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "--workers" in err

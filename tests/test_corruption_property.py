@@ -7,7 +7,7 @@ Two invariants beyond what ``test_chaos_property`` already pins:
   clear — recovery alone leaves the quarantine in force, healing alone
   leaves the node dead.
 * Mixing timed corruption events into arbitrary chaos schedules never
-  makes the engine raise, and it still emits exactly one record per
+  makes the kernel raise, and it still emits exactly one record per
   injected message.
 """
 
@@ -21,7 +21,7 @@ from repro.graphs import gnp_random_graph, path_graph
 from repro.integrity import FramingPolicy, IntegrityWrapper
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     FaultEvent,
     FaultSchedule,
     MutationKind,
@@ -135,7 +135,7 @@ def test_corruption_chaos_never_raises(case):
     scheme = build_scheme("full-table", graph, II_ALPHA)
     if policy is not FramingPolicy.NONE:
         scheme = IntegrityWrapper(scheme, policy)
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         fault_schedule=schedule,
         retry_policy=(

@@ -199,7 +199,7 @@ class TestCachingSemantics:
 
     def test_pipeline_computes_distances_exactly_once(self, registry):
         """The acceptance criterion: build → verify → simulate, one BFS sweep."""
-        from repro.simulator import cached_distance_matrix, summarize
+        from repro.simulator import summarize
 
         graph = gnp_random_graph(20, seed=4)
         scheme = build_scheme("full-table", graph, II_ALPHA)
@@ -208,7 +208,7 @@ class TestCachingSemantics:
         network = Network(scheme)
         records = [network.route(1, 2), network.route(3, 4)]
         summarize(records, graph)
-        cached_distance_matrix(graph)
+        get_context(graph).distances()
         assert _ctx_count(registry, "distances", "miss") == 1
         assert _ctx_count(registry, "distances", "hit") >= 2
 

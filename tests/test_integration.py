@@ -14,7 +14,7 @@ from repro.graphs import certify_random_graph, encode_graph, gnp_random_graph
 from repro.incompressibility import Lemma1Codec, evaluate_codec
 from repro.kolmogorov import best_estimate
 from repro.models import Knowledge, Labeling, RoutingModel
-from repro.simulator import EventDrivenSimulator, Network, summarize
+from repro.simulator import BatchKernel, Network, summarize
 
 ALL_PLAIN_SCHEMES = [
     ("full-table", 1.0),
@@ -94,7 +94,7 @@ class TestSimulatorAgreement:
         graph = gnp_random_graph(24, seed=61)
         scheme = build_scheme("thm4-hub", graph, model_ii_alpha)
         network = Network(scheme)
-        sim = EventDrivenSimulator(scheme)
+        sim = BatchKernel(scheme)
         pairs = [(1, 13), (2, 20), (5, 9)]
         for u, w in pairs:
             sim.inject(u, w)

@@ -1,10 +1,10 @@
 """Tests for metrics-layer observability: cache counters, timestamps.
 
-Covers the ``cached_distance_matrix`` shim over the shared
-:class:`~repro.graphs.context.GraphContext` (legacy hit/miss counters,
-identity with the context's matrix, store-level eviction), the registry
-counters fed by ``summarize``, and the repaired ``mean_time_to_delivery``
-computed from record timestamps instead of the ``mean_latency`` alias.
+Covers the shared :class:`~repro.graphs.context.GraphContext` distance
+cache as the metrics layer sees it (store-level eviction and its
+counters), the registry counters fed by ``summarize``, and the
+``mean_time_to_delivery`` computed from record timestamps instead of the
+``mean_latency`` alias.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from repro.graphs import (
     gnp_random_graph,
     path_graph,
 )
-from repro.graphs.context import context_cache_size
+from repro.graphs.context import CTX_COUNTER, context_cache_size
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.core import build_scheme
 from repro.observability import MetricsRegistry, set_registry
 from repro.simulator import (
+    BatchKernel,
     DeliveryRecord,
-    EventDrivenSimulator,
     RetryPolicy,
-    cached_distance_matrix,
     flapping_links,
     summarize,
 )
@@ -50,52 +49,28 @@ def clear_cache():
 
 
 def _cache_count(registry, op):
-    return registry.counter("repro_distance_cache_total", op=op).value
+    return registry.counter(
+        CTX_COUNTER, kind="distances", op=op
+    ).value
 
 
 class TestDistanceCacheCounters:
-    def test_miss_then_hit(self, registry, clear_cache):
-        graph = path_graph(8)
-        first = cached_distance_matrix(graph)
-        assert _cache_count(registry, "miss") == 1
-        assert _cache_count(registry, "hit") == 0
-        second = cached_distance_matrix(graph)
-        assert second is first
-        assert _cache_count(registry, "hit") == 1
-        assert _cache_count(registry, "miss") == 1
-
-    def test_shim_returns_the_context_matrix(self, registry, clear_cache):
-        """Unified caches: simulator and context hold the same ndarray."""
-        graph = gnp_random_graph(12, seed=4)
-        via_shim = cached_distance_matrix(graph)
-        via_context = get_context(graph).distances()
-        assert via_shim is via_context
-
-    def test_context_first_makes_the_shim_hit(self, registry, clear_cache):
-        """Work done by a builder (via the context) is a shim hit — the
-        exact cross-layer reuse the unification buys."""
-        graph = gnp_random_graph(12, seed=5)
-        get_context(graph).distances()
-        cached_distance_matrix(graph)
-        assert _cache_count(registry, "hit") == 1
-        assert _cache_count(registry, "miss") == 0
-
     def test_store_eviction_recomputes_afresh(self, registry, clear_cache):
         """Evicted graphs recompute the same values, never a stale hit."""
         size = context_cache_size()
         # Hold strong references so no id is ever reused across graphs.
         graphs = [gnp_random_graph(10, seed=s) for s in range(size + 2)]
-        matrices = [cached_distance_matrix(g) for g in graphs]
+        matrices = [get_context(g).distances() for g in graphs]
         evictions = registry.counter(
             "repro_graph_ctx_store_total", op="eviction"
         ).value
         assert evictions == 2
         # The newest graph still hits its live context.
         hits_before = _cache_count(registry, "hit")
-        assert cached_distance_matrix(graphs[-1]) is matrices[-1]
+        assert get_context(graphs[-1]).distances() is matrices[-1]
         assert _cache_count(registry, "hit") == hits_before + 1
         # Re-querying an evicted graph recomputes the same values afresh.
-        recomputed = cached_distance_matrix(graphs[0])
+        recomputed = get_context(graphs[0]).distances()
         assert recomputed is not matrices[0]
         np.testing.assert_array_equal(recomputed, matrices[0])
         assert _cache_count(registry, "miss") == size + 3
@@ -167,7 +142,7 @@ class TestMeanTimeToDelivery:
         schedule = flapping_links(
             graph, 30, period=8.0, duty=0.5, horizon=60.0, seed=5
         )
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             fault_schedule=schedule,
             retry_policy=RetryPolicy(max_attempts=4, base_delay=2.0),

@@ -19,7 +19,7 @@ from repro.observability import (
     summarize_trace,
 )
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     RetryPolicy,
     drop_breakdown,
     flapping_links,
@@ -145,7 +145,7 @@ class TestLiveRoundTrip:
                 link_mtbf=10.0, link_mttr=6.0, node_count=3,
             )
         tracer = RecordingTracer()
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             fault_schedule=schedule,
             retry_policy=RetryPolicy(max_attempts=2),

@@ -160,6 +160,55 @@ class TestEngineProtocol:
         tracer.promote(42, 0, 1)  # no-op, must not emit
         assert tracer.events == []
 
+    def test_kernel_streams_promoted_messages_to_the_end(self):
+        """After its first retry a promoted message's spans are all kept."""
+        from repro.core import build_scheme
+        from repro.graphs import gnp_random_graph
+        from repro.models import Knowledge, Labeling, RoutingModel
+        from repro.simulator import BatchKernel, RetryPolicy, flapping_links
+
+        graph = gnp_random_graph(20, seed=5)
+        scheme = build_scheme(
+            "full-table", graph, RoutingModel(Knowledge.II, Labeling.ALPHA)
+        )
+        schedule = flapping_links(
+            graph, 30, period=4.0, duty=0.5, horizon=30.0, seed=2
+        )
+        tail = {}
+        for name, tracer in (
+            ("full", RecordingTracer()),
+            ("sampled", SamplingTracer(RecordingTracer(), rate=0.0, seed=3)),
+        ):
+            kernel = BatchKernel(
+                scheme,
+                fault_schedule=schedule,
+                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
+                retry_seed=9,
+                tracer=tracer,
+            )
+            for mid in range(120):
+                kernel.inject(1 + mid % 20, 1 + (mid * 7 + 3) % 20, mid / 4)
+            kernel.run()
+            sink = tracer._sink if name == "sampled" else tracer
+            spans = {}
+            for event in sink.events:
+                if event.msg_id is not None:
+                    spans.setdefault(event.msg_id, []).append(event)
+            tail[name] = {
+                mid: [
+                    (e.event, e.node, e.next_node, e.hop, e.attempt, e.time)
+                    for e in events[
+                        [e.event for e in events].index("retry"):
+                    ]
+                ]
+                for mid, events in spans.items()
+                if any(e.event == "retry" for e in events)
+            }
+        assert tail["sampled"]
+        assert tail["sampled"] == tail["full"]
+        for events in tail["sampled"].values():
+            assert events[-1][0] in ("deliver", "drop")
+
 
 class TestClose:
     def test_close_emits_sample_summary(self):

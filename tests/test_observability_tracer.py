@@ -19,7 +19,7 @@ from repro.observability import (
     read_trace,
 )
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     Network,
     RetryPolicy,
     flapping_links,
@@ -40,7 +40,7 @@ def _chaos_sim(scheme, tracer, retries=2):
     schedule = flapping_links(
         scheme.graph, 30, period=8.0, duty=0.5, horizon=60.0, seed=3
     )
-    sim = EventDrivenSimulator(
+    sim = BatchKernel(
         scheme,
         fault_schedule=schedule,
         retry_policy=RetryPolicy(max_attempts=retries + 1),
@@ -114,7 +114,7 @@ class TestDisabledPath:
         assert Network(scheme, tracer=NULL_TRACER)._tracer is None
         assert Network(scheme, tracer=NullTracer())._tracer is None
         assert Network(scheme, tracer=None)._tracer is None
-        sim = EventDrivenSimulator(scheme, tracer=NULL_TRACER)
+        sim = BatchKernel(scheme, tracer=NULL_TRACER)
         assert sim._tracer is None
 
     def test_traced_and_untraced_runs_agree(self, scheme):

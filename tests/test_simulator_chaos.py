@@ -8,8 +8,8 @@ from repro.core import build_scheme
 from repro.errors import GraphError
 from repro.graphs import cycle_graph, gnp_random_graph, path_graph
 from repro.simulator import (
+    BatchKernel,
     DropReason,
-    EventDrivenSimulator,
     FaultEvent,
     FaultKind,
     FaultSchedule,
@@ -159,7 +159,7 @@ class TestChaosRuns:
                 FaultEvent.link_up(10.0, 2, 3),
             ]
         )
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         sim.inject(1, 4, at_time=0.0)
         sim.inject(1, 4, at_time=11.0)
         early, late = sorted(sim.run(), key=lambda r: r.msg_id)
@@ -170,7 +170,7 @@ class TestChaosRuns:
     def test_fault_applies_before_message_at_same_time(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
         schedule = FaultSchedule([FaultEvent.link_down(1.0, 2, 3)])
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         # The message reaches node 2 at exactly t=1.0, as the link dies.
         sim.inject(1, 3, at_time=0.0)
         (record,) = sim.run()
@@ -180,7 +180,7 @@ class TestChaosRuns:
     def test_node_crash_kills_held_messages(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
         schedule = FaultSchedule([FaultEvent.node_down(1.5, 3)])
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         sim.inject(1, 4, at_time=0.0)
         (record,) = sim.run()
         assert not record.delivered
@@ -192,7 +192,7 @@ class TestChaosRuns:
     def test_crashed_source_reports_endpoint_down(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
         schedule = FaultSchedule([FaultEvent.node_down(0.0, 1)])
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         sim.inject(1, 3, at_time=1.0)
         (record,) = sim.run()
         assert not record.delivered
@@ -210,7 +210,7 @@ class TestChaosRuns:
         outcomes = {}
         for name in ("full-information", "thm1-two-level"):
             scheme = build_scheme(name, graph, model_ii_alpha)
-            sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+            sim = BatchKernel(scheme, fault_schedule=schedule)
             for i, (s, t) in enumerate(pairs):
                 sim.inject(s, t, at_time=(i * 37) % 30)
             outcomes[name] = summarize(sim.run(), graph)
@@ -226,7 +226,7 @@ class TestChaosRuns:
         graph = random_graph_32
         schedule = flapping_links(graph, 150, period=6.0, horizon=30.0, seed=2)
         scheme = build_scheme("thm1-two-level", graph, model_ii_alpha)
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         for i, (s, t) in enumerate(uniform_pairs(graph, 80, seed=6)):
             sim.inject(s, t, at_time=(i * 13) % 25)
         metrics = summarize(sim.run(), graph)
@@ -240,5 +240,5 @@ class TestChaosRuns:
     def test_run_without_messages_is_empty(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
         schedule = FaultSchedule([FaultEvent.link_down(1.0, 1, 2)])
-        sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+        sim = BatchKernel(scheme, fault_schedule=schedule)
         assert sim.run() == []

@@ -18,8 +18,8 @@ from repro.observability import (
     summarize_trace,
 )
 from repro.simulator import (
+    BatchKernel,
     DropReason,
-    EventDrivenSimulator,
     FaultEvent,
     FaultKind,
     FaultSchedule,
@@ -288,16 +288,16 @@ class TestEngineSelfHealing:
     def test_repair_delay_must_be_positive(self):
         scheme = _framed_path_scheme()
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(scheme, repair_delay=0.0)
+            BatchKernel(scheme, repair_delay=0.0)
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(scheme, repair_delay=-3.0)
+            BatchKernel(scheme, repair_delay=-3.0)
 
     def _run(self, registry, tracer=None):
         scheme = _framed_path_scheme()
         schedule = FaultSchedule(
             [FaultEvent.table_corrupt(0.25, 3, _FLIP)]
         )
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             fault_schedule=schedule,
             retry_policy=RetryPolicy(
@@ -352,7 +352,7 @@ class TestEngineSelfHealing:
         schedule = FaultSchedule(
             [FaultEvent.table_corrupt(0.25, 3, _FLIP)]
         )
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             fault_schedule=schedule,
             retry_policy=RetryPolicy(

@@ -1,4 +1,4 @@
-"""Tests for the event-driven simulator, failure sampling and metrics."""
+"""Tests for the timed kernel, failure sampling and metrics."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.errors import GraphError, RoutingError
 from repro.graphs import gnp_random_graph, path_graph, star_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     Network,
     sample_incident_failures,
     sample_link_failures,
@@ -19,10 +19,10 @@ from repro.simulator import (
 )
 
 
-class TestEventDrivenSimulator:
+class TestTimedKernel:
     def test_latency_counts_hops(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(5), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme, link_latency=2.0)
+        sim = BatchKernel(scheme, link_latency=2.0)
         sim.inject(1, 5, at_time=0.0)
         (record,) = sim.run()
         assert record.delivered
@@ -31,14 +31,14 @@ class TestEventDrivenSimulator:
 
     def test_injection_time_offsets(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme)
+        sim = BatchKernel(scheme)
         sim.inject(1, 3, at_time=10.0)
         (record,) = sim.run()
         assert record.latency == pytest.approx(2.0)
 
     def test_many_messages_all_delivered(self, model_ii_alpha):
         graph = gnp_random_graph(24, seed=3)
-        sim = EventDrivenSimulator(build_scheme("thm4-hub", graph, model_ii_alpha))
+        sim = BatchKernel(build_scheme("thm4-hub", graph, model_ii_alpha))
         pairs = [(u, 24 - u) for u in range(1, 12)]
         for i, (u, w) in enumerate(pairs):
             sim.inject(u, w, at_time=float(i))
@@ -49,11 +49,11 @@ class TestEventDrivenSimulator:
     def test_rejects_nonpositive_latency(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(scheme, link_latency=0.0)
+            BatchKernel(scheme, link_latency=0.0)
 
     def test_stateful_probe_messages(self, model_ii_alpha):
         graph = gnp_random_graph(24, seed=32)
-        sim = EventDrivenSimulator(build_scheme("thm5-probe", graph, model_ii_alpha))
+        sim = BatchKernel(build_scheme("thm5-probe", graph, model_ii_alpha))
         target = graph.non_neighbors(1)[0]
         sim.inject(1, target)
         (record,) = sim.run()
@@ -62,7 +62,7 @@ class TestEventDrivenSimulator:
 
     def test_run_drains_queue(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme)
+        sim = BatchKernel(scheme)
         sim.inject(1, 3)
         assert len(sim.run()) == 1
         assert sim.run() == []

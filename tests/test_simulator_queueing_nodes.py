@@ -8,7 +8,7 @@ from repro.core import build_scheme
 from repro.errors import GraphError, RoutingError
 from repro.graphs import gnp_random_graph, path_graph, star_graph
 from repro.simulator import (
-    EventDrivenSimulator,
+    BatchKernel,
     Network,
     sample_node_failures,
     summarize,
@@ -18,14 +18,14 @@ from repro.simulator import (
 class TestQueueing:
     def test_zero_service_time_is_pure_latency(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme, link_latency=1.0)
+        sim = BatchKernel(scheme, link_latency=1.0)
         sim.inject(1, 4)
         (record,) = sim.run()
         assert record.latency == pytest.approx(3.0)
 
     def test_service_time_adds_per_hop(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme, link_latency=1.0, node_service_time=0.5)
+        sim = BatchKernel(scheme, link_latency=1.0, node_service_time=0.5)
         sim.inject(1, 4)
         (record,) = sim.run()
         # Three forwarding nodes each add 0.5.
@@ -34,7 +34,7 @@ class TestQueueing:
     def test_contention_serialises(self, model_ia_alpha):
         """Two messages through the same relay: the second waits."""
         scheme = build_scheme("full-table", star_graph(5), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme, link_latency=1.0, node_service_time=1.0)
+        sim = BatchKernel(scheme, link_latency=1.0, node_service_time=1.0)
         sim.inject(2, 3, at_time=0.0)
         sim.inject(4, 5, at_time=0.0)
         records = sorted(sim.run(), key=lambda r: r.latency)
@@ -45,7 +45,7 @@ class TestQueueing:
     def test_forward_counts_expose_hotspots(self, model_ii_alpha):
         graph = gnp_random_graph(24, seed=3)
         scheme = build_scheme("thm4-hub", graph, model_ii_alpha)
-        sim = EventDrivenSimulator(scheme, node_service_time=0.1)
+        sim = BatchKernel(scheme, node_service_time=0.1)
         for i in range(40):
             sim.inject(1 + i % 24, 1 + (i * 7 + 3) % 24)
         sim.run()
@@ -57,7 +57,7 @@ class TestQueueing:
 
     def test_queue_overflow_drops(self, model_ia_alpha):
         scheme = build_scheme("full-table", star_graph(8), model_ia_alpha)
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme, link_latency=0.1, node_service_time=5.0, queue_capacity=1
         )
         for leaf in range(2, 8):
@@ -70,9 +70,9 @@ class TestQueueing:
     def test_rejects_bad_parameters(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(3), model_ia_alpha)
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(scheme, node_service_time=-1.0)
+            BatchKernel(scheme, node_service_time=-1.0)
         with pytest.raises(RoutingError):
-            EventDrivenSimulator(scheme, queue_capacity=0)
+            BatchKernel(scheme, queue_capacity=0)
 
 
 class TestNodeFailures:
@@ -146,9 +146,9 @@ class TestNodeFailures:
 
 class TestEventEngineFailures:
     def test_single_path_drops_on_failed_link(self, model_ia_alpha):
-        """The event engine honours link failures like the walker does."""
+        """The timed kernel honours link failures like the walker does."""
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
-        sim = EventDrivenSimulator(scheme, failed_links=[(2, 3)])
+        sim = BatchKernel(scheme, failed_links=[(2, 3)])
         sim.inject(1, 4)
         (record,) = sim.run()
         assert not record.delivered
@@ -158,7 +158,7 @@ class TestEventEngineFailures:
         from repro.graphs import cycle_graph
 
         scheme = build_scheme("full-information", cycle_graph(4), model_ii_alpha)
-        sim = EventDrivenSimulator(scheme, failed_links=[(1, 2)])
+        sim = BatchKernel(scheme, failed_links=[(1, 2)])
         sim.inject(1, 3)
         (record,) = sim.run()
         assert record.delivered

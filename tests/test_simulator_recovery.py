@@ -10,8 +10,8 @@ from repro.core import DetourWrapper, build_scheme
 from repro.errors import ReproError, RoutingError, SchemeBuildError
 from repro.graphs import cycle_graph, gnp_random_graph, path_graph
 from repro.simulator import (
+    BatchKernel,
     DropReason,
-    EventDrivenSimulator,
     FaultEvent,
     FaultSchedule,
     Network,
@@ -71,7 +71,7 @@ class TestRetryInEventEngine:
                 FaultEvent.link_up(5.0, 2, 3),
             ]
         )
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             fault_schedule=schedule,
             retry_policy=RetryPolicy(
@@ -87,7 +87,7 @@ class TestRetryInEventEngine:
 
     def test_budget_exhaustion_reports_final_reason(self, model_ia_alpha):
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
-        sim = EventDrivenSimulator(
+        sim = BatchKernel(
             scheme,
             failed_links=[(2, 3)],
             retry_policy=RetryPolicy(
@@ -111,7 +111,7 @@ class TestRetryInEventEngine:
 
         def run(retry):
             scheme = build_scheme("thm1-two-level", graph, model_ii_alpha)
-            sim = EventDrivenSimulator(
+            sim = BatchKernel(
                 scheme, fault_schedule=schedule, retry_policy=retry
             )
             for i, (s, t) in enumerate(pairs):
@@ -195,7 +195,7 @@ class TestDetourWrapper:
         pairs = uniform_pairs(graph, 120, seed=3)
         outcomes = {}
         for name, scheme in (("plain", inner), ("detour", wrapped)):
-            sim = EventDrivenSimulator(scheme, fault_schedule=schedule)
+            sim = BatchKernel(scheme, fault_schedule=schedule)
             for i, (s, t) in enumerate(pairs):
                 sim.inject(s, t, at_time=(i * 37) % 30)
             outcomes[name] = summarize(sim.run(), graph)
