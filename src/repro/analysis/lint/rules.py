@@ -4,9 +4,10 @@ audit (R014); the cross-module flow rules R010–R013 live in
 
 Each rule encodes an invariant the paper's bookkeeping or the simulator's
 design depends on; ``rationale`` strings say which.  Rules are pure AST
-passes — no imports of the linted code are required except the lazy
-:class:`DropReason` lookup in R002, which falls back to a frozen member
-list when the package cannot be imported.
+passes over the linted code.  Two vocabularies are read from the
+package itself: R002's taxonomies (imported lazily, with frozen member
+lists as the fallback) and R003's span methods (the public methods of
+:class:`~repro.observability.tracer.Tracer`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import (
 
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.registry import LintRule, ModuleContext, register_rule
+from repro.observability.tracer import Tracer
 
 __all__ = [
     "BitIntegerArithmeticRule",
@@ -231,10 +233,6 @@ _TAXONOMY_FALLBACKS: dict = {
     "RecordKind": frozenset({"PUT", "SWAP"}),
 }
 
-# Back-compat alias (pre-generalisation name, still used by older configs).
-_DROP_REASON_FALLBACK: FrozenSet[str] = _TAXONOMY_FALLBACKS["DropReason"]
-
-
 def _taxonomy_members(enum_name: str) -> FrozenSet[str]:
     """Live member set of one taxonomy (kept current as PRs grow it)."""
     import importlib
@@ -425,29 +423,13 @@ class DropReasonExhaustiveRule(LintRule):
 # -- R003 ---------------------------------------------------------------------
 
 _SPAN_METHODS = frozenset(
-    {
-        "emit",
-        "inject",
-        "hop",
-        "retry",
-        "fault",
-        "drop",
-        "deliver",
-        "corrupt",
-        "quarantine",
-        "heal",
-        "ctx",
-        "mutate",
-        "repair",
-        "converged",
-        "persist",
-        "reject",
-        "recover",
-        "swap",
-        "sample",
-        "slo",
-    }
+    name
+    for name, member in vars(Tracer).items()
+    if callable(member) and not name.startswith("_")
 )
+"""Every public :class:`Tracer` method: the span emitters, plus the
+sampling protocol's ``wants``/``promote``, read from the class so a new
+emitter is covered the day it lands."""
 
 
 def _positive_guards(test: ast.expr) -> FrozenSet[str]:

@@ -15,31 +15,26 @@ Commands
 ``verify SCHEME N``
     Route sampled pairs and report delivery/stretch.
 ``simulate SCHEME N``
-    Push a workload through the network simulator, optionally with
-    failed links.
-``simulate-chaos SCHEME N``
-    Run the timed kernel under a dynamic fault schedule (flapping links,
-    MTBF/MTTR renewal churn, or correlated regional outages), optionally
-    with retry/backoff recovery and the bounce-once detour wrapper, and
-    report delivery ratio, retry counts, and the drop-reason breakdown.
-    ``--seed`` (default 0) seeds the schedule generator, the workload
-    sampler, the retry jitter, and the injection clock alike.
-``simulate-corruption SCHEME N``
-    Run the timed kernel while seeded ``TABLE_CORRUPT`` faults mutate
-    packed routing tables mid-run.  ``--framing`` wraps the scheme in a
-    charged CRC/parity integrity layer (detection at decode time);
-    ``--repair-delay`` enables the detection-triggered self-healer.
-    Reports the corruption lifecycle (injected / detected / undetected /
-    healed) alongside the delivery metrics and the integrity-bit overhead.
-``simulate-churn SCHEME N``
-    Run the timed kernel under *live topology churn*: a seeded schedule
-    of mutation events (edge add/remove, node join/leave) rewires the
-    graph while messages are in flight.  Each mutation dirties only the
-    affected routing tables; after ``--repair-delay`` the kernel rebuilds
-    exactly those tables (``--full-rebuild`` forces the rebuild-everything
-    control arm) and ``--repair-rate`` staggers installs at a bits-per-time
-    budget.  Reports convergence times, stale deliveries, routing loops,
-    and bits rewritten vs. a full rebuild alongside the delivery metrics.
+    Push a workload through the timed kernel.  The fault axes are off by
+    default and compose freely: static ``--failures/--node-failures``;
+    a ``--schedule`` of flapping links, MTBF/MTTR renewal churn or
+    correlated regional outages; seeded table corruption
+    (``--corrupt-nodes``) with the detection-triggered self-healer
+    (``--repair-delay``); live topology churn (``--events``) with
+    incremental repair after ``--churn-repair-delay``, staggered at
+    ``--repair-rate`` bits per time unit (``--full-rebuild`` forces the
+    rebuild-everything control arm).  ``--framing`` charges a CRC/parity
+    integrity layer on every table and ``--detour`` adds the bounce-once
+    wrapper; ``--retries`` enables source retry with backoff.  With only
+    static failures on, every message is injected at t=0; with any timed
+    axis on, injections are uniform over the first 80% of ``--horizon``.
+    Reports delivery, stretch, retries and the drop-reason breakdown,
+    plus the corruption lifecycle (injected / detected / undetected /
+    healed, integrity bits) and churn convergence (times, stale
+    deliveries, bits rewritten vs. a full rebuild) when those axes are
+    on.  ``--seed`` (default 0) seeds the graph, failure samples,
+    schedules, workload, retry jitter and injection clock alike;
+    ``--workers N`` runs seed replicas through the sweep driver.
 ``store put|get|list|verify|recover|compact``
     Crash-safe durable scheme store (``--dir`` names the store
     directory).  ``put`` builds a scheme and appends a CRC-framed,
@@ -75,11 +70,10 @@ Commands
     ``--list-rules`` prints the catalogue; ``--format json``/``--output``
     emit the structured report.
 
-Observability flags: ``simulate``, ``simulate-chaos``,
-``simulate-corruption``, ``simulate-churn`` and ``build`` accept
-``--trace-out FILE`` (hop-level JSONL spans), ``--metrics-out FILE``
-(metrics-registry dump — JSON, or Prometheus text when the file ends in
-``.prom``), and the simulators accept ``--json`` for machine-readable
+Observability flags: ``simulate`` and ``build`` accept ``--trace-out
+FILE`` (hop-level JSONL spans), ``--metrics-out FILE`` (metrics-registry
+dump — JSON, or Prometheus text when the file ends in ``.prom``), and
+``simulate`` accepts ``--json`` for machine-readable
 :class:`RoutingMetrics` on stdout.
 
 Every artifact-writing invocation captures a
@@ -95,13 +89,20 @@ All sampling is seeded (``--seed``) and therefore reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 import time as _time
-from typing import Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
-from repro.core import available_schemes, build_scheme, route_message, verify_scheme
+from repro.core import (
+    available_schemes,
+    build_scheme,
+    default_model,
+    route_message,
+    verify_scheme,
+)
 from repro.core.persistence import pack_scheme
 from repro.errors import ReproError
 from repro.graphs import (
@@ -117,7 +118,7 @@ from repro.incompressibility import (
     Lemma3Codec,
     evaluate_codec,
 )
-from repro.integrity import FramingPolicy, IntegrityWrapper
+from repro.integrity import FramingPolicy
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import (
     JsonlTracer,
@@ -132,30 +133,23 @@ from repro.observability import (
 )
 from repro.observability.bench import format_comparison as _format_bench_diff
 from repro.simulator import (
-    BatchKernel,
-    DetourWrapper,
-    MutationKind,
-    Network,
-    RetryPolicy,
-    TopologyMutationKind,
-    flapping_links,
-    random_churn,
-    regional_failures,
-    renewal_faults,
+    DeliveryRecord,
+    RoutingMetrics,
     retry_histogram,
-    sample_link_failures,
-    sample_node_failures,
     summarize,
-    table_corruption,
+)
+from repro.simulator.sweep import (
+    CHURN_KINDS,
+    MUTATIONS,
+    SCHEDULES,
+    WORKLOADS,
+    Run,
+    SweepTask,
+    build_run,
+    run_sweep,
+    seed_replicas,
 )
 from repro.store import LocalFilesystem, SchemeStore
-from repro.simulator.workloads import (
-    all_to_one,
-    hotspot_pairs,
-    one_to_all,
-    permutation_traffic,
-    uniform_pairs,
-)
 
 __all__ = ["main", "parse_model"]
 
@@ -212,58 +206,6 @@ def _add_observability_flags(
         )
 
 
-def _retry_parent() -> argparse.ArgumentParser:
-    """Shared ``--retries``/backoff flags for every retrying simulator.
-
-    One parent parser (``add_help=False`` so it composes) instead of the
-    same four ``add_argument`` calls repeated per subcommand — and the
-    full :class:`~repro.simulator.recovery.RetryPolicy` surface is
-    reachable: multiplier, cap, and jitter, not just the base delay.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--retries", type=int, default=0,
-                        help="max re-transmissions per message (0 = none)")
-    parent.add_argument("--backoff-base", type=float, default=1.0,
-                        help="base retry backoff delay")
-    parent.add_argument("--backoff-multiplier", type=float, default=2.0,
-                        help="exponential backoff growth factor per retry")
-    parent.add_argument("--max-delay", type=float, default=60.0,
-                        help="cap on any single backoff delay")
-    parent.add_argument("--jitter", type=float, default=0.1,
-                        help="+/- fraction of seeded jitter on each delay")
-    return parent
-
-
-def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
-    """The RetryPolicy the retry flags describe (None when retries off)."""
-    if args.retries <= 0:
-        return None
-    return RetryPolicy(
-        max_attempts=args.retries + 1,
-        base_delay=args.backoff_base,
-        multiplier=args.backoff_multiplier,
-        max_delay=args.max_delay,
-        jitter=args.jitter,
-    )
-
-
-def _workers_parent() -> argparse.ArgumentParser:
-    """Shared ``--workers`` flag for every simulate command.
-
-    Same parent-parser pattern as :func:`_retry_parent`: one definition,
-    composed into each subcommand instead of repeated per parser.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="run N seed replicas (seed..seed+N-1) through the "
-             "multiprocessing sweep driver and print aggregate results "
-             "(flags a replica cannot reproduce, tracing and metrics "
-             "included, are rejected)",
-    )
-    return parent
-
-
 def _run_manifest(args: argparse.Namespace, graph=None) -> RunManifest:
     """One RunManifest per CLI invocation, embedded in every artifact."""
     params = {
@@ -313,21 +255,6 @@ def _write_metrics_out(
         handle.write(text)
 
 
-def _metrics_json(
-    args: argparse.Namespace, metrics, records, manifest: RunManifest
-) -> str:
-    payload = metrics.to_dict()
-    payload["scheme"] = args.scheme
-    payload["n"] = args.n
-    payload["seed"] = args.seed
-    payload["retry_histogram"] = {
-        str(retries): count
-        for retries, count in sorted(retry_histogram(records).items())
-    }
-    payload["manifest"] = manifest.to_dict()
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -366,66 +293,35 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--pairs", type=int, default=500)
     verify.add_argument("--model", type=parse_model, default=None)
 
-    workers_parent = _workers_parent()
-
     simulate = sub.add_parser(
         "simulate",
-        help="run a workload through the simulator",
-        parents=[workers_parent],
+        help="run a workload through the timed kernel under any mix of "
+             "static failures, a fault schedule, table corruption and "
+             "live topology churn (every axis off by default)",
     )
     simulate.add_argument("scheme", choices=available_schemes())
     simulate.add_argument("n", type=int)
     simulate.add_argument(
         "--seed", type=int, default=0,
-        help="seeds the graph, failure sample and workload (default: 0)",
+        help="seeds the graph, failure samples, schedules, workload, retry "
+             "jitter and injection clock (default: 0)",
     )
     simulate.add_argument("--model", type=parse_model, default=None)
     simulate.add_argument("--messages", type=int, default=200)
-    simulate.add_argument("--failures", type=int, default=0,
-                          help="number of links to fail")
-    simulate.add_argument("--node-failures", type=int, default=0,
-                          help="number of nodes to crash")
-    simulate.add_argument(
-        "--workload",
-        choices=("uniform", "hotspot", "all-to-one", "one-to-all", "permutation"),
-        default="uniform",
-    )
-    simulate.add_argument(
-        "--batch", action="store_true",
-        help="route through the timed batch kernel (simultaneous injection "
-             "at time 0, unit hop latency) instead of the untimed walker",
-    )
-    _add_observability_flags(simulate)
-
-    retry_parent = _retry_parent()
-
-    chaos = sub.add_parser(
-        "simulate-chaos",
-        help="run the timed kernel under a dynamic fault schedule",
-        parents=[retry_parent, workers_parent],
-    )
-    chaos.add_argument("scheme", choices=available_schemes())
-    chaos.add_argument("n", type=int)
+    simulate.add_argument("--workload", choices=WORKLOADS, default="uniform")
+    static = simulate.add_argument_group("static failures")
+    static.add_argument("--failures", type=int, default=0,
+                        help="number of links to fail")
+    static.add_argument("--node-failures", type=int, default=0,
+                        help="number of nodes to crash")
+    chaos = simulate.add_argument_group("fault schedule")
+    chaos.add_argument("--schedule", choices=SCHEDULES, default="none",
+                       help="fault-schedule generator (default: none)")
     chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the schedule generator, workload, retry jitter and "
-             "injection clock (default: 0)",
+        "--horizon", type=float, default=100.0,
+        help="schedule horizon in simulated time units; with any timed "
+             "axis on, messages are injected over its first 80%%",
     )
-    chaos.add_argument("--model", type=parse_model, default=None)
-    chaos.add_argument("--messages", type=int, default=300)
-    chaos.add_argument(
-        "--workload",
-        choices=("uniform", "hotspot", "permutation"),
-        default="uniform",
-    )
-    chaos.add_argument(
-        "--schedule",
-        choices=("flapping", "renewal", "regional"),
-        default="flapping",
-        help="fault-schedule generator (default: flapping links)",
-    )
-    chaos.add_argument("--horizon", type=float, default=100.0,
-                       help="schedule horizon in simulated time units")
     chaos.add_argument("--chaos-links", type=int, default=None,
                        help="links under churn (default: half the edges)")
     chaos.add_argument("--chaos-nodes", type=int, default=0,
@@ -444,41 +340,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="regional: hop radius of each outage")
     chaos.add_argument("--outage", type=float, default=20.0,
                        help="regional: outage duration")
-    chaos.add_argument("--detour", action="store_true",
-                       help="wrap the scheme in the bounce-once DetourWrapper")
-    _add_observability_flags(chaos)
-
-    corruption = sub.add_parser(
-        "simulate-corruption",
-        help="run the timed kernel while seeded faults corrupt routing "
-             "tables mid-run (integrity framing + self-healing)",
-        parents=[retry_parent, workers_parent],
-    )
-    corruption.add_argument("scheme", choices=available_schemes())
-    corruption.add_argument("n", type=int)
+    corruption = simulate.add_argument_group("table corruption")
     corruption.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the corruption schedule, workload, retry jitter and "
-             "injection clock (default: 0)",
-    )
-    corruption.add_argument("--model", type=parse_model, default=None)
-    corruption.add_argument("--messages", type=int, default=300)
-    corruption.add_argument(
-        "--workload",
-        choices=("uniform", "hotspot", "permutation"),
-        default="uniform",
-    )
-    corruption.add_argument("--horizon", type=float, default=100.0,
-                            help="schedule horizon in simulated time units")
-    corruption.add_argument(
-        "--corrupt-nodes", type=int, default=None,
-        help="how many distinct nodes suffer a table corruption "
-             "(default: a quarter of the nodes)",
+        "--corrupt-nodes", type=int, default=0,
+        help="how many distinct nodes suffer a table corruption (0 = off)",
     )
     corruption.add_argument(
-        "--mutation",
-        choices=("bit-flip", "burst", "truncate", "mixed"),
-        default="bit-flip",
+        "--mutation", choices=tuple(MUTATIONS), default="bit-flip",
         help="damage model applied to the packed function bits",
     )
     corruption.add_argument("--flips", type=int, default=1,
@@ -488,56 +356,33 @@ def _build_parser() -> argparse.ArgumentParser:
     corruption.add_argument("--truncate-bits", type=int, default=4,
                             help="truncate: trailing bits dropped")
     corruption.add_argument(
-        "--framing",
-        choices=tuple(policy.value for policy in FramingPolicy),
-        default=FramingPolicy.CRC8.value,
-        help="integrity framing charged on every table (default: crc8; "
-             "'none' reproduces the unprotected pre-framing behaviour)",
-    )
-    corruption.add_argument(
         "--repair-delay", type=float, default=10.0,
         help="self-heal rebuilds a table this long after detection "
-             "(negative disables healing)",
+             "(0 or negative disables healing)",
     )
-    corruption.add_argument(
+    wrappers = simulate.add_argument_group("scheme wrappers")
+    wrappers.add_argument(
+        "--framing",
+        choices=tuple(policy.value for policy in FramingPolicy),
+        default=FramingPolicy.NONE.value,
+        help="integrity framing charged on every table (default: none)",
+    )
+    wrappers.add_argument(
         "--detour", action="store_true",
         help="wrap the scheme in the bounce-once DetourWrapper "
              "(composes outside the integrity framing)",
     )
-    _add_observability_flags(corruption)
-
-    churn = sub.add_parser(
-        "simulate-churn",
-        help="run the timed kernel under live topology churn with "
-             "incremental scheme repair and convergence reporting",
-        parents=[retry_parent, workers_parent],
-    )
-    churn.add_argument("scheme", choices=available_schemes())
-    churn.add_argument("n", type=int)
+    churn = simulate.add_argument_group("live topology churn")
     churn.add_argument(
-        "--seed", type=int, default=0,
-        help="seeds the graph, churn schedule, workload, retry jitter and "
-             "injection clock (default: 0)",
+        "--events", type=int, default=0,
+        help="topology mutations scheduled over the horizon (0 = off)",
     )
-    churn.add_argument("--model", type=parse_model, default=None)
-    churn.add_argument("--messages", type=int, default=300)
     churn.add_argument(
-        "--workload",
-        choices=("uniform", "hotspot", "permutation"),
-        default="uniform",
-    )
-    churn.add_argument("--events", type=int, default=6,
-                       help="topology mutations scheduled over the horizon")
-    churn.add_argument(
-        "--kinds",
-        choices=("edges", "nodes", "all"),
-        default="edges",
+        "--kinds", choices=tuple(CHURN_KINDS), default="edges",
         help="mutation mix: edge add/remove, node leave/join, or all four",
     )
-    churn.add_argument("--horizon", type=float, default=100.0,
-                       help="churn horizon in simulated time units")
     churn.add_argument(
-        "--repair-delay", type=float, default=5.0,
+        "--churn-repair-delay", type=float, default=5.0,
         help="repair planning starts this long after a mutation "
              "(coalescing mutations that land in the window)",
     )
@@ -552,7 +397,24 @@ def _build_parser() -> argparse.ArgumentParser:
              "dirtied ones (the control arm incremental repair is "
              "measured against)",
     )
-    _add_observability_flags(churn)
+    retry = simulate.add_argument_group("retries")
+    retry.add_argument("--retries", type=int, default=0,
+                       help="max re-transmissions per message (0 = none)")
+    retry.add_argument("--backoff-base", type=float, default=1.0,
+                       help="base retry backoff delay")
+    retry.add_argument("--backoff-multiplier", type=float, default=2.0,
+                       help="exponential backoff growth factor per retry")
+    retry.add_argument("--max-delay", type=float, default=60.0,
+                       help="cap on any single backoff delay")
+    retry.add_argument("--jitter", type=float, default=0.1,
+                       help="+/- fraction of seeded jitter on each delay")
+    simulate.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="run N seed replicas (seed..seed+N-1) through the "
+             "multiprocessing sweep driver and print aggregate results "
+             "(--trace-out and --metrics-out are rejected)",
+    )
+    _add_observability_flags(simulate)
 
     codec = sub.add_parser("codec", help="run an incompressibility codec")
     codec.add_argument("name", choices=sorted(_CODECS))
@@ -745,14 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_model(scheme: str) -> RoutingModel:
-    if scheme == "thm2-neighbor-labels":
-        return RoutingModel(Knowledge.II, Labeling.GAMMA)
-    if scheme in ("interval", "chain-comparison"):
-        return RoutingModel(Knowledge.II, Labeling.BETA)
-    return RoutingModel(Knowledge.II, Labeling.ALPHA)
-
-
 def _cmd_schemes(_: argparse.Namespace) -> int:
     for name in available_schemes():
         print(name)
@@ -776,7 +630,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -799,7 +653,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     trace = route_message(scheme, args.source, args.destination)
@@ -809,7 +663,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     result = verify_scheme(scheme, sample_pairs=args.pairs, seed=args.seed)
@@ -819,87 +673,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok() else 1
 
 
-_SWEEP_SHARED = frozenset({"command", "scheme", "n", "seed", "workers", "json"})
-"""Flags that shape the fan-out itself (graph, seeds, workers, output)."""
-_TRAFFIC_KNOBS = {"messages": "messages", "workload": "workload"}
-_RETRY_KNOBS = {
-    **_TRAFFIC_KNOBS,
-    "horizon": "horizon",
-    "retries": "retries",
-    "backoff_base": "retry_base_delay",
-}
-_SWEEP_KNOBS = {
-    "plain": {
-        **_TRAFFIC_KNOBS, "failures": "failures",
-        "node_failures": "node_failures",
-    },
-    "chaos": {
-        **_RETRY_KNOBS, "chaos_links": "chaos_links",
-        "chaos_nodes": "chaos_nodes",
-    },
-    "corruption": {
-        **_RETRY_KNOBS, "corrupt_nodes": "corrupt_nodes",
-        "repair_delay": "repair_delay", "framing": "framing",
-    },
-    "churn": {
-        **_RETRY_KNOBS, "events": "churn_events",
-        "repair_delay": "churn_repair_delay",
-    },
-}
-"""Per sweep variant: the CLI flag (argparse dest) each SweepTask field
-takes its value from.  Any other non-default flag cannot reach a replica."""
-_SWEEP_CHECKED = {"plain": {"batch"}, "chaos": {"schedule"}}
-"""Flags checked rather than forwarded: replicas run the timed kernel
-(``simulate`` needs ``--batch`` to run it too) on the renewal schedule."""
+def _task_of(args: argparse.Namespace) -> SweepTask:
+    """The run description ``simulate``'s flags spell out."""
+    return SweepTask(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(SweepTask)
+        if hasattr(args, field.name)
+    })
 
 
-def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
-    """Shard N seed replicas of a simulate command over worker processes.
+def _cmd_sweep_replicas(args: argparse.Namespace, task: SweepTask) -> int:
+    """Shard ``--workers`` seed replicas of one run over worker processes.
 
-    Each replica is a :class:`~repro.simulator.sweep.SweepTask` built from
-    the command's flags; a flag the task cannot carry is an error, never
-    silently dropped, so replica 0 reproduces the single run's delivery,
-    retry and drop counts.  Records never cross the process boundary,
-    only per-replica aggregates and record digests.
+    Replica ``k`` is the single run's task with ``seed + k`` on the same
+    graph, built by the same builder, so replica 0 reproduces the single
+    run.  Trace and metrics files are the only per-run artifacts a
+    replica cannot write.  Records never cross the process boundary, only
+    per-replica aggregates and record digests.
     """
-    from repro.simulator.sweep import run_sweep, seed_replicas
-
-    if args.workload not in ("uniform", "hotspot", "permutation"):
-        print(f"--workers sweeps support uniform/hotspot/permutation "
-              f"workloads, not {args.workload!r}", file=sys.stderr)
-        return 2
-    defaults = vars(
-        _build_parser().parse_args([args.command, args.scheme, str(args.n)])
-    )
-    forwarded = _SWEEP_KNOBS[variant]
-    carried = _SWEEP_SHARED | forwarded.keys() | _SWEEP_CHECKED.get(
-        variant, set()
-    )
-    dropped = sorted(
-        key for key, value in vars(args).items()
-        if key not in carried and value != defaults.get(key)
-    )
-    if dropped:
-        flags = ", ".join("--" + key.replace("_", "-") for key in dropped)
-        print(f"--workers sweeps cannot forward {flags}; run a single "
-              f"replica for them", file=sys.stderr)
-        return 2
-    if variant == "plain" and not args.batch:
-        print("--workers replicas run the timed kernel; add --batch so "
-              "the single run does too", file=sys.stderr)
-        return 2
-    knobs: dict = {
-        field: getattr(args, dest) for dest, field in forwarded.items()
-    }
-    if variant == "corruption" and args.repair_delay <= 0:
-        knobs["repair_delay"] = None  # --repair-delay 0 means no healing
-    knobs["variant"] = variant
-    tasks = seed_replicas(
-        args.scheme, args.n, graph_seed=args.seed, base_seed=args.seed,
-        count=args.workers, **knobs,
-    )
-    results = run_sweep(tasks, workers=args.workers)
-    if getattr(args, "json", False):
+    for flag in ("trace_out", "metrics_out"):
+        if getattr(args, flag):
+            print(f"--workers sweeps cannot forward --"
+                  f"{flag.replace('_', '-')}; run a single replica for it",
+                  file=sys.stderr)
+            return 2
+    results = run_sweep(seed_replicas(task, args.workers), workers=args.workers)
+    if args.json:
         payload = [
             {
                 "seed": result.task.seed,
@@ -918,7 +717,7 @@ def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     total = sum(r.messages for r in results)
     delivered = sum(r.delivered for r in results)
     print(f"{args.scheme} on G({args.n}, 1/2) x{args.workers} seed "
-          f"replicas ({variant} sweep, {total} messages)")
+          f"replicas ({total} messages)")
     for result in results:
         print(f"  seed {result.task.seed}: {result.delivered}/"
               f"{result.messages} delivered, {result.retries} retries, "
@@ -928,130 +727,80 @@ def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        return _cmd_sweep_replicas(args, "plain")
-    started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
-    graph = gnp_random_graph(args.n, seed=args.seed)
-    manifest = _run_manifest(args, graph)
-    scheme = build_scheme(args.scheme, graph, model)
-    failures = (
-        sample_link_failures(graph, args.failures, seed=args.seed)
-        if args.failures
-        else set()
+def _axis_blocks(run: Run) -> Dict[str, dict]:
+    """The corruption/churn lifecycle blocks of a finished run."""
+    task = run.task
+    blocks: Dict[str, dict] = {}
+    if run.corruption is not None:
+        blocks["corruption"] = {
+            "framing": task.framing,
+            "scheduled": len(run.corruption),
+            "repair_delay": task.heal_delay,
+            "integrity_bits": run.scheme.space_report().integrity_bits,
+            **run.kernel.network.corruption_summary(),
+        }
+    if run.churn is not None:
+        blocks["churn"] = {
+            "scheduled": len(run.churn),
+            "kinds": task.kinds,
+            "repair_delay": task.churn_repair_delay,
+            "repair_rate": task.repair_rate,
+            "incremental": not task.full_rebuild,
+            **run.kernel.churn_summary(),
+        }
+    return blocks
+
+
+def _print_run(
+    run: Run,
+    metrics: RoutingMetrics,
+    records: Sequence[DeliveryRecord],
+    blocks: Dict[str, dict],
+) -> None:
+    task = run.task
+    axes = []
+    if task.failures or task.node_failures:
+        axes.append(f"{task.failures} failed links, "
+                    f"{task.node_failures} crashed nodes")
+    if run.faults is not None:
+        axes.append(f"{task.schedule} fault schedule "
+                    f"({len(run.faults)} events)")
+    if run.corruption is not None:
+        axes.append(f"table corruption ({len(run.corruption)} scheduled)")
+    if run.churn is not None:
+        mode = "full-rebuild" if task.full_rebuild else "incremental"
+        axes.append(f"live topology churn ({len(run.churn)} mutations, "
+                    f"{mode} repair)")
+    if task.timed:
+        axes.append(f"horizon {task.horizon:g}")
+    print(f"{run.scheme.scheme_name} on G({task.n}, 1/2): "
+          f"{'; '.join(axes) or 'no faults'}")
+    corruption = blocks.get("corruption")
+    if corruption is not None:
+        print(f"integrity framing: {corruption['framing']} "
+              f"({corruption['integrity_bits']} bits total overhead)")
+        print(f"corruption lifecycle: {corruption['injected']} injected, "
+              f"{corruption['detected']} detected, "
+              f"{corruption['undetected']} undetected, "
+              f"{corruption['healed']} healed")
+    churn = blocks.get("churn")
+    if churn is not None:
+        times = churn["convergence_times"]
+        converged = "yes" if churn["converged"] else "NO"
+        print(f"churn lifecycle: {churn['mutations']} applied, "
+              f"{churn['repairs']} repairs, converged: {converged}")
+        if times:
+            print(f"  convergence time: mean {sum(times) / len(times):.2f}, "
+                  f"max {max(times):.2f}")
+        print(f"  tables rebuilt: {churn['tables_rebuilt']} "
+              f"(reused {churn['tables_reused']})  "
+              f"bits rewritten: {churn['bits_rewritten']} "
+              f"of {churn['bits_full']} a full rebuild would touch")
+    stale = (
+        f"  stale deliveries: {metrics.stale_deliveries}" if churn else ""
     )
-    node_failures = (
-        sample_node_failures(graph, args.node_failures, seed=args.seed)
-        if args.node_failures
-        else set()
-    )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "all-to-one":
-        pairs = all_to_one(graph)
-    elif args.workload == "one-to-all":
-        pairs = one_to_all(graph)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
-    tracer = _open_tracer(args, manifest)
-    network = Network(
-        scheme, failures, failed_nodes=node_failures, tracer=tracer
-    )
-    if args.batch:
-        records = network.route_batch(pairs)
-    else:
-        records = [network.route(s, t) for s, t in pairs]
-    if tracer is not None:
-        tracer.close()
-    metrics = summarize(records, graph)
-    manifest = manifest.completed(_time.perf_counter() - started)
-    _write_metrics_out(args, manifest)
-    if args.json:
-        print(_metrics_json(args, metrics, records, manifest))
-        return 0
     print(f"messages: {metrics.messages}  delivered: {metrics.delivered} "
-          f"({metrics.delivered_fraction:.1%})")
-    if metrics.delivered:
-        print(f"mean hops: {metrics.mean_hops:.2f}  "
-              f"mean stretch: {metrics.mean_stretch:.2f}  "
-              f"max stretch: {metrics.max_stretch:.2f}")
-    for reason, count in sorted(metrics.drop_reasons.items()):
-        print(f"  dropped ({count}): {reason}")
-    return 0
-
-
-def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
-    import random as _random
-
-    if args.workers > 1:
-        if args.schedule != "renewal":
-            print("--workers sweeps support only the renewal schedule",
-                  file=sys.stderr)
-            return 2
-        return _cmd_sweep_replicas(args, "chaos")
-    started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
-    graph = gnp_random_graph(args.n, seed=args.seed)
-    manifest = _run_manifest(args, graph)
-    scheme = build_scheme(args.scheme, graph, model)
-    if args.detour:
-        scheme = DetourWrapper(scheme)
-    chaos_links = (
-        args.chaos_links
-        if args.chaos_links is not None
-        else graph.edge_count // 2
-    )
-    if args.schedule == "flapping":
-        schedule = flapping_links(
-            graph, chaos_links, period=args.period, duty=args.duty,
-            horizon=args.horizon, seed=args.seed,
-        )
-    elif args.schedule == "renewal":
-        schedule = renewal_faults(
-            graph, horizon=args.horizon, seed=args.seed,
-            link_count=chaos_links, link_mtbf=args.mtbf, link_mttr=args.mttr,
-            node_count=args.chaos_nodes,
-        )
-    else:
-        schedule = regional_failures(
-            graph, regions=args.regions, radius=args.radius,
-            duration=args.outage, horizon=args.horizon, seed=args.seed,
-        )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
-    retry = _retry_policy(args)
-    tracer = _open_tracer(args, manifest)
-    sim = BatchKernel(
-        scheme,
-        fault_schedule=schedule,
-        retry_policy=retry,
-        retry_seed=args.seed,
-        tracer=tracer,
-    )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
-    if tracer is not None:
-        tracer.close()
-    metrics = summarize(records, graph)
-    manifest = manifest.completed(_time.perf_counter() - started)
-    _write_metrics_out(args, manifest)
-    if args.json:
-        print(_metrics_json(args, metrics, records, manifest))
-        return 0
-    print(f"{scheme.scheme_name} on G({args.n}, 1/2) under "
-          f"{args.schedule} churn ({len(schedule)} fault events, "
-          f"horizon {args.horizon:g})")
-    print(f"messages: {metrics.messages}  delivered: {metrics.delivered} "
-          f"({metrics.delivered_fraction:.1%})")
+          f"({metrics.delivered_fraction:.1%}){stale}")
     if metrics.delivered:
         print(f"mean hops: {metrics.mean_hops:.2f}  "
               f"mean stretch: {metrics.mean_stretch:.2f}  "
@@ -1067,216 +816,40 @@ def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
         print(f"  retry histogram: {spread}")
     for reason, count in sorted(metrics.drop_reasons.items()):
         print(f"  dropped ({count}): {reason.value}")
-    return 0
 
 
-_MUTATION_CHOICES = {
-    "bit-flip": (MutationKind.BIT_FLIP,),
-    "burst": (MutationKind.BURST,),
-    "truncate": (MutationKind.TRUNCATE,),
-    "mixed": (
-        MutationKind.BIT_FLIP,
-        MutationKind.BURST,
-        MutationKind.TRUNCATE,
-    ),
-}
-
-
-def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
-    import random as _random
-
-    if args.workers > 1:
-        return _cmd_sweep_replicas(args, "corruption")
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    task = _task_of(args)
+    if args.workers != 1:
+        return _cmd_sweep_replicas(args, task)
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
-    graph = gnp_random_graph(args.n, seed=args.seed)
+    graph = task.graph()
     manifest = _run_manifest(args, graph)
-    scheme = build_scheme(args.scheme, graph, model)
-    policy = FramingPolicy(args.framing)
-    if policy is not FramingPolicy.NONE:
-        scheme = IntegrityWrapper(scheme, policy)
-    if args.detour:
-        scheme = DetourWrapper(scheme)
-    corrupt_nodes = (
-        args.corrupt_nodes
-        if args.corrupt_nodes is not None
-        else max(args.n // 4, 1)
-    )
-    schedule = table_corruption(
-        graph,
-        corrupt_nodes,
-        horizon=args.horizon,
-        seed=args.seed,
-        kinds=_MUTATION_CHOICES[args.mutation],
-        flips=args.flips,
-        burst_span=args.burst_span,
-        truncate_bits=args.truncate_bits,
-    )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
-    retry = _retry_policy(args)
-    repair_delay = args.repair_delay if args.repair_delay > 0 else None
     tracer = _open_tracer(args, manifest)
-    sim = BatchKernel(
-        scheme,
-        fault_schedule=schedule,
-        retry_policy=retry,
-        retry_seed=args.seed,
-        tracer=tracer,
-        repair_delay=repair_delay,
-    )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
+    run = build_run(task, tracer=tracer, graph=graph)
+    records = run.kernel.run()
     if tracer is not None:
         tracer.close()
-    metrics = summarize(records, graph)
-    lifecycle = sim.network.corruption_summary()
-    integrity_overhead = scheme.space_report().integrity_bits
+    # Stretch is judged against the live topology: under churn that is
+    # the graph the converged scheme routes on.
+    metrics = summarize(records, run.kernel.network.live_graph)
+    blocks = _axis_blocks(run)
     manifest = manifest.completed(_time.perf_counter() - started)
     _write_metrics_out(args, manifest)
     if args.json:
-        payload = json.loads(_metrics_json(args, metrics, records, manifest))
-        payload["corruption"] = {
-            "framing": policy.value,
-            "scheduled": len(schedule),
-            "repair_delay": repair_delay,
-            "integrity_bits": integrity_overhead,
-            **lifecycle,
+        payload = metrics.to_dict()
+        payload.update(blocks)
+        payload["scheme"] = args.scheme
+        payload["n"] = args.n
+        payload["seed"] = args.seed
+        payload["retry_histogram"] = {
+            str(retries): count
+            for retries, count in sorted(retry_histogram(records).items())
         }
+        payload["manifest"] = manifest.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(f"{scheme.scheme_name} on G({args.n}, 1/2) under table "
-          f"corruption ({len(schedule)} scheduled corruptions, "
-          f"horizon {args.horizon:g})")
-    print(f"integrity framing: {policy.value} "
-          f"({integrity_overhead} bits total overhead)")
-    print(f"corruption lifecycle: {lifecycle['injected']} injected, "
-          f"{lifecycle['detected']} detected, "
-          f"{lifecycle['undetected']} undetected, "
-          f"{lifecycle['healed']} healed")
-    print(f"messages: {metrics.messages}  delivered: {metrics.delivered} "
-          f"({metrics.delivered_fraction:.1%})")
-    if metrics.delivered:
-        print(f"mean hops: {metrics.mean_hops:.2f}  "
-              f"mean stretch: {metrics.mean_stretch:.2f}  "
-              f"max stretch: {metrics.max_stretch:.2f}")
-    print(f"retries: {metrics.total_retries} total, "
-          f"{metrics.mean_retries:.2f} per message")
-    for reason, count in sorted(metrics.drop_reasons.items()):
-        print(f"  dropped ({count}): {reason.value}")
-    return 0
-
-
-_CHURN_KINDS = {
-    "edges": (
-        TopologyMutationKind.EDGE_ADD,
-        TopologyMutationKind.EDGE_REMOVE,
-    ),
-    "nodes": (
-        TopologyMutationKind.NODE_LEAVE,
-        TopologyMutationKind.NODE_JOIN,
-    ),
-    "all": (
-        TopologyMutationKind.EDGE_ADD,
-        TopologyMutationKind.EDGE_REMOVE,
-        TopologyMutationKind.NODE_LEAVE,
-        TopologyMutationKind.NODE_JOIN,
-    ),
-}
-
-
-def _cmd_simulate_churn(args: argparse.Namespace) -> int:
-    import random as _random
-
-    if args.workers > 1:
-        return _cmd_sweep_replicas(args, "churn")
-    started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
-    graph = gnp_random_graph(args.n, seed=args.seed)
-    manifest = _run_manifest(args, graph)
-    scheme = build_scheme(args.scheme, graph, model)
-    schedule = random_churn(
-        graph,
-        args.events,
-        horizon=args.horizon,
-        seed=args.seed,
-        kinds=_CHURN_KINDS[args.kinds],
-    )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
-    retry = _retry_policy(args)
-    tracer = _open_tracer(args, manifest)
-    sim = BatchKernel(
-        scheme,
-        retry_policy=retry,
-        retry_seed=args.seed,
-        tracer=tracer,
-        churn_schedule=schedule,
-        churn_repair_delay=args.repair_delay,
-        churn_repair_rate=args.repair_rate,
-        incremental_repair=not args.full_rebuild,
-    )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
-    if tracer is not None:
-        tracer.close()
-    # Stretch is judged against the post-churn topology: that is the graph
-    # the converged scheme routes on.
-    metrics = summarize(records, sim.network.live_graph)
-    churn_stats = sim.churn_summary()
-    manifest = manifest.completed(_time.perf_counter() - started)
-    _write_metrics_out(args, manifest)
-    if args.json:
-        payload = json.loads(_metrics_json(args, metrics, records, manifest))
-        payload["churn"] = {
-            "scheduled": len(schedule),
-            "kinds": args.kinds,
-            "repair_delay": args.repair_delay,
-            "repair_rate": args.repair_rate,
-            "incremental": not args.full_rebuild,
-            **churn_stats,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    mode = "full-rebuild" if args.full_rebuild else "incremental"
-    print(f"{scheme.scheme_name} on G({args.n}, 1/2) under live topology "
-          f"churn ({len(schedule)} mutations, horizon {args.horizon:g}, "
-          f"{mode} repair)")
-    times = churn_stats["convergence_times"]
-    assert isinstance(times, list)
-    converged = "yes" if churn_stats["converged"] else "NO"
-    print(f"churn lifecycle: {churn_stats['mutations']} applied, "
-          f"{churn_stats['repairs']} repairs, converged: {converged}")
-    if times:
-        print(f"  convergence time: mean {sum(times) / len(times):.2f}, "
-              f"max {max(times):.2f}")
-    print(f"  tables rebuilt: {churn_stats['tables_rebuilt']} "
-          f"(reused {churn_stats['tables_reused']})  "
-          f"bits rewritten: {churn_stats['bits_rewritten']} "
-          f"of {churn_stats['bits_full']} a full rebuild would touch")
-    print(f"messages: {metrics.messages}  delivered: {metrics.delivered} "
-          f"({metrics.delivered_fraction:.1%})  "
-          f"stale deliveries: {metrics.stale_deliveries}")
-    if metrics.delivered:
-        print(f"mean hops: {metrics.mean_hops:.2f}  "
-              f"mean stretch: {metrics.mean_stretch:.2f}  "
-              f"max stretch: {metrics.max_stretch:.2f}")
-    print(f"retries: {metrics.total_retries} total, "
-          f"{metrics.mean_retries:.2f} per message")
-    for reason, count in sorted(metrics.drop_reasons.items()):
-        print(f"  dropped ({count}): {reason.value}")
+    _print_run(run, metrics, records, blocks)
     return 0
 
 
@@ -1309,7 +882,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     from repro.simulator import simulate_dissemination
 
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     result = simulate_dissemination(
@@ -1521,7 +1094,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 
 def _store_put(args: argparse.Namespace) -> int:
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -1654,9 +1227,6 @@ _COMMANDS = {
     "route": _cmd_route,
     "verify": _cmd_verify,
     "simulate": _cmd_simulate,
-    "simulate-chaos": _cmd_simulate_chaos,
-    "simulate-corruption": _cmd_simulate_corruption,
-    "simulate-churn": _cmd_simulate_churn,
     "codec": _cmd_codec,
     "bootstrap": _cmd_bootstrap,
     "compare": _cmd_compare,

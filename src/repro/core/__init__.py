@@ -20,7 +20,12 @@ rebuild them; :mod:`~repro.core.verification` routes actual messages to
 check correctness and stretch.
 """
 
-from repro.core.builder import SCHEME_BUILDERS, available_schemes, build_scheme
+from repro.core.builder import (
+    SCHEME_BUILDERS,
+    available_schemes,
+    build_scheme,
+    default_model,
+)
 from repro.core.centers import CenterScheme, RelayFunction
 from repro.core.chain import ChainComparisonScheme, ComparisonFunction, chain_order
 from repro.core.detour import DetourFunction, DetourState, DetourWrapper
@@ -111,6 +116,7 @@ __all__ = [
     "build_scheme",
     "chain_order",
     "cyclic_intervals",
+    "default_model",
     "dirty_nodes",
     "pack_scheme",
     "plan_repair",

@@ -11,7 +11,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph, get_context
-from repro.models import RoutingModel
+from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import profile_section
 from repro.core.centers import CenterScheme
 from repro.core.chain import ChainComparisonScheme
@@ -26,7 +26,12 @@ from repro.core.scheme import RoutingScheme
 from repro.core.tree_cover import TreeCoverScheme
 from repro.core.two_level import TwoLevelScheme
 
-__all__ = ["SCHEME_BUILDERS", "available_schemes", "build_scheme"]
+__all__ = [
+    "SCHEME_BUILDERS",
+    "available_schemes",
+    "build_scheme",
+    "default_model",
+]
 
 _Builder = Callable[..., RoutingScheme]
 
@@ -48,6 +53,15 @@ SCHEME_BUILDERS: Dict[str, _Builder] = {
 def available_schemes() -> tuple[str, ...]:
     """Names accepted by :func:`build_scheme`, in a stable order."""
     return tuple(sorted(SCHEME_BUILDERS))
+
+
+def default_model(name: str) -> RoutingModel:
+    """The model a scheme is built under when the caller names none."""
+    if name == "thm2-neighbor-labels":
+        return RoutingModel(Knowledge.II, Labeling.GAMMA)
+    if name in ("interval", "chain-comparison"):
+        return RoutingModel(Knowledge.II, Labeling.BETA)
+    return RoutingModel(Knowledge.II, Labeling.ALPHA)
 
 
 def build_scheme(

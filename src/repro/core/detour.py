@@ -25,6 +25,7 @@ from typing import Any, Hashable, Iterable, Optional, Sequence, Tuple
 from repro.bitio import BitArray
 from repro.errors import RoutingError, SchemeBuildError
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
+from repro.graphs import GraphContext, LabeledGraph
 
 __all__ = ["DetourState", "DetourFunction", "DetourWrapper"]
 
@@ -142,6 +143,15 @@ class DetourWrapper(RoutingScheme):
     def max_bounces(self) -> int:
         """Per-message detour budget carried in the header."""
         return self._max_bounces
+
+    # -- repair: rebuild the inner scheme, keep the bounce budget -------------
+
+    def rebuild(
+        self, graph: LabeledGraph, ctx: Optional[GraphContext] = None
+    ) -> "DetourWrapper":
+        return DetourWrapper(
+            self._inner.rebuild(graph, ctx=ctx), self._max_bounces
+        )
 
     # -- addressing: delegate -----------------------------------------------
 

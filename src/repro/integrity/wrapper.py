@@ -15,10 +15,11 @@ wrapped scheme's.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Optional
 
 from repro.bitio import BitArray
 from repro.core.scheme import LocalRoutingFunction, RoutingScheme
+from repro.graphs import GraphContext, LabeledGraph
 from repro.integrity.framing import FramingPolicy, frame_bits, unframe_bits
 
 __all__ = ["IntegrityWrapper"]
@@ -52,6 +53,13 @@ class IntegrityWrapper(RoutingScheme):
     def policy(self) -> FramingPolicy:
         """The framing policy applied to every encoded function."""
         return self._policy
+
+    # -- repair: rebuild the inner scheme, keep the framing -------------------
+
+    def rebuild(
+        self, graph: LabeledGraph, ctx: Optional[GraphContext] = None
+    ) -> "IntegrityWrapper":
+        return IntegrityWrapper(self._inner.rebuild(graph, ctx=ctx), self._policy)
 
     # -- addressing: delegate -----------------------------------------------
 

@@ -100,7 +100,7 @@ class RunManifest:
     run_id: str
     """Unique id of this invocation (random, for cross-artifact joins)."""
     command: str
-    """What ran: a CLI subcommand (``simulate-chaos``) or ``bench:<name>``."""
+    """What ran: a CLI subcommand (``simulate``, ``store-put``) or ``bench:<name>``."""
     seed: Optional[int] = None
     scheme: Optional[str] = None
     n: Optional[int] = None

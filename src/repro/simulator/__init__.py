@@ -9,8 +9,9 @@ failure injection (:mod:`~repro.simulator.failures`), dynamic chaos
 schedules (:mod:`~repro.simulator.chaos`), live topology churn with
 incremental repair (:mod:`~repro.simulator.churn`), retry/backoff
 recovery (:mod:`~repro.simulator.recovery`), delivery/stretch/resilience
-metrics, and a multiprocessing sweep driver sharding ``(graph, seed)``
-instances (:mod:`~repro.simulator.sweep`).
+metrics, and one run description (:class:`~repro.simulator.sweep.SweepTask`)
+with its builder and a multiprocessing sweep driver sharding seed
+replicas (:mod:`~repro.simulator.sweep`).
 """
 
 from repro.simulator.bootstrap import BootstrapResult, simulate_dissemination

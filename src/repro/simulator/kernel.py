@@ -64,7 +64,12 @@ from repro.core.full_information import FullInformationFunction
 from repro.core.repair import RepairPlan, plan_repair
 from repro.errors import IntegrityError, RoutingError
 from repro.observability.registry import get_registry
-from repro.observability.tracer import Tracer, link_subject, node_subject
+from repro.observability.tracer import (
+    Subject,
+    Tracer,
+    link_subject,
+    node_subject,
+)
 from repro.simulator.chaos import (
     FaultEvent,
     FaultKind,
@@ -74,6 +79,7 @@ from repro.simulator.chaos import (
 from repro.simulator.churn import (
     ChurnSchedule,
     TopologyMutation,
+    TopologyMutationKind,
     adjacency_mask,
 )
 from repro.simulator.message import (
@@ -82,7 +88,7 @@ from repro.simulator.message import (
     Message,
     MessageBatch,
 )
-from repro.simulator.network import Network, _live_tracer, _mutation_subject
+from repro.simulator.network import Network
 from repro.simulator.recovery import RetryPolicy
 
 __all__ = ["BatchKernel"]
@@ -131,6 +137,23 @@ class _TableInstall:
     """Last install of the plan — convergence finalises after it."""
 
 
+def _live_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
+    """Normalise disabled tracers to ``None`` so the hot path pays one test."""
+    if tracer is not None and tracer.enabled:
+        return tracer
+    return None
+
+
+def _mutation_subject(mutation: TopologyMutation) -> Subject:
+    """The trace subject a topology mutation acts on."""
+    if mutation.kind in (
+        TopologyMutationKind.EDGE_ADD,
+        TopologyMutationKind.EDGE_REMOVE,
+    ):
+        return link_subject(*mutation.subject)
+    return node_subject(mutation.subject[0])
+
+
 _Event = Union[FaultEvent, TopologyMutation, _RepairTick, _TableInstall]
 _EventEntry = Tuple[float, int, _Event]
 _Bucket = Tuple[List[int], List[np.ndarray]]
@@ -176,9 +199,8 @@ class BatchKernel:
 
     def __init__(
         self,
-        scheme: Optional[RoutingScheme] = None,
+        scheme: RoutingScheme,
         *,
-        network: Optional[Network] = None,
         link_latency: float = 1.0,
         failed_links: Iterable[Tuple[int, int]] = (),
         failed_nodes: Iterable[int] = (),
@@ -195,12 +217,7 @@ class BatchKernel:
         incremental_repair: bool = True,
         batch: bool = True,
     ) -> None:
-        if network is not None:
-            self._network = network
-        elif scheme is not None:
-            self._network = Network(scheme, failed_links, failed_nodes)
-        else:
-            raise RoutingError("BatchKernel needs a scheme or a network")
+        self._network = Network(scheme, failed_links, failed_nodes)
         if link_latency <= 0:
             raise RoutingError(
                 f"link latency must be positive, got {link_latency}"
@@ -501,14 +518,10 @@ class BatchKernel:
     def _apply_timed_fault(self, event: FaultEvent, now: float) -> None:
         """Apply one scheduled fault, with corruption-lifecycle tracing.
 
-        The kernel's own network is untraced, so corruption spans are
-        emitted here with simulated timestamps (quarantine spans in
-        :meth:`_on_detection`); when the kernel adopts an externally
-        traced network (:meth:`Network.route_batch`) span emission stays
-        with the network and is skipped here.
+        Every span carries the simulated time; quarantine spans are
+        emitted in :meth:`_on_detection`.
         """
         tracer = self._tracer
-        network_traced = self._network._tracer is not None
         if event.kind is FaultKind.TABLE_CORRUPT:
             node = event.subject[0]
             self._network.apply_fault(event)
@@ -516,15 +529,14 @@ class BatchKernel:
             # Fresh damage re-arms detection for this node.
             self._reacted.discard(node)
             if tracer is not None:
-                if not network_traced:
-                    detail = (
-                        event.mutation.describe()
-                        if event.mutation is not None
-                        else None
-                    )
-                    self._corrupt_spans[node] = tracer.corrupt(
-                        node=node, time=now, detail=detail
-                    )
+                detail = (
+                    event.mutation.describe()
+                    if event.mutation is not None
+                    else None
+                )
+                self._corrupt_spans[node] = tracer.corrupt(
+                    node=node, time=now, detail=detail
+                )
             return
         if event.kind is FaultKind.TABLE_REPAIR:
             node = event.subject[0]
@@ -532,11 +544,10 @@ class BatchKernel:
             self._corrupted_at.pop(node, None)
             self._reacted.discard(node)
             if healed and tracer is not None:
-                if not network_traced:
-                    tracer.heal(
-                        node=node, time=now,
-                        cause=self._corrupt_spans.pop(node, None),
-                    )
+                tracer.heal(
+                    node=node, time=now,
+                    cause=self._corrupt_spans.pop(node, None),
+                )
             return
         if tracer is not None:
             subject = (
@@ -554,10 +565,9 @@ class BatchKernel:
         self._reacted.add(node)
         tracer = self._tracer
         if tracer is not None:
-            if self._network._tracer is None:
-                tracer.quarantine(
-                    node=node, time=now, cause=self._corrupt_spans.get(node)
-                )
+            tracer.quarantine(
+                node=node, time=now, cause=self._corrupt_spans.get(node)
+            )
         corrupted_since = self._corrupted_at.pop(node, None)
         if corrupted_since is not None:
             get_registry().histogram(
@@ -595,17 +605,12 @@ class BatchKernel:
         self._generation += 1
         tracer = self._tracer
         if tracer is not None:
-            if self._network._tracer is None:
-                self._mutate_span = tracer.mutate(
-                    kind=mutation.kind.value,
-                    subject=_mutation_subject(mutation),
-                    time=now,
-                    detail=mutation.describe(),
-                )
-            else:
-                # Adopted traced network: apply_mutation already emitted
-                # the span; reuse it as the episode cause.
-                self._mutate_span = self._network._mutate_span
+            self._mutate_span = tracer.mutate(
+                kind=mutation.kind.value,
+                subject=_mutation_subject(mutation),
+                time=now,
+                detail=mutation.describe(),
+            )
             if self._episode_root_span is None:
                 self._episode_root_span = self._mutate_span
         self._push_control(

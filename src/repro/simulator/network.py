@@ -11,9 +11,9 @@ them for); detour-wrapped functions bounce once to a live neighbour;
 plain single-path functions drop when their chosen link is down.
 
 Timed execution — link latency, node queueing, fault and churn
-schedules, retries — is :class:`~repro.simulator.kernel.BatchKernel`,
-which drives this state through :meth:`Network._choose_hop`;
-:meth:`Network.route_batch` routes many pairs through it at once.
+schedules, retries, and every trace span — is
+:class:`~repro.simulator.kernel.BatchKernel`, which drives this state
+through :meth:`Network._choose_hop`.
 
 Every drop is classified by the structured
 :class:`~repro.simulator.message.DropReason` taxonomy; the human-readable
@@ -33,12 +33,6 @@ from repro.core.scheme import LocalRoutingFunction
 from repro.errors import IntegrityError, ReproError, RoutingError
 from repro.graphs import LabeledGraph
 from repro.observability.registry import get_registry
-from repro.observability.tracer import (
-    Subject,
-    Tracer,
-    link_subject,
-    node_subject,
-)
 from repro.simulator.chaos import FaultEvent, FaultKind, TableMutation
 from repro.simulator.churn import TopologyMutation, TopologyMutationKind
 from repro.simulator.message import DeliveryRecord, DropReason, Message
@@ -48,25 +42,8 @@ __all__ = ["Network"]
 Link = FrozenSet[int]
 
 
-def _live_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Normalise disabled tracers to ``None`` so the hot path pays one test."""
-    if tracer is not None and tracer.enabled:
-        return tracer
-    return None
-
-
 def _as_links(edges: Iterable[Tuple[int, int]]) -> Set[Link]:
     return {frozenset(edge) for edge in edges}
-
-
-def _mutation_subject(mutation: TopologyMutation) -> Subject:
-    """The trace subject a topology mutation acts on."""
-    if mutation.kind in (
-        TopologyMutationKind.EDGE_ADD,
-        TopologyMutationKind.EDGE_REMOVE,
-    ):
-        return link_subject(*mutation.subject)
-    return node_subject(mutation.subject[0])
 
 
 def _drop_record(
@@ -111,18 +88,15 @@ class Network:
         scheme: RoutingScheme,
         failed_links: Iterable[Tuple[int, int]] = (),
         failed_nodes: Iterable[int] = (),
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self._scheme = scheme
         self._failed: Set[Link] = _as_links(failed_links)
         self._failed_nodes: Set[int] = set(failed_nodes)
         self._counter = itertools.count()
-        self._tracer = _live_tracer(tracer)
         # The graph's shared context is the healer's knowledge source: it
         # memoises each node's pristine serialised function, so repeat
         # corruptions and heals of one node encode it exactly once.
         self._ctx = scheme.ctx
-        self._ctx.set_tracer(self._tracer)
         # Table-corruption overlay: the scheme object itself stays pristine.
         self._corrupt_tables: Dict[int, BitArray] = {}
         self._corrupt_functions: Dict[int, LocalRoutingFunction] = {}
@@ -140,11 +114,6 @@ class Network:
             "undetected": 0,
             "healed": 0,
         }
-        # Open trace spans for causal links: the corrupt span of each
-        # still-damaged node (quarantine/heal link back to it) and the
-        # most recent mutate span (repairs link back to their trigger).
-        self._corrupt_spans: Dict[int, int] = {}
-        self._mutate_span: Optional[int] = None
         # Monotone counter bumped by every state change that can affect a
         # routing decision; the batch kernel keys its cached boolean masks
         # on it so unchanged state costs zero mask rebuilds per generation.
@@ -247,12 +216,6 @@ class Network:
         get_registry().counter(
             "repro_topology_mutations_total", kind=mutation.kind.name
         ).inc()
-        if self._tracer is not None:
-            self._mutate_span = self._tracer.mutate(
-                kind=mutation.kind.value,
-                subject=_mutation_subject(mutation),
-                detail=mutation.describe(),
-            )
 
     def install_table(self, node: int, function: LocalRoutingFunction) -> None:
         """Install one repaired routing function ahead of convergence.
@@ -281,7 +244,6 @@ class Network:
             )
         self._scheme = scheme
         self._ctx = scheme.ctx
-        self._ctx.set_tracer(self._tracer)
         self._updated_functions.clear()
         self._state_epoch += 1
 
@@ -320,10 +282,6 @@ class Network:
         get_registry().counter(
             "repro_table_corruptions_total", kind=mutation.kind.name
         ).inc()
-        if self._tracer is not None:
-            self._corrupt_spans[node] = self._tracer.corrupt(
-                node=node, detail=mutation.describe()
-            )
 
     def heal_table(self, node: int) -> bool:
         """Rebuild ``node``'s function pristine from graph+model knowledge.
@@ -348,10 +306,6 @@ class Network:
         )
         self._corruption_stats["healed"] += 1
         get_registry().counter("repro_table_heals_total").inc()
-        if self._tracer is not None:
-            self._tracer.heal(
-                node=node, cause=self._corrupt_spans.pop(node, None)
-            )
         return True
 
     def _detected(self, node: int, why: str) -> IntegrityError:
@@ -363,11 +317,6 @@ class Network:
             get_registry().counter(
                 "repro_table_corruption_detected_total"
             ).inc()
-            if self._tracer is not None:
-                self._tracer.quarantine(
-                    node=node, detail=why,
-                    cause=self._corrupt_spans.get(node),
-                )
         return IntegrityError(f"node {node}: {why}")
 
     def _function_for(self, node: int) -> LocalRoutingFunction:
@@ -505,26 +454,6 @@ class Network:
             )
         return decision
 
-    def _walk_drop(
-        self,
-        message: Message,
-        current: int,
-        reason: DropReason,
-        detail: str,
-        subject: Optional[Tuple[str, ...]] = None,
-    ) -> DeliveryRecord:
-        if self._tracer is not None:
-            self._tracer.drop(
-                message.msg_id,
-                node=current,
-                reason=reason.name,
-                detail=detail,
-                subject=subject,
-                attempt=message.attempt,
-                hop=message.hops,
-            )
-        return _drop_record(message, reason, detail)
-
     def route(self, source: int, destination: int) -> DeliveryRecord:
         """Walk one message from source to destination."""
         message = Message(
@@ -534,75 +463,55 @@ class Network:
             address=self._scheme.address_of(destination),
             path=[source],
         )
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.inject(message.msg_id, source, destination)
         if source in self._failed_nodes or destination in self._failed_nodes:
             down = source if source in self._failed_nodes else destination
-            return self._walk_drop(
+            return _drop_record(
                 message,
-                source,
                 DropReason.ENDPOINT_DOWN,
                 f"endpoint node {down} is down",
-                subject=node_subject(down),
             )
         limit = self._scheme.hop_limit()
         current = source
         while current != destination:
             if current in self._quarantined:
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.TABLE_CORRUPT,
                     f"node {current} is quarantined with a corrupt table",
-                    subject=node_subject(current),
                 )
             if message.hops >= limit:
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.HOP_LIMIT,
                     f"hop limit {limit} exceeded",
                 )
             try:
                 decision = self._choose_hop(current, message)
             except IntegrityError as exc:
-                return self._walk_drop(
-                    message,
-                    current,
-                    DropReason.TABLE_CORRUPT,
-                    str(exc),
-                    subject=node_subject(current),
+                return _drop_record(
+                    message, DropReason.TABLE_CORRUPT, str(exc)
                 )
             except RoutingError as exc:
-                return self._walk_drop(
-                    message, current, DropReason.NO_ROUTE, str(exc)
-                )
+                return _drop_record(message, DropReason.NO_ROUTE, str(exc))
             next_node = decision.next_node
             if next_node in self._quarantined and next_node != destination:
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.TABLE_CORRUPT,
                     f"next hop {next_node} is quarantined with a corrupt "
                     f"table",
-                    subject=node_subject(next_node),
                 )
             if frozenset((current, next_node)) in self._failed:
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.LINK_DOWN,
                     f"link {current}-{next_node} is down",
-                    subject=link_subject(current, next_node),
                 )
             if next_node in self._failed_nodes:
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.NODE_DOWN,
                     f"node {next_node} is down",
-                    subject=node_subject(next_node),
                 )
             if next_node != current and not self._live_graph.has_edge(
                 current, next_node
@@ -611,57 +520,18 @@ class Network:
                 # topology mutation — a transient stale-table symptom, not
                 # a scheme bug.
                 if self._scheme.graph.has_edge(current, next_node):
-                    return self._walk_drop(
+                    return _drop_record(
                         message,
-                        current,
                         DropReason.LINK_DOWN,
                         f"link {current}-{next_node} was removed by a "
                         f"topology mutation",
-                        subject=link_subject(current, next_node),
                     )
-                return self._walk_drop(
+                return _drop_record(
                     message,
-                    current,
                     DropReason.INVALID_FORWARD,
                     f"{current} forwarded to non-adjacent {next_node}",
-                )
-            if tracer is not None:
-                tracer.hop(
-                    message.msg_id,
-                    node=current,
-                    next_node=next_node,
-                    hop=message.hops,
-                    attempt=message.attempt,
                 )
             message.state = decision.state
             message.path.append(next_node)
             current = next_node
-        if tracer is not None:
-            tracer.deliver(
-                message.msg_id,
-                node=destination,
-                hop=message.hops,
-                attempt=message.attempt,
-            )
         return _delivered_record(message)
-
-    def route_batch(
-        self,
-        pairs: Iterable[Tuple[int, int]],
-        batch: bool = True,
-    ) -> List[DeliveryRecord]:
-        """Route many pairs at once through the vectorised batch kernel.
-
-        The kernel shares this network's failure/overlay state, tracer
-        and message-id counter, so batched and per-call routing can
-        interleave.  Semantics are the timed kernel's (simultaneous
-        injection at time 0, unit hop latency), not the untimed walk of
-        :meth:`route`; ``batch=False`` forces the kernel's scalar lane —
-        the reference stream the vectorised mode reproduces bit-for-bit.
-        """
-        from repro.simulator.kernel import BatchKernel
-
-        kernel = BatchKernel(network=self, tracer=self._tracer, batch=batch)
-        for source, destination in pairs:
-            kernel.inject(source, destination)
-        return kernel.run()

@@ -1,117 +1,334 @@
-"""Multiprocessing sweep driver sharding ``(graph, seed)`` kernel runs.
+"""One run description, one builder, and the multiprocessing sweep driver.
 
-A sweep is a list of :class:`SweepTask` descriptions — frozen, picklable
-bundles of primitives (scheme name, graph seed, workload seed, fault
-variant knobs) from which a worker process can rebuild the entire run:
-graph, scheme, schedule, workload and :class:`~repro.simulator.kernel.
-BatchKernel`.  Nothing live crosses the process boundary, so results are
-a pure function of the task description and :func:`run_sweep` returns the
-same :class:`SweepResult` list for any worker count — a property the test
+A :class:`SweepTask` describes a whole ``simulate`` run as primitives
+named after the command's flags (argparse dests): scheme, graph and
+workload, and the fault axes, each off by default and free to compose —
+static link/node failures, a timed fault schedule, table corruption under
+optional integrity framing, live topology churn — plus retries.
+:func:`build_run` turns a task into the graph, the scheme (framing first,
+then detour), a :class:`~repro.simulator.kernel.BatchKernel` carrying
+every axis the task switches on, and the kernel's injections.  The CLI's
+single run and every ``--workers`` replica go through it alike.
+
+With only static failures on, every message is injected at t=0 (outcomes
+cannot depend on injection time, and one large cohort keeps the batch
+lane); with any timed axis on, injection times are uniform over
+``[0, 0.8 * horizon]``, seeded by ``seed``.
+
+Nothing live crosses the process boundary, so results are a pure function
+of the task description and :func:`run_sweep` returns the same
+:class:`SweepResult` list for any worker count — a property the test
 suite pins via the per-task record digest.
-
-Variants mirror the CLI simulate commands: ``plain`` (static sampled
-failures), ``chaos`` (renewal fault schedule), ``corruption`` (timed
-table corruption with optional repair, over tables under the task's
-integrity framing) and ``churn`` (random topology mutations with
-incremental repair).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import random
+from dataclasses import dataclass, replace
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import build_scheme
+from repro.core import RoutingScheme, build_scheme, default_model
+from repro.core.detour import DetourWrapper
 from repro.errors import ReproError
-from repro.graphs import gnp_random_graph
+from repro.graphs import LabeledGraph, gnp_random_graph
 from repro.integrity import FramingPolicy, IntegrityWrapper
-from repro.models import Knowledge, Labeling, RoutingModel
-from repro.simulator.chaos import renewal_faults, table_corruption
+from repro.models import RoutingModel
+from repro.observability.tracer import Tracer
+from repro.simulator.chaos import (
+    FaultSchedule,
+    MutationKind,
+    flapping_links,
+    regional_failures,
+    renewal_faults,
+    table_corruption,
+)
+from repro.simulator.churn import (
+    ChurnSchedule,
+    TopologyMutationKind,
+    random_churn,
+)
 from repro.simulator.failures import (
     sample_link_failures,
     sample_node_failures,
 )
-from repro.simulator.churn import random_churn
 from repro.simulator.kernel import BatchKernel
 from repro.simulator.message import DeliveryRecord
 from repro.simulator.recovery import RetryPolicy
 from repro.simulator.workloads import (
+    all_to_one,
     hotspot_pairs,
+    one_to_all,
     permutation_traffic,
     uniform_pairs,
 )
 
 __all__ = [
+    "CHURN_KINDS",
+    "MUTATIONS",
+    "SCHEDULES",
+    "WORKLOADS",
+    "Run",
     "SweepTask",
     "SweepResult",
+    "build_run",
     "run_task",
     "run_sweep",
     "seed_replicas",
 ]
 
-_VARIANTS = ("plain", "chaos", "corruption", "churn")
-_WORKLOADS = ("uniform", "hotspot", "permutation")
+WORKLOADS = ("uniform", "hotspot", "all-to-one", "one-to-all", "permutation")
+SCHEDULES = ("none", "flapping", "renewal", "regional")
+MUTATIONS: Dict[str, Tuple[MutationKind, ...]] = {
+    "bit-flip": (MutationKind.BIT_FLIP,),
+    "burst": (MutationKind.BURST,),
+    "truncate": (MutationKind.TRUNCATE,),
+    "mixed": (
+        MutationKind.BIT_FLIP,
+        MutationKind.BURST,
+        MutationKind.TRUNCATE,
+    ),
+}
+CHURN_KINDS: Dict[str, Tuple[TopologyMutationKind, ...]] = {
+    "edges": (
+        TopologyMutationKind.EDGE_ADD,
+        TopologyMutationKind.EDGE_REMOVE,
+    ),
+    "nodes": (
+        TopologyMutationKind.NODE_LEAVE,
+        TopologyMutationKind.NODE_JOIN,
+    ),
+    "all": (
+        TopologyMutationKind.EDGE_ADD,
+        TopologyMutationKind.EDGE_REMOVE,
+        TopologyMutationKind.NODE_LEAVE,
+        TopologyMutationKind.NODE_JOIN,
+    ),
+}
 
 
-def _default_model(scheme: str) -> RoutingModel:
-    """The CLI's per-scheme default model (kept in sync with repro.cli)."""
-    if scheme == "thm2-neighbor-labels":
-        return RoutingModel(Knowledge.II, Labeling.GAMMA)
-    if scheme in ("interval", "chain-comparison"):
-        return RoutingModel(Knowledge.II, Labeling.BETA)
-    return RoutingModel(Knowledge.II, Labeling.ALPHA)
+def _check_choice(field: str, value: object, choices: Collection[str]) -> None:
+    if value not in choices:
+        raise ReproError(
+            f"unknown {field} {value!r}; expected one of {tuple(choices)}"
+        )
 
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One shard of a sweep: everything a worker needs, as primitives."""
+    """One simulation run, as primitives named after ``simulate``'s flags."""
 
     scheme: str
     n: int
-    graph_seed: int
-    seed: int
-    """Workload, injection-clock and schedule seed (the CLI's ``--seed``)."""
-    messages: int = 64
+    seed: int = 0
+    """Failure samples, schedules, workload, retry jitter and injection
+    clock all derive from this seed (the CLI's ``--seed``)."""
+    graph_seed: Optional[int] = None
+    """Seed of G(n, 1/2); defaults to ``seed``, and seed replicas keep it."""
+    model: Optional[RoutingModel] = None
+    """Routing model (defaults to :func:`~repro.core.default_model`)."""
+    messages: int = 200
     workload: str = "uniform"
-    variant: str = "plain"
-    batch: bool = True
+    # Static failures, sampled up front.
     failures: int = 0
-    """Static link failures sampled up front (``plain`` variant)."""
     node_failures: int = 0
-    horizon: float = 50.0
-    """Fault/churn schedules and injections land in ``[0, horizon * 0.8]``."""
-    retries: int = 0
-    """Source retries per message (0 disables the retry policy)."""
-    retry_base_delay: float = 0.5
+    # Timed fault schedule (``none`` = off).
+    schedule: str = "none"
+    horizon: float = 100.0
+    """Schedules and injections land in ``[0, horizon]``."""
     chaos_links: Optional[int] = None
-    """Renewal-fault link count (defaults to half the edge count)."""
+    """Links under churn (defaults to half the edges)."""
     chaos_nodes: int = 0
-    corrupt_nodes: Optional[int] = None
-    """Corrupted tables to schedule (defaults to ``n // 4``)."""
-    repair_delay: Optional[float] = None
+    period: float = 10.0
+    duty: float = 0.5
+    mtbf: float = 20.0
+    mttr: float = 5.0
+    regions: int = 2
+    radius: int = 1
+    outage: float = 20.0
+    # Table corruption (``corrupt_nodes == 0`` = off) and scheme wrappers.
+    corrupt_nodes: int = 0
+    mutation: str = "bit-flip"
+    flips: int = 1
+    burst_span: int = 8
+    truncate_bits: int = 4
+    repair_delay: float = 10.0
+    """Heal a detected table this long after detection (<= 0: never)."""
     framing: str = FramingPolicy.NONE.value
-    """Integrity framing charged on every table (a ``FramingPolicy`` value)."""
-    churn_events: int = 4
+    detour: bool = False
+    # Live topology churn (``events == 0`` = off).
+    events: int = 0
+    kinds: str = "edges"
     churn_repair_delay: float = 5.0
+    repair_rate: Optional[float] = None
+    full_rebuild: bool = False
+    # Source retries (``retries == 0`` = off).
+    retries: int = 0
+    backoff_base: float = 1.0
+    backoff_multiplier: float = 2.0
+    max_delay: float = 60.0
+    jitter: float = 0.1
+    batch: bool = True
+    """``False`` forces the kernel's all-scalar reference lane."""
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ReproError(
-                f"unknown sweep variant {self.variant!r}; "
-                f"expected one of {_VARIANTS}"
-            )
-        if self.workload not in _WORKLOADS:
-            raise ReproError(
-                f"unknown sweep workload {self.workload!r}; "
-                f"expected one of {_WORKLOADS}"
-            )
-        framings = tuple(policy.value for policy in FramingPolicy)
-        if self.framing not in framings:
-            raise ReproError(
-                f"unknown sweep framing {self.framing!r}; "
-                f"expected one of {framings}"
-            )
+        if self.graph_seed is None:
+            object.__setattr__(self, "graph_seed", self.seed)
+        if self.messages < 0:
+            raise ReproError(f"messages must be >= 0, got {self.messages}")
+        if self.retries < 0:
+            raise ReproError(f"retries must be >= 0, got {self.retries}")
+        _check_choice("workload", self.workload, WORKLOADS)
+        _check_choice("schedule", self.schedule, SCHEDULES)
+        _check_choice("mutation", self.mutation, MUTATIONS)
+        _check_choice("churn kinds", self.kinds, CHURN_KINDS)
+        _check_choice(
+            "framing", self.framing, [policy.value for policy in FramingPolicy]
+        )
+
+    @property
+    def timed(self) -> bool:
+        """Whether any timed axis (schedule, corruption, churn) is on."""
+        return (
+            self.schedule != "none" or self.corrupt_nodes > 0 or self.events > 0
+        )
+
+    @property
+    def heal_delay(self) -> Optional[float]:
+        """The self-heal delay, or ``None`` when healing is off."""
+        return self.repair_delay if self.repair_delay > 0 else None
+
+    def retry_policy(self) -> Optional[RetryPolicy]:
+        """The retry policy the retry fields describe (None when off)."""
+        if self.retries == 0:
+            return None
+        return RetryPolicy(
+            max_attempts=self.retries + 1,
+            base_delay=self.backoff_base,
+            multiplier=self.backoff_multiplier,
+            max_delay=self.max_delay,
+            jitter=self.jitter,
+        )
+
+    def graph(self) -> LabeledGraph:
+        """The task's G(n, 1/2) sample."""
+        return gnp_random_graph(self.n, seed=self.graph_seed)
+
+
+@dataclass(frozen=True)
+class Run:
+    """A task built into live objects: the kernel holds its injections."""
+
+    task: SweepTask
+    graph: LabeledGraph
+    scheme: RoutingScheme
+    kernel: BatchKernel
+    faults: Optional[FaultSchedule]
+    """The timed fault schedule (``None`` when the axis is off)."""
+    corruption: Optional[FaultSchedule]
+    churn: Optional[ChurnSchedule]
+
+
+def _fault_schedule(
+    task: SweepTask, graph: LabeledGraph
+) -> Optional[FaultSchedule]:
+    if task.schedule == "none":
+        return None
+    links = (
+        task.chaos_links
+        if task.chaos_links is not None
+        else graph.edge_count // 2
+    )
+    if task.schedule == "flapping":
+        return flapping_links(
+            graph, links, period=task.period, duty=task.duty,
+            horizon=task.horizon, seed=task.seed,
+        )
+    if task.schedule == "renewal":
+        return renewal_faults(
+            graph, horizon=task.horizon, seed=task.seed,
+            link_count=links, link_mtbf=task.mtbf, link_mttr=task.mttr,
+            node_count=task.chaos_nodes,
+        )
+    return regional_failures(
+        graph, regions=task.regions, radius=task.radius,
+        duration=task.outage, horizon=task.horizon, seed=task.seed,
+    )
+
+
+def _pairs(task: SweepTask, graph: LabeledGraph) -> List[Tuple[int, int]]:
+    if task.workload == "uniform":
+        return list(uniform_pairs(graph, task.messages, seed=task.seed))
+    if task.workload == "hotspot":
+        return list(hotspot_pairs(graph, task.messages, seed=task.seed))
+    if task.workload == "all-to-one":
+        return all_to_one(graph)
+    if task.workload == "one-to-all":
+        return one_to_all(graph)
+    return list(permutation_traffic(graph, seed=task.seed))
+
+
+def build_run(
+    task: SweepTask,
+    tracer: Optional[Tracer] = None,
+    graph: Optional[LabeledGraph] = None,
+) -> Run:
+    """Build ``task``'s graph, scheme, schedules and loaded kernel.
+
+    ``graph`` reuses an already sampled ``task.graph()``.  An axis that
+    is off passes ``None`` to the kernel, never an empty schedule.
+    """
+    if graph is None:
+        graph = task.graph()
+    scheme = build_scheme(
+        task.scheme, graph, task.model or default_model(task.scheme)
+    )
+    policy = FramingPolicy(task.framing)
+    if policy is not FramingPolicy.NONE:
+        scheme = IntegrityWrapper(scheme, policy)
+    if task.detour:
+        scheme = DetourWrapper(scheme)
+    faults = _fault_schedule(task, graph)
+    corruption: Optional[FaultSchedule] = None
+    churn: Optional[ChurnSchedule] = None
+    if task.corrupt_nodes > 0:
+        corruption = table_corruption(
+            graph, task.corrupt_nodes, horizon=task.horizon, seed=task.seed,
+            kinds=MUTATIONS[task.mutation], flips=task.flips,
+            burst_span=task.burst_span, truncate_bits=task.truncate_bits,
+        )
+    if task.events > 0:
+        churn = random_churn(
+            graph, task.events, horizon=task.horizon, seed=task.seed,
+            kinds=CHURN_KINDS[task.kinds],
+        )
+    schedule = faults
+    if corruption is not None:
+        schedule = corruption if schedule is None else schedule + corruption
+    kernel = BatchKernel(
+        scheme,
+        failed_links=sample_link_failures(
+            graph, task.failures, seed=task.seed
+        ) if task.failures else (),
+        failed_nodes=sample_node_failures(
+            graph, task.node_failures, seed=task.seed
+        ) if task.node_failures else (),
+        fault_schedule=schedule,
+        retry_policy=task.retry_policy(),
+        retry_seed=task.seed,
+        tracer=tracer,
+        repair_delay=task.heal_delay if corruption is not None else None,
+        churn_schedule=churn,
+        churn_repair_delay=task.churn_repair_delay,
+        churn_repair_rate=task.repair_rate,
+        incremental_repair=not task.full_rebuild,
+        batch=task.batch,
+    )
+    clock = random.Random(task.seed)
+    for source, destination in _pairs(task, graph):
+        at = clock.uniform(0.0, task.horizon * 0.8) if task.timed else 0.0
+        kernel.inject(source, destination, at)
+    return Run(task, graph, scheme, kernel, faults, corruption, churn)
 
 
 @dataclass(frozen=True)
@@ -145,98 +362,9 @@ def _record_digest(records: Sequence[DeliveryRecord]) -> str:
     return hasher.hexdigest()
 
 
-def _task_pairs(task: SweepTask, graph: object) -> List[Tuple[int, int]]:
-    if task.workload == "uniform":
-        return list(uniform_pairs(graph, task.messages, seed=task.seed))
-    if task.workload == "hotspot":
-        return list(hotspot_pairs(graph, task.messages, seed=task.seed))
-    return list(permutation_traffic(graph, seed=task.seed))
-
-
-def _task_kernel(task: SweepTask) -> Tuple[BatchKernel, List[Tuple[int, int]]]:
-    graph = gnp_random_graph(task.n, seed=task.graph_seed)
-    scheme = build_scheme(task.scheme, graph, _default_model(task.scheme))
-    policy = FramingPolicy(task.framing)
-    if policy is not FramingPolicy.NONE:
-        scheme = IntegrityWrapper(scheme, policy)
-    retry = (
-        RetryPolicy(
-            max_attempts=task.retries + 1, base_delay=task.retry_base_delay
-        )
-        if task.retries > 0
-        else None
-    )
-    if task.variant == "plain":
-        kernel = BatchKernel(
-            scheme,
-            failed_links=sample_link_failures(
-                graph, task.failures, seed=task.seed
-            ) if task.failures else (),
-            failed_nodes=sample_node_failures(
-                graph, task.node_failures, seed=task.seed
-            ) if task.node_failures else (),
-            retry_policy=retry,
-            retry_seed=task.seed,
-            batch=task.batch,
-        )
-    elif task.variant == "chaos":
-        links = (
-            task.chaos_links
-            if task.chaos_links is not None
-            else graph.edge_count // 2
-        )
-        kernel = BatchKernel(
-            scheme,
-            fault_schedule=renewal_faults(
-                graph, horizon=task.horizon, seed=task.seed,
-                link_count=links, node_count=task.chaos_nodes,
-            ),
-            retry_policy=retry,
-            retry_seed=task.seed,
-            batch=task.batch,
-        )
-    elif task.variant == "corruption":
-        nodes = (
-            task.corrupt_nodes
-            if task.corrupt_nodes is not None
-            else max(task.n // 4, 1)
-        )
-        kernel = BatchKernel(
-            scheme,
-            fault_schedule=table_corruption(
-                graph, nodes, horizon=task.horizon, seed=task.seed
-            ),
-            retry_policy=retry,
-            retry_seed=task.seed,
-            repair_delay=task.repair_delay,
-            batch=task.batch,
-        )
-    else:  # churn
-        kernel = BatchKernel(
-            scheme,
-            churn_schedule=random_churn(
-                graph, task.churn_events,
-                horizon=task.horizon, seed=task.seed,
-            ),
-            churn_repair_delay=task.churn_repair_delay,
-            retry_policy=retry,
-            retry_seed=task.seed,
-            batch=task.batch,
-        )
-    return kernel, _task_pairs(task, graph)
-
-
 def run_task(task: SweepTask) -> SweepResult:
-    """Rebuild and run one shard; pure in the task description."""
-    import random
-
-    kernel, pairs = _task_kernel(task)
-    clock = random.Random(task.seed)
-    for source, destination in pairs:
-        kernel.inject(
-            source, destination, clock.uniform(0.0, task.horizon * 0.8)
-        )
-    records = kernel.run()
+    """Build and run one shard; pure in the task description."""
+    records = build_run(task).kernel.run()
     reasons: Dict[str, int] = {}
     for r in records:
         if r.drop_reason is not None:
@@ -279,22 +407,6 @@ def run_sweep(
         return pool.map(run_task, tasks)
 
 
-def seed_replicas(
-    scheme: str,
-    n: int,
-    graph_seed: int,
-    base_seed: int,
-    count: int,
-    **knobs: object,
-) -> List[SweepTask]:
-    """``count`` replica tasks differing only in seed (CLI ``--workers``)."""
-    return [
-        SweepTask(
-            scheme=scheme,
-            n=n,
-            graph_seed=graph_seed,
-            seed=base_seed + offset,
-            **knobs,  # type: ignore[arg-type]
-        )
-        for offset in range(count)
-    ]
+def seed_replicas(task: SweepTask, count: int) -> List[SweepTask]:
+    """``count`` copies of ``task`` on its graph, seeds ``seed..seed+count-1``."""
+    return [replace(task, seed=task.seed + offset) for offset in range(count)]

@@ -35,7 +35,7 @@ from repro.simulator.chaos import (
 )
 from repro.simulator.churn import random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
-from repro.simulator.sweep import _task_kernel
+from repro.simulator.sweep import _pairs, build_run
 
 II_GAMMA = RoutingModel(Knowledge.II, Labeling.GAMMA)
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
@@ -284,6 +284,18 @@ def test_sampled_tracing_promotion_matches_scalar():
 # -- sweep driver determinism -------------------------------------------------
 
 
+_SWEEP_AXES = (
+    {"failures": 3, "node_failures": 1},
+    {"schedule": "renewal"},
+    {"corrupt_nodes": 3},
+    {"events": 4},
+    {
+        "failures": 3, "schedule": "renewal", "corrupt_nodes": 3,
+        "framing": "crc8", "events": 4,
+    },
+)
+
+
 def _sweep_tasks(batch=True):
     return [
         SweepTask(
@@ -292,15 +304,26 @@ def _sweep_tasks(batch=True):
             graph_seed=2,
             seed=seed,
             messages=24,
-            variant=variant,
             retries=1,
             batch=batch,
-            failures=3,
-            node_failures=1,
+            **axes,
         )
         for seed in (0, 1)
-        for variant in ("plain", "chaos", "corruption", "churn")
+        for axes in _SWEEP_AXES
     ]
+
+
+def test_only_timed_axes_spread_injections():
+    """Static failures alone inject every message at t=0 (one cohort for
+    the batch lane); any timed axis spreads them over the horizon."""
+    static = build_run(SweepTask("full-table", 14, messages=24, failures=3))
+    assert {r.injected_at for r in static.kernel.run()} == {0.0}
+    timed = build_run(
+        SweepTask("full-table", 14, messages=24, failures=3, events=2)
+    )
+    times = [r.injected_at for r in timed.kernel.run()]
+    assert len(set(times)) == 24
+    assert max(times) <= 0.8 * timed.task.horizon
 
 
 def test_sweep_digests_independent_of_worker_count():
@@ -311,10 +334,10 @@ def test_sweep_digests_independent_of_worker_count():
 
 
 def test_sweep_digests_independent_of_batch_flag():
-    """The flag reaches every variant's kernel and changes no outcome.
+    """The flag reaches every axis's kernel and changes no outcome.
 
-    Sweeps inject at uniform random times, so their cohorts hold one row
-    and both flags step them identically; the same kernels fed their
+    Timed tasks inject at uniform random times, so their cohorts hold one
+    row and both flags step them identically; the same kernels fed their
     pairs as one t=0 cohort make the batch lane carry it.
     """
     batched = run_sweep(_sweep_tasks(batch=True), workers=1)
@@ -325,10 +348,10 @@ def test_sweep_digests_independent_of_batch_flag():
     for task in _sweep_tasks():
         runs = {}
         for batch in (True, False):
-            kernel, pairs = _task_kernel(replace(task, batch=batch))
-            for source, destination in pairs:
-                kernel.inject(source, destination, 0.0)
-            runs[batch] = kernel.run()
+            run = build_run(replace(task, batch=batch, messages=0))
+            for source, destination in _pairs(task, run.graph):
+                run.kernel.inject(source, destination, 0.0)
+            runs[batch] = run.kernel.run()
         assert runs[True] == runs[False], task
 
 

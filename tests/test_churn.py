@@ -9,6 +9,7 @@ import pytest
 from repro.core import build_scheme, plan_repair, verify_scheme
 from repro.core.repair import dirty_nodes
 from repro.errors import GraphError, RoutingError
+from repro.core import DetourWrapper
 from repro.graphs import (
     complete_graph,
     cycle_graph,
@@ -16,6 +17,7 @@ from repro.graphs import (
     gnp_random_graph,
     star_graph,
 )
+from repro.integrity import FramingPolicy, IntegrityWrapper
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, RecordingTracer, set_registry
 from repro.simulator import (
@@ -332,6 +334,39 @@ class TestEngineChurn:
             "repro_churn_repairs_total"
         ).value == summary["repairs"]
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda scheme: IntegrityWrapper(scheme, FramingPolicy.CRC16),
+            lambda scheme: DetourWrapper(scheme, max_bounces=2),
+        ],
+        ids=["framed", "detour"],
+    )
+    def test_wrapped_schemes_survive_repair(self, wrap):
+        graph = gnp_random_graph(16, seed=21)
+        schedule = random_churn(graph, 4, horizon=15.0, seed=6)
+        sim = BatchKernel(
+            wrap(build_scheme("full-table", graph, IA_ALPHA)),
+            churn_schedule=schedule,
+            churn_repair_delay=3.0,
+        )
+        for index, (source, destination) in enumerate(
+            uniform_pairs(graph, 40, seed=4)
+        ):
+            sim.inject(source, destination, 0.5 * index)
+        sim.run()
+        assert sim.churn_summary()["converged"]
+        converged = sim.network.scheme
+        live = sim.network.live_graph
+        assert converged.graph is live
+        fresh = wrap(build_scheme("full-table", live, IA_ALPHA))
+        assert type(converged) is type(fresh)
+        assert converged.scheme_name == fresh.scheme_name
+        # The detour bound grows with max_bounces: the budget survived.
+        assert converged.stretch_bound() == fresh.stretch_bound()
+        for u in live.nodes:
+            assert converged.encode_function(u) == fresh.encode_function(u)
+
     def test_stale_deliveries_are_counted_during_the_repair_window(self):
         graph = gnp_random_graph(16, seed=21)
         schedule = random_churn(graph, 4, horizon=15.0, seed=6)
@@ -442,7 +477,7 @@ class TestChurnCli:
         from repro.cli import main
 
         code = main([
-            "simulate-churn", "full-table", "16",
+            "simulate", "full-table", "16",
             "--events", "3", "--messages", "30", "--seed", "5",
             "--retries", "2", "--json",
         ])
@@ -459,7 +494,7 @@ class TestChurnCli:
         from repro.cli import main
 
         code = main([
-            "simulate-churn", "full-table", "16",
+            "simulate", "full-table", "16",
             "--events", "2", "--messages", "20", "--seed", "5",
             "--full-rebuild",
         ])

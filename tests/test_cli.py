@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 
 import pytest
 
-from repro.cli import main, parse_model
+from repro.cli import _build_parser, _task_of, main, parse_model
 from repro.models import Knowledge, Labeling
+from repro.simulator import SweepTask
 
 
 class TestParseModel:
@@ -140,8 +143,8 @@ class TestObservabilityFlags:
 
     def test_simulate_chaos_json_output(self, capsys):
         assert main(
-            ["simulate-chaos", "interval", "24", "--messages", "60",
-             "--retries", "2", "--json"]
+            ["simulate", "interval", "24", "--messages", "60",
+             "--schedule", "flapping", "--retries", "2", "--json"]
         ) == 0
         import json
 
@@ -157,8 +160,9 @@ class TestObservabilityFlags:
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         assert main(
-            ["simulate-chaos", "interval", "24", "--messages", "60",
-             "--retries", "1", "--trace-out", str(trace),
+            ["simulate", "interval", "24", "--messages", "60",
+             "--schedule", "flapping", "--retries", "1",
+             "--trace-out", str(trace),
              "--metrics-out", str(metrics), "--json"]
         ) == 0
         import json
@@ -169,7 +173,7 @@ class TestObservabilityFlags:
         # the run ledger rides along: first row of the trace, a key in the
         # metrics dump and the summary, all naming the same invocation
         assert "manifest" in rows[0]
-        assert rows[0]["manifest"]["command"] == "simulate-chaos"
+        assert rows[0]["manifest"]["command"] == "simulate"
         assert payload["manifest"]["run_id"] == rows[0]["manifest"]["run_id"]
         drops = [row for row in rows if row.get("event") == "drop"]
         # acceptance: every drop in drop_breakdown has an annotated span
@@ -354,25 +358,73 @@ class TestBenchReport:
         assert "not found" in capsys.readouterr().err
 
 
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "simulate_goldens.json").read_text()
+)
+
+
+class TestSimulateGoldens:
+    """Each retired command's ``--json`` output (manifest removed),
+    recorded before the four commands became one, equals its
+    ``simulate`` invocation's today.
+
+    A golden's ``parent_axis`` names the command that produced it,
+    ``simulate-<axis>`` (``static``: ``simulate --batch``), and
+    ``parent_args`` its arguments; ``argv`` is the ``simulate``
+    invocation replacing it.
+    """
+
+    @pytest.mark.parametrize(
+        "golden", GOLDENS, ids=[golden["name"] for golden in GOLDENS]
+    )
+    def test_simulate_reproduces_the_retired_command(self, golden, capsys):
+        assert main(golden["argv"] + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("manifest")
+        assert payload == golden["output"]
+
+
+class TestInputValidation:
+    def test_flag_defaults_are_the_run_description_defaults(self):
+        args = _build_parser().parse_args(["simulate", "full-table", "16"])
+        assert _task_of(args) == SweepTask("full-table", 16)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--messages", "-3"], ["--workers", "0"], ["--workers", "-4"],
+         ["--retries", "-2"]],
+    )
+    def test_out_of_range_input_exits_2(self, flags, capsys):
+        assert main(["simulate", "full-table", "16"] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestWorkerReplicas:
     """``--workers`` replica 0 reproduces the single run it shards."""
 
     COMMANDS = {
         "plain": ["simulate", "full-table", "24", "--messages", "120",
-                  "--failures", "25", "--node-failures", "2", "--batch"],
-        "chaos": ["simulate-chaos", "full-table", "24", "--messages", "80",
+                  "--failures", "25", "--node-failures", "2"],
+        "chaos": ["simulate", "full-table", "24", "--messages", "80",
                   "--schedule", "renewal", "--chaos-nodes", "2",
                   "--retries", "2"],
-        "corruption": ["simulate-corruption", "full-table", "24",
-                       "--messages", "120", "--corrupt-nodes", "5"],
-        "churn": ["simulate-churn", "full-table", "24", "--messages", "80",
+        "corruption": ["simulate", "full-table", "24", "--messages", "120",
+                       "--corrupt-nodes", "5", "--framing", "crc8"],
+        "churn": ["simulate", "full-table", "24", "--messages", "80",
                   "--events", "3", "--retries", "2"],
+        "composed": ["simulate", "full-table", "24", "--messages", "120",
+                     "--schedule", "renewal", "--corrupt-nodes", "4",
+                     "--framing", "crc8", "--mutation", "burst", "--detour",
+                     "--events", "3", "--repair-rate", "500",
+                     "--retries", "2"],
+        # Every axis off: the kernel must get no (empty) churn schedule,
+        # which it would reject for a model-gamma labelling.
+        "gamma-labels": ["simulate", "thm2-neighbor-labels", "24",
+                         "--messages", "80"],
     }
 
     @pytest.mark.parametrize("variant", sorted(COMMANDS))
     def test_replica_zero_matches_the_single_run(self, variant, capsys):
-        import json
-
         argv = self.COMMANDS[variant]
         assert main(argv + ["--json"]) == 0
         single = json.loads(capsys.readouterr().out)
@@ -384,23 +436,20 @@ class TestWorkerReplicas:
         assert replica["retries"] == single["total_retries"]
         assert replica["drop_reasons"] == single["drop_breakdown"]
         if variant == "corruption":
-            # Under the default crc8 framing corruption is detected and
-            # drops; an unframed replica would deliver everything.
+            # Under crc8 framing corruption is detected and drops; an
+            # unframed replica would deliver everything.
             assert single["drop_breakdown"].get("TABLE_CORRUPT", 0) > 0
+        if variant == "composed":
+            assert single["churn"]["converged"] is True
+            assert single["corruption"]["injected"] >= 1
 
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["simulate-corruption", "full-table", "16", "--mutation",
-              "burst"], "--mutation"),
-            (["simulate-churn", "full-table", "16", "--repair-rate", "500"],
-             "--repair-rate"),
-            (["simulate-chaos", "interval", "16", "--schedule", "renewal",
-              "--detour"], "--detour"),
+            (["simulate", "full-table", "16", "--trace-out", "t.jsonl"],
+             "--trace-out"),
             (["simulate", "full-table", "16", "--metrics-out", "m.json"],
              "--metrics-out"),
-            # Replicas run the timed kernel, never the untimed walker.
-            (["simulate", "full-table", "16"], "--batch"),
         ],
     )
     def test_flags_a_replica_cannot_carry_are_rejected(

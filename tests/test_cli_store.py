@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import _build_parser, _retry_policy, main
+from repro.cli import _build_parser, _task_of, main
 from repro.store import JOURNAL_NAME, LocalFilesystem
 
 
@@ -110,11 +110,14 @@ class TestStoreCommands:
 
 
 class TestSharedRetryFlags:
-    SIMULATORS = {
-        "simulate-chaos": ["simulate-chaos", "interval", "16"],
-        "simulate-corruption": ["simulate-corruption", "interval", "16"],
-        "simulate-churn": ["simulate-churn", "full-table", "16"],
+    AXES = {
+        "chaos": ["simulate", "interval", "16", "--schedule", "flapping"],
+        "corruption": ["simulate", "interval", "16", "--corrupt-nodes", "4"],
+        "churn": ["simulate", "full-table", "16", "--events", "3"],
     }
+    # Keyed by the per-axis command each case was written against before
+    # the axes merged into ``simulate``, which keeps the test ids stable.
+    SIMULATORS = {f"simulate-{axis}": argv for axis, argv in AXES.items()}
 
     @pytest.mark.parametrize("command", sorted(SIMULATORS))
     def test_every_simulator_accepts_the_full_retry_surface(self, command):
@@ -125,7 +128,7 @@ class TestSharedRetryFlags:
                "--backoff-multiplier", "3.0", "--max-delay", "20.0",
                "--jitter", "0.25"]
         )
-        policy = _retry_policy(args)
+        policy = _task_of(args).retry_policy()
         assert policy is not None
         assert policy.max_attempts == 4
         assert policy.base_delay == 0.5
@@ -136,13 +139,14 @@ class TestSharedRetryFlags:
     @pytest.mark.parametrize("command", sorted(SIMULATORS))
     def test_retries_off_means_no_policy(self, command):
         args = _build_parser().parse_args(self.SIMULATORS[command])
-        assert _retry_policy(args) is None
+        assert _task_of(args).retry_policy() is None
 
     def test_multiplier_flag_changes_behaviour_end_to_end(self, capsys):
         assert main(
-            ["simulate-chaos", "interval", "16", "--messages", "20",
-             "--retries", "2", "--backoff-multiplier", "4.0",
-             "--max-delay", "5.0", "--jitter", "0.0", "--json"]
+            ["simulate", "interval", "16", "--messages", "20",
+             "--schedule", "flapping", "--retries", "2",
+             "--backoff-multiplier", "4.0", "--max-delay", "5.0",
+             "--jitter", "0.0", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["messages"] == 20

@@ -37,7 +37,7 @@ from repro.graphs.properties import eccentricity
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, set_registry
 from repro.observability.tracer import RecordingTracer
-from repro.simulator import MutationKind, Network, TableMutation
+from repro.simulator import BatchKernel, MutationKind, Network, TableMutation
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
 
@@ -276,6 +276,19 @@ class TestTracerSpans:
         assert events == [
             ("ctx", "distances", "miss"),
             ("ctx", "*", "invalidate"),
+        ]
+
+    def test_building_a_kernel_keeps_the_context_tracer(self):
+        graph = gnp_random_graph(10, seed=11)
+        ctx = get_context(graph)
+        tracer = RecordingTracer()
+        ctx.set_tracer(tracer)
+        kernel = BatchKernel(build_scheme("full-table", graph, II_ALPHA))
+        kernel.inject(1, 2)
+        assert kernel.run()[0].delivered
+        ctx.invalidate()
+        assert ("ctx", "*", "invalidate") in [
+            (e.event, e.detail, e.reason) for e in tracer.events
         ]
 
     def test_disabled_tracer_is_ignored(self):

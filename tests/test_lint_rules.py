@@ -448,6 +448,25 @@ def test_r003_flags_unguarded_sample_and_slo_spans():
     assert "tracer.slo" in findings[1].message
 
 
+def test_r003_span_vocabulary_is_read_from_the_tracer():
+    # Seeded violation: a SamplingTracer turns `promote` into an inject
+    # span, so an unguarded promote costs an untraced run what an
+    # unguarded inject does; both must be flagged.
+    findings = findings_for(
+        "R003",
+        """
+        def retry(tracer, msg):
+            tracer.promote(msg, 1, 2)
+            tracer.inject(msg, 1, 2)
+        """,
+        module="repro.simulator.fake",
+    )
+    assert [f.message.split("`")[1] for f in findings] == [
+        "tracer.promote(...)",
+        "tracer.inject(...)",
+    ]
+
+
 def test_r003_accepts_guard_early_return_and_and_guard():
     findings = findings_for(
         "R003",

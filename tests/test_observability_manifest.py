@@ -15,10 +15,10 @@ from repro.observability.manifest import MANIFEST_SCHEMA_VERSION
 class TestCapture:
     def test_fills_environment(self):
         manifest = RunManifest.capture(
-            "simulate-chaos", seed=7, scheme="interval", n=32,
+            "simulate", seed=7, scheme="interval", n=32,
             params={"messages": 100},
         )
-        assert manifest.command == "simulate-chaos"
+        assert manifest.command == "simulate"
         assert manifest.seed == 7
         assert manifest.scheme == "interval"
         assert manifest.n == 32

@@ -20,7 +20,6 @@ from repro.observability import (
 )
 from repro.simulator import (
     BatchKernel,
-    Network,
     RetryPolicy,
     flapping_links,
 )
@@ -58,8 +57,9 @@ def _chaos_sim(scheme, tracer, retries=2):
 class TestSpanOrdering:
     def test_network_walk_emits_ordered_span(self, scheme):
         tracer = RecordingTracer()
-        network = Network(scheme, tracer=tracer)
-        record = network.route(1, 9)
+        kernel = BatchKernel(scheme, tracer=tracer)
+        kernel.inject(1, 9)
+        (record,) = kernel.run()
         assert record.delivered
         events = tracer.events_for(0)
         kinds = [event.event for event in events]
@@ -111,9 +111,9 @@ class TestSpanOrdering:
 
 class TestDisabledPath:
     def test_null_tracer_is_normalised_away(self, scheme):
-        assert Network(scheme, tracer=NULL_TRACER)._tracer is None
-        assert Network(scheme, tracer=NullTracer())._tracer is None
-        assert Network(scheme, tracer=None)._tracer is None
+        assert BatchKernel(scheme, tracer=NULL_TRACER)._tracer is None
+        assert BatchKernel(scheme, tracer=NullTracer())._tracer is None
+        assert BatchKernel(scheme, tracer=None)._tracer is None
         sim = BatchKernel(scheme, tracer=NULL_TRACER)
         assert sim._tracer is None
 

@@ -75,7 +75,7 @@ class TestRoundTrip:
 class TestManifestRow:
     def test_manifest_written_first_and_recoverable(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        manifest = RunManifest.capture("simulate-chaos", seed=9)
+        manifest = RunManifest.capture("simulate", seed=9)
         _write_trace(path, manifest=manifest)
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first) == {"manifest"}
