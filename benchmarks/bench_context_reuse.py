@@ -49,7 +49,7 @@ from repro.observability import (
     set_registry,
     write_bench_result,
 )
-from repro.simulator import Network, summarize
+from repro.simulator import BatchKernel, summarize
 
 II_BETA = RoutingModel(Knowledge.II, Labeling.BETA)
 
@@ -98,8 +98,12 @@ def _run_pipeline(n, verify_pairs, messages, shared):
             assert result.ok()
         if not shared:
             scheme.ctx.invalidate()
-        network = Network(scheme)
-        records = [network.route(s, t) for s, t in pairs]
+        # The scalar lane: the batch lane would first derive the n²
+        # next-hop matrix, a cost this bench is not about.
+        kernel = BatchKernel(scheme, batch=False)
+        for s, t in pairs:
+            kernel.inject(s, t)
+        records = kernel.run()
         metrics = summarize(records, graph)
         elapsed = time.perf_counter() - start
     finally:

@@ -4,22 +4,24 @@ The paper defines full-information schemes so that "alternative, shortest,
 paths [can] be taken whenever an outgoing link is down".  This bench fails
 an increasing number of links and compares delivery rates of the
 full-information scheme against the single-path Theorem 1 scheme, plus raw
-routing throughput of the untimed walker and the timed kernel.
+routing throughput of the timed kernel.
 """
 
 from __future__ import annotations
 
 from repro.core import build_scheme
 from repro.graphs import gnp_random_graph
-from repro.simulator import (
-    BatchKernel,
-    Network,
-    sample_link_failures,
-    summarize,
-)
+from repro.simulator import BatchKernel, sample_link_failures, summarize
 
 N = 64
 FAILURE_COUNTS = (0, 50, 100, 200, 400)
+
+
+def _route(scheme, failures, pairs):
+    kernel = BatchKernel(scheme, failed_links=failures)
+    for u, w in pairs:
+        kernel.inject(u, w)
+    return kernel.run()
 
 
 def _measure(ii_alpha):
@@ -30,12 +32,8 @@ def _measure(ii_alpha):
     rows = []
     for count in FAILURE_COUNTS:
         failures = sample_link_failures(graph, count, seed=count)
-        metrics_full = summarize(
-            [Network(full_info, failures).route(u, w) for u, w in pairs], graph
-        )
-        metrics_single = summarize(
-            [Network(single, failures).route(u, w) for u, w in pairs], graph
-        )
+        metrics_full = summarize(_route(full_info, failures, pairs), graph)
+        metrics_single = summarize(_route(single, failures, pairs), graph)
         rows.append((count, metrics_full, metrics_single))
     return graph, rows
 
@@ -67,13 +65,6 @@ def test_full_information_resilience(benchmark, ii_alpha, write_result):
             assert metrics_full.delivered_fraction == 1.0
         if metrics_full.delivered:
             assert metrics_full.max_stretch == 1.0  # still shortest paths
-
-
-def test_walker_throughput(benchmark, ii_alpha):
-    graph = gnp_random_graph(N, seed=83)
-    network = Network(build_scheme("thm1-two-level", graph, ii_alpha))
-    pairs = [(u, w) for u in range(1, 9) for w in range(33, 65)]
-    benchmark(lambda: [network.route(u, w) for u, w in pairs])
 
 
 def test_timed_kernel_throughput(benchmark, ii_alpha):

@@ -11,7 +11,7 @@ import math
 from repro.analysis import best_law, mean_total_bits, run_size_sweep
 from repro.core import ProbeScheme, build_scheme
 from repro.graphs import gnp_random_graph
-from repro.simulator import Network, summarize
+from repro.simulator import BatchKernel, summarize
 
 NS = (64, 96, 128, 192, 256, 384)
 SEEDS = (0, 1, 2)
@@ -23,11 +23,11 @@ def _measure(ii_alpha):
     )
     # Hop distribution on one larger instance.
     graph = gnp_random_graph(256, seed=9)
-    network = Network(build_scheme("thm5-probe", graph, ii_alpha))
-    records = [
-        network.route(u, w) for u in range(1, 17) for w in range(17, 257)
-    ]
-    return points, summarize(records, graph)
+    kernel = BatchKernel(build_scheme("thm5-probe", graph, ii_alpha))
+    for u in range(1, 17):
+        for w in range(17, 257):
+            kernel.inject(u, w)
+    return points, summarize(kernel.run(), graph)
 
 
 def test_thm5_linear_size_log_stretch(benchmark, ii_alpha, write_result):
@@ -60,6 +60,12 @@ def test_thm5_linear_size_log_stretch(benchmark, ii_alpha, write_result):
 
 def test_thm5_probe_walk_speed(benchmark, ii_alpha):
     graph = gnp_random_graph(128, seed=7)
-    network = Network(ProbeScheme(graph, ii_alpha))
+    scheme = ProbeScheme(graph, ii_alpha)
     target = graph.non_neighbors(1)[-1]
-    benchmark(network.route, 1, target)
+
+    def walk():
+        kernel = BatchKernel(scheme)
+        kernel.inject(1, target)
+        return kernel.run()[0]
+
+    assert benchmark(walk).delivered

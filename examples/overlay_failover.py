@@ -16,12 +16,14 @@ from __future__ import annotations
 import sys
 
 from repro import Knowledge, Labeling, RoutingModel, build_scheme, gnp_random_graph
-from repro.simulator import (
-    BatchKernel,
-    Network,
-    sample_link_failures,
-    summarize,
-)
+from repro.simulator import BatchKernel, sample_link_failures, summarize
+
+
+def _route(scheme, failures, pairs):
+    kernel = BatchKernel(scheme, failed_links=failures)
+    for u, w in pairs:
+        kernel.inject(u, w)
+    return kernel.run()
 
 
 def main(n: int = 96, seed: int = 5) -> None:
@@ -41,12 +43,8 @@ def main(n: int = 96, seed: int = 5) -> None:
     waves = [0] + [graph.edge_count * share // 100 for share in (10, 25, 45)]
     for wave in waves:
         failures = sample_link_failures(graph, wave, seed=wave + 1)
-        metrics_full = summarize(
-            [Network(full_info, failures).route(u, w) for u, w in pairs], graph
-        )
-        metrics_single = summarize(
-            [Network(single, failures).route(u, w) for u, w in pairs], graph
-        )
+        metrics_full = summarize(_route(full_info, failures, pairs), graph)
+        metrics_single = summarize(_route(single, failures, pairs), graph)
         print(f"{wave:>13d} {metrics_full.delivered_fraction:>19.3f} "
               f"{metrics_single.delivered_fraction:>21.3f} "
               f"{metrics_full.max_stretch:>18.2f}")

@@ -5,8 +5,8 @@ audit (R014); the cross-module flow rules R010–R013 live in
 Each rule encodes an invariant the paper's bookkeeping or the simulator's
 design depends on; ``rationale`` strings say which.  Rules are pure AST
 passes over the linted code.  Two vocabularies are read from the
-package itself: R002's taxonomies (imported lazily, with frozen member
-lists as the fallback) and R003's span methods (the public methods of
+package itself: R002's taxonomies (the members of the seven enums it
+guards) and R003's span methods (the public methods of
 :class:`~repro.observability.tracer.Tracer`).
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 from typing import (
+    Dict,
     FrozenSet,
     Iterator,
     List,
@@ -25,7 +26,13 @@ from typing import (
 
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.registry import LintRule, ModuleContext, register_rule
+from repro.observability.bench import BetterDirection
 from repro.observability.tracer import Tracer
+from repro.simulator.chaos import FaultKind, MutationKind
+from repro.simulator.churn import TopologyMutationKind
+from repro.simulator.message import DropReason
+from repro.store.faults import StoreFaultKind
+from repro.store.journal import RecordKind
 
 __all__ = [
     "BitIntegerArithmeticRule",
@@ -185,64 +192,20 @@ class BitIntegerArithmeticRule(LintRule):
 
 # -- R002 ---------------------------------------------------------------------
 
-# The closed vocabularies the simulator dispatches over, with the frozen
-# member sets used when the package cannot be imported (lint outside the
-# repo tree).  The live import keeps the rule current as PRs grow a
-# taxonomy; the fallback is refreshed whenever a member is added.
-_TAXONOMY_SOURCES: dict = {
-    "DropReason": "repro.simulator.message",
-    "FaultKind": "repro.simulator.chaos",
-    "MutationKind": "repro.simulator.chaos",
-    "TopologyMutationKind": "repro.simulator.churn",
-    "BetterDirection": "repro.observability.bench",
-    "StoreFaultKind": "repro.store.faults",
-    "RecordKind": "repro.store.journal",
+# The closed vocabularies dispatched over, read from the enums themselves
+# so a member is covered the moment it is added.
+_TAXONOMIES: Dict[str, FrozenSet[str]] = {
+    enum_cls.__name__: frozenset(member.name for member in enum_cls)
+    for enum_cls in (
+        DropReason,
+        FaultKind,
+        MutationKind,
+        TopologyMutationKind,
+        BetterDirection,
+        StoreFaultKind,
+        RecordKind,
+    )
 }
-_TAXONOMY_FALLBACKS: dict = {
-    "DropReason": frozenset(
-        {
-            "ENDPOINT_DOWN",
-            "LINK_DOWN",
-            "NODE_DOWN",
-            "HOP_LIMIT",
-            "NO_ROUTE",
-            "INVALID_FORWARD",
-            "QUEUE_OVERFLOW",
-            "TABLE_CORRUPT",
-            "ROUTING_LOOP",
-        }
-    ),
-    "FaultKind": frozenset(
-        {
-            "LINK_DOWN",
-            "LINK_UP",
-            "NODE_DOWN",
-            "NODE_UP",
-            "TABLE_CORRUPT",
-            "TABLE_REPAIR",
-        }
-    ),
-    "MutationKind": frozenset({"BIT_FLIP", "BURST", "TRUNCATE"}),
-    "TopologyMutationKind": frozenset(
-        {"EDGE_ADD", "EDGE_REMOVE", "NODE_LEAVE", "NODE_JOIN"}
-    ),
-    "BetterDirection": frozenset({"HIGHER", "LOWER", "NEUTRAL"}),
-    "StoreFaultKind": frozenset(
-        {"TORN_WRITE", "SHORT_WRITE", "LOST_FSYNC", "RENAME_FAIL", "BIT_ROT"}
-    ),
-    "RecordKind": frozenset({"PUT", "SWAP"}),
-}
-
-def _taxonomy_members(enum_name: str) -> FrozenSet[str]:
-    """Live member set of one taxonomy (kept current as PRs grow it)."""
-    import importlib
-
-    try:
-        module = importlib.import_module(_TAXONOMY_SOURCES[enum_name])
-        enum_cls = getattr(module, enum_name)
-    except Exception:  # pragma: no cover - lint outside the repo tree
-        return _TAXONOMY_FALLBACKS[enum_name]
-    return frozenset(member.name for member in enum_cls)
 
 
 def _taxonomy_member(node: ast.AST) -> Optional[Tuple[str, str]]:
@@ -250,7 +213,7 @@ def _taxonomy_member(node: ast.AST) -> Optional[Tuple[str, str]]:
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id in _TAXONOMY_SOURCES
+        and node.value.id in _TAXONOMIES
     ):
         return node.value.id, node.attr
     return None
@@ -291,8 +254,9 @@ def _branch_members(
 
 @register_rule
 class DropReasonExhaustiveRule(LintRule):
-    """Dispatches over the simulator's closed taxonomies must cover every
-    member (DropReason, FaultKind, MutationKind, TopologyMutationKind)."""
+    """Dispatches over a closed taxonomy must cover every member
+    (DropReason, FaultKind, MutationKind, TopologyMutationKind,
+    BetterDirection, StoreFaultKind, RecordKind)."""
 
     rule_id = "R002"
     name = "dropreason-exhaustive"
@@ -300,8 +264,9 @@ class DropReasonExhaustiveRule(LintRule):
     description = (
         "`if`/`elif` chains, `match` statements and dict literals "
         "dispatching on a closed taxonomy (`DropReason`, `FaultKind`, "
-        "`MutationKind`, `TopologyMutationKind`) must handle every member "
-        "or end in an explicit default branch"
+        "`MutationKind`, `TopologyMutationKind`, `BetterDirection`, "
+        "`StoreFaultKind`, `RecordKind`) must handle every member or end "
+        "in an explicit default branch"
     )
     rationale = (
         "The taxonomies grow PR over PR (QUEUE_OVERFLOW arrived after the "
@@ -350,7 +315,7 @@ class DropReasonExhaustiveRule(LintRule):
         if branches < 2 or len(subjects) != 1 or len(enums) != 1:
             return  # single test or inconsistent subject: not a dispatch
         enum_name = next(iter(enums))
-        missing = _taxonomy_members(enum_name) - covered
+        missing = _TAXONOMIES[enum_name] - covered
         if missing:
             yield self.finding(
                 context,
@@ -377,7 +342,7 @@ class DropReasonExhaustiveRule(LintRule):
             return  # mixed taxonomies: not a dispatch table
         enum_name = next(iter(enums))
         covered = {d[1] for d in decoded}  # type: ignore[index]
-        missing = _taxonomy_members(enum_name) - covered
+        missing = _TAXONOMIES[enum_name] - covered
         if missing:
             yield self.finding(
                 context,
@@ -409,7 +374,7 @@ class DropReasonExhaustiveRule(LintRule):
         if len(enums) != 1:
             return  # no taxonomy values, or mixed taxonomies
         enum_name = next(iter(enums))
-        missing = _taxonomy_members(enum_name) - covered
+        missing = _TAXONOMIES[enum_name] - covered
         if missing:
             yield self.finding(
                 context,

@@ -57,7 +57,7 @@ def available_schemes() -> tuple[str, ...]:
 
 def default_model(name: str) -> RoutingModel:
     """The model a scheme is built under when the caller names none."""
-    if name == "thm2-neighbor-labels":
+    if name in ("thm2-neighbor-labels", "tree-cover"):
         return RoutingModel(Knowledge.II, Labeling.GAMMA)
     if name in ("interval", "chain-comparison"):
         return RoutingModel(Knowledge.II, Labeling.BETA)

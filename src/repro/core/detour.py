@@ -112,8 +112,9 @@ class DetourFunction(LocalRoutingFunction):
                 f"cannot detour toward {destination!r}"
             )
         # Deterministic pick; the message resumes normal routing at the
-        # detour neighbour, its header remembering the spent bounce.
-        return HopDecision(alive[0], DetourState(inner_state, bounces + 1))
+        # detour neighbour as if from a fresh source, its header
+        # remembering only the spent bounce.
+        return HopDecision(alive[0], DetourState(None, bounces + 1))
 
 
 class DetourWrapper(RoutingScheme):

@@ -88,7 +88,7 @@ class FullTableScheme(RoutingScheme):
         Unreachable destinations (possible only under
         ``allow_unreachable``, e.g. after a churn node-leave isolated a
         node) simply have no entry: a lookup raises
-        :class:`~repro.errors.RoutingError` and the walker records a
+        :class:`~repro.errors.RoutingError` and the kernel records a
         NO_ROUTE drop.
         """
         graph = self._graph

@@ -224,7 +224,7 @@ class RoutingScheme(abc.ABC):
         """The stretch factor this scheme advertises."""
 
     def hop_limit(self) -> int:
-        """Upper bound on hops before the walker declares a routing loop."""
+        """Upper bound on hops before a router declares a routing loop."""
         return 4 * self._graph.n + 8
 
     def __repr__(self) -> str:

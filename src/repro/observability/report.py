@@ -55,7 +55,7 @@ class TraceSummary:
     hot_nodes: List[Tuple[int, int]] = field(default_factory=list)
     """``(node, forwards)`` sorted by forwards, descending."""
     hop_latency_percentiles: Dict[str, float] = field(default_factory=dict)
-    """p50/p90/p99/max of hop durations (empty for untimed walker traces)."""
+    """p50/p90/p99/max of hop durations (empty when no hop carries one)."""
     corruptions: int = 0
     """Table-corruption events (``corrupt`` spans)."""
     quarantines: int = 0

@@ -27,7 +27,7 @@ loop.  :class:`SamplingTracer` keeps tracing affordable at scale with
   :meth:`~SamplingTracer.promote` with the inject facts it still holds,
   which emits the synthetic inject and re-opens the stream.  The
   breadcrumb path above remains for emitters that do not cooperate
-  (the hop-by-hop walker, hand-driven tests).
+  (hand-driven tests).
 
 On :meth:`~SamplingTracer.close` the tracer emits one ``sample`` span
 summarising its tallies, and — defensively — an ``slo`` span if the

@@ -1,15 +1,14 @@
 """Hop-level tracing of simulated message routing.
 
 A tracer receives one flat :class:`TraceEvent` per interesting moment of a
-message's life inside :class:`~repro.simulator.network.Network` or
-:class:`~repro.simulator.kernel.BatchKernel`:
+message's life inside :class:`~repro.simulator.kernel.BatchKernel`:
 
 ``inject``
     The message enters the network (records source, destination, time).
 ``hop``
     A node made a forwarding decision: which node, which neighbour it
-    chose, the hop ordinal, and — in the timed kernel — how long the hop
-    took end to end (queue wait + service + wire).
+    chose, the hop ordinal, and how long the hop took end to end (queue
+    wait + service + wire).
 ``retry``
     The source re-injected a dropped message after backoff.
 ``fault``
@@ -149,7 +148,7 @@ class TraceEvent:
     seq: int = 0
     """Tracer-assigned monotone sequence number (total order of emission)."""
     time: float = 0.0
-    """Simulated time of the event (0.0 in the untimed walker)."""
+    """Simulated time of the event."""
     msg_id: Optional[int] = None
     source: Optional[int] = None
     destination: Optional[int] = None

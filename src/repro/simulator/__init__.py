@@ -1,10 +1,10 @@
 """Message-level network simulator.
 
-Executes any :class:`~repro.core.scheme.RoutingScheme` on its graph:
-immediate walking (:class:`~repro.simulator.network.Network`), timed
-execution in simulated time — link latency, node queueing, retries —
-behind a scalar-equivalent batch boundary
-(:class:`~repro.simulator.kernel.BatchKernel`), reproducible static
+Executes any :class:`~repro.core.scheme.RoutingScheme` on its graph in
+simulated time — link latency, node queueing, retries — through one
+router, :class:`~repro.simulator.kernel.BatchKernel` (a scalar lane and
+its bit-identical batch lane), over the network's routing state
+(:class:`~repro.simulator.network.Network`), with reproducible static
 failure injection (:mod:`~repro.simulator.failures`), dynamic chaos
 schedules (:mod:`~repro.simulator.chaos`), live topology churn with
 incremental repair (:mod:`~repro.simulator.churn`), retry/backoff
@@ -43,7 +43,6 @@ from repro.simulator.kernel import BatchKernel
 from repro.simulator.message import (
     DeliveryRecord,
     DropReason,
-    Message,
     MessageBatch,
 )
 from repro.simulator.metrics import (
@@ -79,7 +78,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
-    "Message",
     "MessageBatch",
     "MutationKind",
     "Network",

@@ -19,11 +19,12 @@ cohort's lane:
 * the **scalar lane** — :meth:`BatchKernel._step_one`, one exact step per
   row in ascending row order: liveness, quarantine, hop-limit and
   routing-loop checks, the forwarding decision via
-  :meth:`~repro.simulator.network.Network._choose_hop`, drop details,
-  spans and counters.  Cohorts smaller than :data:`_MIN_BATCH_ROWS` take
-  it (one Python step beats a round of mask algebra there), and so does
-  every cohort while a node service time is set, because per-node busy
-  state depends on processing order.
+  :meth:`~repro.simulator.network.Network._choose_hop` and its adjacency
+  check (a forward to a non-neighbour drops ``INVALID_FORWARD``), drop
+  details, spans and counters.  Cohorts smaller than
+  :data:`_MIN_BATCH_ROWS` take it (one Python step beats a round of mask
+  algebra there), and so does every cohort while a node service time is
+  set, because per-node busy state depends on processing order.
 * the **batch lane** — every larger cohort.  Rows whose next step is
   provably a clean advance or delivery, decided by numpy mask algebra
   over the scheme's dense next-hop matrix
@@ -82,12 +83,7 @@ from repro.simulator.churn import (
     TopologyMutationKind,
     adjacency_mask,
 )
-from repro.simulator.message import (
-    DeliveryRecord,
-    DropReason,
-    Message,
-    MessageBatch,
-)
+from repro.simulator.message import DeliveryRecord, DropReason, MessageBatch
 from repro.simulator.network import Network
 from repro.simulator.recovery import RetryPolicy
 
@@ -262,6 +258,7 @@ class BatchKernel:
         self._retry_rngs: Dict[int, random.Random] = {}
         self._repair_delay = repair_delay
         self._tracer = _live_tracer(tracer)
+        self._msg_ids = itertools.count()
         self._pending: List[Tuple[int, int, int, float, bool]] = []
         self._events: List[_EventEntry] = []
         self._sequence = itertools.count()
@@ -378,7 +375,7 @@ class BatchKernel:
 
     def inject(self, source: int, destination: int, at_time: float = 0.0) -> None:
         """Schedule one message (call before :meth:`run`)."""
-        msg_id = next(self._network._counter)
+        msg_id = next(self._msg_ids)
         traced = False
         tracer = self._tracer
         if tracer is not None:
@@ -1078,16 +1075,10 @@ class BatchKernel:
                     subject=node_subject(current),
                 )
                 return
-        message = Message(
-            msg_id=batch.msg_id.item(i),
-            source=batch.source.item(i),
-            destination=destination,
-            address=self._address_of(destination),
-            state=state,
-            attempt=batch.attempt.item(i),
-        )
         try:
-            decision = nw._choose_hop(current, message)
+            decision = nw._choose_hop(
+                current, self._address_of(destination), state, destination
+            )
         except IntegrityError as exc:
             self._on_detection(current, now)
             self._finish(
@@ -1110,11 +1101,10 @@ class BatchKernel:
             )
             return
         if (
-            nw.churned
-            and next_node != current
-            and not nw.live_graph.has_edge(current, next_node)
+            next_node != current
+            and next_node not in nw.live_graph.neighbor_set(current)
         ):
-            if nw.scheme.graph.has_edge(current, next_node):
+            if next_node in nw.scheme.graph.neighbor_set(current):
                 # Stale table forwarding over a mutated-away edge.
                 self._finish(
                     batch, i, now,

@@ -1,26 +1,23 @@
-"""Message objects carried by the network simulator.
+"""Message state carried by the network simulator.
 
-Two representations coexist: the scalar :class:`Message` dataclass the
-walker and the kernel's scalar lane pass hop by hop, and the
-struct-of-arrays :class:`MessageBatch` the kernel
-(:mod:`repro.simulator.kernel`) keeps every in-flight message in.  Both
-funnel into the same frozen :class:`DeliveryRecord`, so everything
-downstream of the batch boundary (metrics, analysis, persistence) is
-representation-blind.
+The kernel (:mod:`repro.simulator.kernel`) keeps every in-flight message
+in the struct-of-arrays :class:`MessageBatch`, which both of its lanes
+read and write.  Outcomes leave as frozen :class:`DeliveryRecord`
+objects, so everything downstream of the batch boundary (metrics,
+analysis, persistence) never sees the arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "DropReason",
-    "Message",
     "DeliveryRecord",
     "MessageBatch",
     "DROP_REASON_CODES",
@@ -40,7 +37,8 @@ class DropReason(str, enum.Enum):
     """
 
     ENDPOINT_DOWN = "endpoint down"
-    """Source or destination node was crashed at injection time."""
+    """The source was down when the message (or a retry) left it, or the
+    destination crashed while the message was on its last link."""
     LINK_DOWN = "link down"
     """The chosen outgoing link was failed when the message tried it."""
     NODE_DOWN = "node down"
@@ -67,36 +65,6 @@ class DropReason(str, enum.Enum):
         return self.value
 
 
-@dataclass
-class Message:
-    """One in-flight message."""
-
-    msg_id: int
-    source: int
-    destination: int
-    address: Hashable
-    """Destination address as the scheme expects it (label or complex label)."""
-    state: Any = None
-    """Header state (used by the Theorem 5 probe scheme)."""
-    path: List[int] = field(default_factory=list)
-    attempt: int = 0
-    """Zero-based retry attempt this incarnation represents."""
-    stale: bool = False
-    """Set when a hop decision was made while the routing tables were not
-    yet converged after a topology mutation (the staleness mark the
-    convergence layer aggregates)."""
-    traced: bool = True
-    """Whether span emission is on for this message.  A sampling tracer
-    may decline a message at inject (``Tracer.wants``); the kernel then
-    skips every per-hop span call until the message turns anomalous and
-    is promoted back to traced."""
-
-    @property
-    def hops(self) -> int:
-        """Edges traversed so far."""
-        return max(len(self.path) - 1, 0)
-
-
 @dataclass(frozen=True)
 class DeliveryRecord:
     """Outcome of one routed message."""
@@ -108,17 +76,17 @@ class DeliveryRecord:
     hops: int
     path: tuple[int, ...]
     latency: float = 0.0
-    """Simulated time from first injection to the final outcome
-    (event-driven runs), inclusive of retry backoff delays."""
+    """Simulated time from first injection to the final outcome,
+    inclusive of retry backoff delays."""
     drop_reason: Optional[DropReason] = None
     drop_detail: Optional[str] = None
     """Free-text context for the drop (which link, which node, ...)."""
     retries: int = 0
     """Source-side re-transmissions performed before this outcome."""
     injected_at: float = math.nan
-    """Simulated time of the first injection (NaN in the untimed walker)."""
+    """Simulated time of the first injection."""
     completed_at: float = math.nan
-    """Simulated time of the final outcome (NaN in the untimed walker)."""
+    """Simulated time of the final outcome."""
     stale: bool = False
     """At least one hop decision used a table not yet repaired after a
     topology mutation; a delivered-and-stale record is a *stale delivery*
@@ -128,8 +96,8 @@ class DeliveryRecord:
     def time_to_delivery(self) -> float:
         """Injection-to-outcome time from the record's own timestamps.
 
-        Includes every retry backoff window; NaN when the run was untimed
-        (the hop-by-hop walker) or the timestamps were not recorded.
+        Includes every retry backoff window; NaN when the timestamps were
+        not recorded.
         """
         return self.completed_at - self.injected_at
 
@@ -152,8 +120,7 @@ class MessageBatch:
     The batch kernel advances every column in lockstep; the scalar slow
     lane reads and writes the same arrays per index, so the two lanes can
     interleave freely without conversion.  Outcomes scatter back out as
-    ordinary :class:`DeliveryRecord` objects via :meth:`records`, built by
-    the same field mapping as the walker's record builders.
+    ordinary :class:`DeliveryRecord` objects via :meth:`records`.
 
     Per-attempt path prefixes live in a shared ``[size, capacity]`` buffer
     that doubles on demand (:meth:`ensure_path_capacity`) instead of being
@@ -228,10 +195,6 @@ class MessageBatch:
         self.plen[i] = plen + 1
         self.current[i] = node
 
-    def path_of(self, i: int) -> List[int]:
-        """Row ``i``'s current-attempt path as a plain list."""
-        return [int(v) for v in self.path[i, : self.plen[i]]]
-
     def finish_delivered(self, i: int, time: float) -> None:
         """Mark row ``i`` delivered at ``time`` and deactivate it."""
         self.delivered[i] = True
@@ -263,29 +226,6 @@ class MessageBatch:
         self.drop_code[i] = NO_DROP
         self.drop_detail[i] = None
         self.ready[i] = ready_at
-
-    def record(self, i: int) -> DeliveryRecord:
-        """Row ``i``'s outcome as a frozen :class:`DeliveryRecord`."""
-        if self.active[i]:
-            raise ValueError(f"message row {i} is still in flight")
-        completed = float(self.completed[i])
-        injected = float(self.injected[i])
-        code = int(self.drop_code[i])
-        return DeliveryRecord(
-            msg_id=int(self.msg_id[i]),
-            source=int(self.source[i]),
-            destination=int(self.destination[i]),
-            delivered=bool(self.delivered[i]),
-            hops=max(int(self.plen[i]) - 1, 0),
-            path=tuple(int(v) for v in self.path[i, : self.plen[i]]),
-            latency=completed - injected,
-            drop_reason=None if code == NO_DROP else DROP_REASON_BY_CODE[code],
-            drop_detail=self.drop_detail[i],
-            retries=int(self.attempt[i]),
-            injected_at=injected,
-            completed_at=completed,
-            stale=bool(self.stale[i]),
-        )
 
     def records(self) -> List[DeliveryRecord]:
         """Every row's outcome, in injection (row) order.

@@ -45,8 +45,8 @@ class RoutingMetrics:
     mean_time_to_delivery: float = math.nan
     """Mean time of *delivered* messages from first injection to arrival,
     inclusive of retry backoff — computed from the records' own
-    ``injected_at``/``completed_at`` timestamps.  For untimed walker runs
-    (no timestamps) it falls back to ``mean_latency``, to which it is
+    ``injected_at``/``completed_at`` timestamps.  For records without
+    timestamps it falls back to ``mean_latency``, to which it is
     identical whenever no retries occurred."""
     stale_deliveries: int = 0
     """Delivered messages that made at least one hop decision on tables
@@ -138,8 +138,8 @@ def summarize(
         shortest = int(dist[record.source - 1, record.destination - 1])
         stretches.append(record.hops / shortest if shortest > 0 else 1.0)
     mean_latency = float(np.mean(latencies)) if latencies else math.nan
-    # Timestamped (event-driven) records measure injection-to-arrival
-    # directly; untimed walker records fall back to the latency alias.
+    # Timestamped records measure injection-to-arrival directly; records
+    # without timestamps fall back to the latency alias.
     mean_ttd = (
         float(np.mean(times_to_delivery)) if times_to_delivery else mean_latency
     )

@@ -1,29 +1,34 @@
-"""The network's routing state and the untimed hop-by-hop walker.
+"""The network's routing state and its one forwarding decision.
 
 :class:`Network` holds everything a forwarding decision depends on: the
 installed scheme, failed links and crashed nodes, the table-corruption
 overlay (corrupted, quarantined and healed tables), repaired tables
 installed during churn convergence, and the live topology after
-mutations.  :meth:`Network.route` walks one message immediately, hop by
-hop, for delivery/stretch measurements: full-information functions route
-*around* failed incident links (the exact capability the paper defines
-them for); detour-wrapped functions bounce once to a live neighbour;
-plain single-path functions drop when their chosen link is down.
+mutations.  :meth:`Network._choose_hop` asks a node's live function for
+its next hop: full-information functions route *around* failed incident
+links (the exact capability the paper defines them for); detour-wrapped
+functions bounce once to a live neighbour; plain single-path functions
+answer from their table alone.
 
-Timed execution — link latency, node queueing, fault and churn
-schedules, retries, and every trace span — is
-:class:`~repro.simulator.kernel.BatchKernel`, which drives this state
-through :meth:`Network._choose_hop`.
-
-Every drop is classified by the structured
-:class:`~repro.simulator.message.DropReason` taxonomy; the human-readable
-context (which link, which node) rides in ``DeliveryRecord.drop_detail``.
+Routing itself — the per-hop liveness and adjacency checks, drops, link
+latency, node queueing, fault and churn schedules, retries, and every
+trace span — is :class:`~repro.simulator.kernel.BatchKernel`, which
+drives this state.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.bitio import BitArray
 from repro.core import HopDecision, RoutingScheme
@@ -35,7 +40,6 @@ from repro.graphs import LabeledGraph
 from repro.observability.registry import get_registry
 from repro.simulator.chaos import FaultEvent, FaultKind, TableMutation
 from repro.simulator.churn import TopologyMutation, TopologyMutationKind
-from repro.simulator.message import DeliveryRecord, DropReason, Message
 
 __all__ = ["Network"]
 
@@ -46,42 +50,8 @@ def _as_links(edges: Iterable[Tuple[int, int]]) -> Set[Link]:
     return {frozenset(edge) for edge in edges}
 
 
-def _drop_record(
-    message: Message, reason: DropReason, detail: Optional[str] = None
-) -> DeliveryRecord:
-    """A walker drop record (untimed: latency 0, no timestamps)."""
-    return DeliveryRecord(
-        msg_id=message.msg_id,
-        source=message.source,
-        destination=message.destination,
-        delivered=False,
-        hops=message.hops,
-        path=tuple(message.path),
-        latency=0.0,
-        drop_reason=reason,
-        drop_detail=detail,
-        retries=message.attempt,
-        stale=message.stale,
-    )
-
-
-def _delivered_record(message: Message) -> DeliveryRecord:
-    """A walker delivery record (untimed: latency 0, no timestamps)."""
-    return DeliveryRecord(
-        msg_id=message.msg_id,
-        source=message.source,
-        destination=message.destination,
-        delivered=True,
-        hops=message.hops,
-        path=tuple(message.path),
-        latency=0.0,
-        retries=message.attempt,
-        stale=message.stale,
-    )
-
-
 class Network:
-    """A static network executing one routing scheme, with failures."""
+    """One network's routing state: its scheme, failures and overlays."""
 
     def __init__(
         self,
@@ -92,7 +62,6 @@ class Network:
         self._scheme = scheme
         self._failed: Set[Link] = _as_links(failed_links)
         self._failed_nodes: Set[int] = set(failed_nodes)
-        self._counter = itertools.count()
         # The graph's shared context is the healer's knowledge source: it
         # memoises each node's pristine serialised function, so repeat
         # corruptions and heals of one node encode it exactly once.
@@ -394,7 +363,9 @@ class Network:
             or (self._churned and not self._live_graph.has_edge(node, nb))
         ]
 
-    def _choose_hop(self, node: int, message: Message) -> HopDecision:
+    def _choose_hop(
+        self, node: int, address: Hashable, state: Any, destination: int
+    ) -> HopDecision:
         """One forwarding decision, honouring failures where possible.
 
         Fault-aware functions — full-information (all shortest-path edges
@@ -420,17 +391,15 @@ class Network:
             # table answers the same either way, so it never pays for it.
             if degraded and isinstance(function, FullInformationFunction):
                 decision = function.next_hop_avoiding(
-                    int(message.address),
-                    self._blocked_neighbors(node, message.destination),
+                    int(address),
+                    self._blocked_neighbors(node, destination),
                 )
             elif degraded and isinstance(function, DetourFunction):
                 decision = function.next_hop_avoiding(
-                    message.address,
-                    self._blocked_neighbors(node, message.destination),
-                    message.state,
+                    address, self._blocked_neighbors(node, destination), state
                 )
             else:
-                decision = function.next_hop(message.address, message.state)
+                decision = function.next_hop(address, state)
         except RoutingError:
             if corrupted:
                 raise self._detected(
@@ -453,85 +422,3 @@ class Network:
                 f"{decision.next_node!r}",
             )
         return decision
-
-    def route(self, source: int, destination: int) -> DeliveryRecord:
-        """Walk one message from source to destination."""
-        message = Message(
-            msg_id=next(self._counter),
-            source=source,
-            destination=destination,
-            address=self._scheme.address_of(destination),
-            path=[source],
-        )
-        if source in self._failed_nodes or destination in self._failed_nodes:
-            down = source if source in self._failed_nodes else destination
-            return _drop_record(
-                message,
-                DropReason.ENDPOINT_DOWN,
-                f"endpoint node {down} is down",
-            )
-        limit = self._scheme.hop_limit()
-        current = source
-        while current != destination:
-            if current in self._quarantined:
-                return _drop_record(
-                    message,
-                    DropReason.TABLE_CORRUPT,
-                    f"node {current} is quarantined with a corrupt table",
-                )
-            if message.hops >= limit:
-                return _drop_record(
-                    message,
-                    DropReason.HOP_LIMIT,
-                    f"hop limit {limit} exceeded",
-                )
-            try:
-                decision = self._choose_hop(current, message)
-            except IntegrityError as exc:
-                return _drop_record(
-                    message, DropReason.TABLE_CORRUPT, str(exc)
-                )
-            except RoutingError as exc:
-                return _drop_record(message, DropReason.NO_ROUTE, str(exc))
-            next_node = decision.next_node
-            if next_node in self._quarantined and next_node != destination:
-                return _drop_record(
-                    message,
-                    DropReason.TABLE_CORRUPT,
-                    f"next hop {next_node} is quarantined with a corrupt "
-                    f"table",
-                )
-            if frozenset((current, next_node)) in self._failed:
-                return _drop_record(
-                    message,
-                    DropReason.LINK_DOWN,
-                    f"link {current}-{next_node} is down",
-                )
-            if next_node in self._failed_nodes:
-                return _drop_record(
-                    message,
-                    DropReason.NODE_DOWN,
-                    f"node {next_node} is down",
-                )
-            if next_node != current and not self._live_graph.has_edge(
-                current, next_node
-            ):
-                # An edge the scheme graph still has was removed by a
-                # topology mutation — a transient stale-table symptom, not
-                # a scheme bug.
-                if self._scheme.graph.has_edge(current, next_node):
-                    return _drop_record(
-                        message,
-                        DropReason.LINK_DOWN,
-                        f"link {current}-{next_node} was removed by a "
-                        f"topology mutation",
-                    )
-                return _drop_record(
-                    message,
-                    DropReason.INVALID_FORWARD,
-                    f"{current} forwarded to non-adjacent {next_node}",
-                )
-            message.state = decision.state
-            message.path.append(next_node)
-            current = next_node
-        return _delivered_record(message)

@@ -8,7 +8,6 @@ Deterministic (seeded) workloads over a graph's node set:
 * permutation traffic (every node sends to a distinct target).
 
 Each generator yields ``(source, destination)`` pairs ready to inject into
-:class:`~repro.simulator.network.Network` or the timed
 :class:`~repro.simulator.kernel.BatchKernel`.
 """
 

@@ -22,11 +22,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import available_schemes, build_scheme
+from repro.core import HopDecision, available_schemes, build_scheme
+from repro.core.scheme import LocalRoutingFunction
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import NULL_TRACER, RecordingTracer, SamplingTracer
-from repro.simulator import BatchKernel, RetryPolicy, SweepTask, run_sweep
+from repro.simulator import (
+    BatchKernel,
+    DropReason,
+    RetryPolicy,
+    SweepTask,
+    run_sweep,
+)
 from repro.simulator.chaos import (
     FaultEvent,
     FaultSchedule,
@@ -216,6 +223,26 @@ def test_batch_matches_scalar_under_churn(scheme_name):
             results[batch] = (kernel.run(), kernel.churn_summary(), spans)
         assert results[True] == results[False]
         assert sum(r.stale for r in results[True][0][80:]) >= 8
+
+
+class _SkipsAhead(LocalRoutingFunction):
+    """A broken table naming the node two labels on: on a path graph,
+    never a neighbour."""
+
+    def next_hop(self, destination, state=None):
+        return HopDecision(self.node + 2)
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["default", "scalar"])
+def test_forward_to_a_non_neighbour_drops_invalid_forward(batch):
+    scheme = build_scheme("full-table", path_graph(6), II_ALPHA)
+    scheme._function_cache[2] = _SkipsAhead(2)
+    kernel = BatchKernel(scheme, batch=batch)
+    for _ in range(16):  # a cohort large enough for the batch lane
+        kernel.inject(1, 6)
+    for record in kernel.run():
+        assert record.drop_reason is DropReason.INVALID_FORWARD
+        assert record.path == (1, 2)
 
 
 def test_tracing_is_preserved_behind_the_boundary():

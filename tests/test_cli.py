@@ -57,6 +57,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bits total" in out
 
+    def test_build_without_model_uses_the_scheme_default(self, capsys):
+        assert main(["build", "tree-cover", "24"]) == 0
+        assert "II ∧ γ" in capsys.readouterr().out
+
     def test_build_saves_blob(self, tmp_path, capsys):
         target = tmp_path / "scheme.blob"
         assert main(

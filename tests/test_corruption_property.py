@@ -25,11 +25,11 @@ from repro.simulator import (
     FaultEvent,
     FaultSchedule,
     MutationKind,
-    Network,
     RetryPolicy,
     TableMutation,
     table_corruption,
 )
+from tests.routing import route_one
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
 IA_ALPHA = RoutingModel(Knowledge.IA, Labeling.ALPHA)
@@ -65,11 +65,12 @@ def test_doubly_faulted_node_needs_both_conditions_cleared(
     scheme = IntegrityWrapper(
         build_scheme("full-table", graph, IA_ALPHA), FramingPolicy.CRC8
     )
-    network = Network(scheme)
+    kernel = BatchKernel(scheme)
+    network = kernel.network
     network.corrupt_table(3, mutation)
     network.fail_node(3)
     # The cut vertex is both crashed and corrupt: nothing crosses.
-    assert not network.route(1, 5).delivered
+    assert not route_one(kernel, 1, 5).delivered
 
     if clear_down_first:
         network.restore_node(3)
@@ -78,13 +79,13 @@ def test_doubly_faulted_node_needs_both_conditions_cleared(
     # One condition cleared: the path through node 3 still cannot carry
     # (either the node is still down, or its first decode after the
     # restart detects the damage and quarantines it).
-    assert not network.route(1, 5).delivered
+    assert not route_one(kernel, 1, 5).delivered
 
     if clear_down_first:
         network.heal_table(3)
     else:
         network.restore_node(3)
-    assert network.route(1, 5).delivered
+    assert route_one(kernel, 1, 5).delivered
     assert network.quarantined_nodes == set()
 
 

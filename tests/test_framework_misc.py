@@ -11,7 +11,7 @@ from repro.graphs import LabeledGraph, edge_code_length, gnp_random_graph
 from repro.incompressibility import GraphCodec, evaluate_codec
 from repro.kolmogorov import ComplexityEstimate
 from repro.models import Knowledge, Labeling
-from repro.simulator.message import DeliveryRecord, Message
+from repro.simulator.message import DeliveryRecord
 
 
 class _LossyCodec(GraphCodec):
@@ -57,16 +57,6 @@ class TestCodecFramework:
 
 
 class TestMessageRecords:
-    def test_message_hops(self):
-        message = Message(
-            msg_id=1, source=1, destination=3, address=3, path=[1, 2, 3]
-        )
-        assert message.hops == 2
-
-    def test_empty_path_hops(self):
-        message = Message(msg_id=1, source=1, destination=3, address=3)
-        assert message.hops == 0
-
     def test_delivery_record_immutable(self):
         record = DeliveryRecord(
             msg_id=1,

@@ -37,7 +37,8 @@ from repro.graphs.properties import eccentricity
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, set_registry
 from repro.observability.tracer import RecordingTracer
-from repro.simulator import BatchKernel, MutationKind, Network, TableMutation
+from repro.simulator import BatchKernel, MutationKind, TableMutation
+from tests.routing import route_one
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
 
@@ -205,9 +206,10 @@ class TestCachingSemantics:
         scheme = build_scheme("full-table", graph, II_ALPHA)
         result = verify_scheme(scheme, sample_pairs=50, seed=0)
         assert result.ok()
-        network = Network(scheme)
-        records = [network.route(1, 2), network.route(3, 4)]
-        summarize(records, graph)
+        kernel = BatchKernel(scheme)
+        kernel.inject(1, 2)
+        kernel.inject(3, 4)
+        summarize(kernel.run(), graph)
         get_context(graph).distances()
         assert _ctx_count(registry, "distances", "miss") == 1
         assert _ctx_count(registry, "distances", "hit") >= 2
@@ -239,7 +241,8 @@ class TestPristineKnowledge:
     def test_corrupt_and_heal_reuse_one_encode(self, registry):
         graph = gnp_random_graph(12, seed=8)
         scheme = build_scheme("full-table", graph, II_ALPHA)
-        network = Network(scheme)
+        kernel = BatchKernel(scheme)
+        network = kernel.network
         flip = TableMutation(kind=MutationKind.BIT_FLIP, offsets=(0, 3))
         network.corrupt_table(5, flip)
         network.heal_table(5)
@@ -249,7 +252,7 @@ class TestPristineKnowledge:
         assert _ctx_count(registry, "pristine_bits", "miss") == 1
         assert _ctx_count(registry, "pristine_bits", "hit") == 3
         # Healed node routes correctly again.
-        record = network.route(5, 1)
+        record = route_one(kernel, 5, 1)
         assert record.delivered
 
     def test_pristine_bits_keyed_per_scheme_instance(self, registry):

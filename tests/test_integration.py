@@ -9,12 +9,23 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import Table1Entry, best_law, format_table1, mean_total_bits, run_size_sweep
-from repro.core import build_scheme, verify_scheme
-from repro.graphs import certify_random_graph, encode_graph, gnp_random_graph
+from repro.core import (
+    available_schemes,
+    build_scheme,
+    default_model,
+    route_message,
+    verify_scheme,
+)
+from repro.graphs import (
+    certify_random_graph,
+    encode_graph,
+    gnp_random_graph,
+    path_graph,
+)
 from repro.incompressibility import Lemma1Codec, evaluate_codec
 from repro.kolmogorov import best_estimate
 from repro.models import Knowledge, Labeling, RoutingModel
-from repro.simulator import BatchKernel, Network, summarize
+from repro.simulator import BatchKernel, summarize
 
 ALL_PLAIN_SCHEMES = [
     ("full-table", 1.0),
@@ -90,27 +101,38 @@ class TestCodecOnCertifiedGraphs:
 
 
 class TestSimulatorAgreement:
-    def test_walker_and_event_sim_agree_on_paths(self, model_ii_alpha):
-        graph = gnp_random_graph(24, seed=61)
-        scheme = build_scheme("thm4-hub", graph, model_ii_alpha)
-        network = Network(scheme)
-        sim = BatchKernel(scheme)
-        pairs = [(1, 13), (2, 20), (5, 9)]
-        for u, w in pairs:
-            sim.inject(u, w)
-        event_records = {(r.source, r.destination): r for r in sim.run()}
-        for u, w in pairs:
-            walker_record = network.route(u, w)
-            assert walker_record.path == event_records[(u, w)].path
+    @pytest.mark.parametrize("name", available_schemes())
+    def test_kernel_lanes_match_route_message(self, name):
+        """Differential oracle for the router: on fault-free all-pairs
+        traffic both kernel lanes emit one record stream, and every
+        message is delivered on the verifier's reference path."""
+        if name == "chain-comparison":
+            graph = path_graph(32)
+        else:
+            graph = gnp_random_graph(32, seed=101)
+        scheme = build_scheme(name, graph, default_model(name))
+        streams = []
+        for batch in (True, False):
+            kernel = BatchKernel(scheme, batch=batch)
+            for u in graph.nodes:
+                for w in graph.nodes:
+                    if u != w:
+                        kernel.inject(u, w)
+            streams.append(kernel.run())
+        assert streams[0] == streams[1]
+        for record in streams[0]:
+            assert record.delivered
+            reference = route_message(scheme, record.source, record.destination)
+            assert record.path == reference.path
 
     def test_metrics_respect_scheme_guarantee(self, model_ii_alpha):
         graph = gnp_random_graph(32, seed=62)
         scheme = build_scheme("thm3-centers", graph, model_ii_alpha)
-        network = Network(scheme)
-        records = [
-            network.route(u, w) for u in range(1, 8) for w in range(8, 33)
-        ]
-        metrics = summarize(records, graph)
+        kernel = BatchKernel(scheme)
+        for u in range(1, 8):
+            for w in range(8, 33):
+                kernel.inject(u, w)
+        metrics = summarize(kernel.run(), graph)
         assert metrics.delivered_fraction == 1.0
         assert metrics.max_stretch <= scheme.stretch_bound()
 

@@ -8,9 +8,17 @@ from repro.core import DetourWrapper, build_scheme
 from repro.core.persistence import pack_scheme, unpack_blob
 from repro.errors import IntegrityError
 from repro.integrity import FramingPolicy, IntegrityWrapper
-from repro.simulator import Network, uniform_pairs
+from repro.simulator import BatchKernel, uniform_pairs
+from tests.routing import route_one
 
 FRAMED = (FramingPolicy.PARITY, FramingPolicy.CRC8, FramingPolicy.CRC16)
+
+
+def _records(scheme, pairs):
+    kernel = BatchKernel(scheme)
+    for s, d in pairs:
+        kernel.inject(s, d)
+    return kernel.run()
 
 
 @pytest.fixture(scope="module")
@@ -83,20 +91,20 @@ def test_none_policy_is_bit_identical(base_scheme):
     base_report = base_scheme.space_report()
     assert report.integrity_bits == 0
     assert report.total_bits == base_report.total_bits
-    network = Network(wrapped)
-    baseline = Network(base_scheme)
-    for s, d in uniform_pairs(base_scheme.graph, 40, seed=5):
-        assert network.route(s, d).path == baseline.route(s, d).path
+    pairs = uniform_pairs(base_scheme.graph, 40, seed=5)
+    assert [r.path for r in _records(wrapped, pairs)] == [
+        r.path for r in _records(base_scheme, pairs)
+    ]
 
 
 def test_routing_through_framed_scheme(base_scheme):
     wrapped = IntegrityWrapper(base_scheme, FramingPolicy.CRC16)
-    network = Network(wrapped)
-    baseline = Network(base_scheme)
-    for s, d in uniform_pairs(base_scheme.graph, 40, seed=5):
-        framed_record = network.route(s, d)
-        assert framed_record.delivered
-        assert framed_record.path == baseline.route(s, d).path
+    pairs = uniform_pairs(base_scheme.graph, 40, seed=5)
+    framed_records = _records(wrapped, pairs)
+    assert all(record.delivered for record in framed_records)
+    assert [r.path for r in framed_records] == [
+        r.path for r in _records(base_scheme, pairs)
+    ]
     assert wrapped.stretch_bound() == base_scheme.stretch_bound()
 
 
@@ -108,7 +116,7 @@ def test_detour_composes_outside_framing(base_scheme):
         wrapped.space_report().integrity_bits
         == base_scheme.graph.n * FramingPolicy.CRC8.overhead_bits
     )
-    record = Network(wrapped).route(2, 9)
+    record = route_one(BatchKernel(wrapped), 2, 9)
     assert record.delivered
 
 

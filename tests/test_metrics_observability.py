@@ -82,11 +82,10 @@ class TestSummarizeCounters:
         scheme = build_scheme(
             "full-table", graph, RoutingModel(Knowledge.II, Labeling.ALPHA)
         )
-        from repro.simulator import Network
-
-        network = Network(scheme, failed_links=[(3, 4)])
-        records = [network.route(1, 6), network.route(1, 2)]
-        summarize(records, graph)
+        kernel = BatchKernel(scheme, failed_links=[(3, 4)])
+        kernel.inject(1, 6)
+        kernel.inject(1, 2)
+        summarize(kernel.run(), graph)
         assert registry.counter("repro_messages_routed_total").value == 2
         assert registry.counter("repro_messages_delivered_total").value == 1
         assert (
@@ -129,7 +128,7 @@ class TestMeanTimeToDelivery:
         self, registry, clear_cache
     ):
         graph = path_graph(4)
-        records = [_record(True, latency=0.0)]  # untimed walker record
+        records = [_record(True, latency=0.0)]  # a record without timestamps
         metrics = summarize(records, graph)
         assert metrics.mean_time_to_delivery == metrics.mean_latency == 0.0
 

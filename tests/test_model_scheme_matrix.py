@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import build_scheme
+from repro.core import available_schemes, build_scheme, default_model
 from repro.errors import ModelError, SchemeBuildError
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel, all_models
@@ -87,7 +87,14 @@ def test_chain_scheme_matrix():
                 build_scheme("chain-comparison", CHAIN, model)
 
 
-def test_matrix_covers_all_registered_schemes():
-    from repro.core import available_schemes
+@pytest.mark.parametrize("scheme_name", available_schemes())
+def test_scheme_builds_under_its_default_model(scheme_name):
+    """What the CLI and the sweep builder fall back to must be a model
+    the scheme accepts."""
+    graph = CHAIN if scheme_name == "chain-comparison" else GRAPH
+    model = default_model(scheme_name)
+    assert build_scheme(scheme_name, graph, model).model is model
 
+
+def test_matrix_covers_all_registered_schemes():
     assert set(EXPECTED) | {"chain-comparison"} == set(available_schemes())

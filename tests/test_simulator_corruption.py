@@ -29,6 +29,7 @@ from repro.simulator import (
     TableMutation,
     table_corruption,
 )
+from tests.routing import route_one
 
 IA_ALPHA = RoutingModel(Knowledge.IA, Labeling.ALPHA)
 
@@ -210,15 +211,16 @@ _FLIP = TableMutation(MutationKind.BIT_FLIP, offsets=(0,))
 
 class TestNetworkCorruption:
     def test_corrupt_detect_quarantine_lifecycle(self, registry):
-        network = Network(_framed_path_scheme())
+        kernel = BatchKernel(_framed_path_scheme())
+        network = kernel.network
         network.corrupt_table(3, _FLIP)
         assert network.corrupted_nodes == {3}
         assert network.quarantined_nodes == set()
         assert network.corruption_summary()["injected"] == 1
 
-        # First traversal through node 3 hits the bad checksum: the walk
-        # drops with TABLE_CORRUPT and the node is quarantined.
-        record = network.route(1, 5)
+        # First traversal through node 3 hits the bad checksum: the
+        # message drops with TABLE_CORRUPT and the node is quarantined.
+        record = route_one(kernel, 1, 5)
         assert not record.delivered
         assert record.drop_reason is DropReason.TABLE_CORRUPT
         assert network.quarantined_nodes == {3}
@@ -226,24 +228,26 @@ class TestNetworkCorruption:
         assert summary["detected"] == 1 and summary["healed"] == 0
 
     def test_quarantined_node_still_receives_as_destination(self):
-        network = Network(_framed_path_scheme())
+        kernel = BatchKernel(_framed_path_scheme())
+        network = kernel.network
         network.corrupt_table(3, _FLIP)
-        assert not network.route(1, 5).delivered  # trigger quarantine
-        assert network.route(2, 3).delivered
+        assert not route_one(kernel, 1, 5).delivered  # trigger quarantine
+        assert route_one(kernel, 2, 3).delivered
         # ... but cannot forward, and is refused as a next hop.
-        record = network.route(2, 4)
+        record = route_one(kernel, 2, 4)
         assert not record.delivered
         assert record.drop_reason is DropReason.TABLE_CORRUPT
 
     def test_heal_restores_delivery(self):
-        network = Network(_framed_path_scheme())
+        kernel = BatchKernel(_framed_path_scheme())
+        network = kernel.network
         network.corrupt_table(3, _FLIP)
-        assert not network.route(1, 5).delivered
+        assert not route_one(kernel, 1, 5).delivered
         assert network.heal_table(3)
         assert network.corrupted_nodes == set()
         assert network.quarantined_nodes == set()
         assert network.corruption_summary()["healed"] == 1
-        assert network.route(1, 5).delivered
+        assert route_one(kernel, 1, 5).delivered
         # Healing an intact table is a no-op.
         assert not network.heal_table(3)
 
@@ -256,21 +260,23 @@ class TestNetworkCorruption:
             build_scheme("full-information", graph, IA_ALPHA),
             FramingPolicy.CRC8,
         )
-        network = Network(scheme)
+        kernel = BatchKernel(scheme)
+        network = kernel.network
         network.corrupt_table(2, _FLIP)
-        assert not network.route(2, 4).delivered  # decode at 2 detects
+        assert not route_one(kernel, 2, 4).delivered  # decode at 2 detects
         assert network.quarantined_nodes == {2}
-        record = network.route(1, 3)
+        record = route_one(kernel, 1, 3)
         assert record.delivered
         assert record.path == (1, 4, 3)
 
     def test_unframed_corruption_installs_silently(self):
         graph = path_graph(5)
-        network = Network(build_scheme("full-table", graph, IA_ALPHA))
+        kernel = BatchKernel(build_scheme("full-table", graph, IA_ALPHA))
+        network = kernel.network
         # Without framing, a single flipped bit still decodes to *some*
         # function: the mutation installs undetected.
         network.corrupt_table(3, _FLIP)
-        network.route(1, 5)
+        route_one(kernel, 1, 5)
         summary = network.corruption_summary()
         assert summary["undetected"] == 1
         assert summary["detected"] == 0

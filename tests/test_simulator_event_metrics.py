@@ -12,7 +12,6 @@ from repro.graphs import gnp_random_graph, path_graph, star_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
     BatchKernel,
-    Network,
     sample_incident_failures,
     sample_link_failures,
     summarize,
@@ -115,19 +114,23 @@ class TestFailureSampling:
 class TestMetrics:
     def test_summary_of_perfect_run(self, model_ii_alpha):
         graph = gnp_random_graph(24, seed=3)
-        network = Network(build_scheme("thm1-two-level", graph, model_ii_alpha))
-        records = [network.route(1, w) for w in range(2, 25)]
-        metrics = summarize(records, graph)
+        kernel = BatchKernel(build_scheme("thm1-two-level", graph, model_ii_alpha))
+        for w in range(2, 25):
+            kernel.inject(1, w)
+        metrics = summarize(kernel.run(), graph)
         assert metrics.delivered_fraction == 1.0
         assert metrics.max_stretch == 1.0
         assert metrics.mean_hops <= 2.0
         assert not metrics.drop_reasons
 
     def test_summary_with_drops(self, model_ia_alpha):
-        network = Network(build_scheme("full-table", path_graph(4), model_ia_alpha))
-        network.fail_link(2, 3)
-        records = [network.route(1, 4), network.route(1, 2)]
-        metrics = summarize(records, path_graph(4))
+        kernel = BatchKernel(
+            build_scheme("full-table", path_graph(4), model_ia_alpha),
+            failed_links=[(2, 3)],
+        )
+        kernel.inject(1, 4)
+        kernel.inject(1, 2)
+        metrics = summarize(kernel.run(), path_graph(4))
         assert metrics.messages == 2
         assert metrics.delivered == 1
         assert metrics.delivered_fraction == 0.5
@@ -141,11 +144,9 @@ class TestMetrics:
 
     def test_p95_between_mean_and_max(self, model_ii_alpha):
         graph = gnp_random_graph(32, seed=8)
-        network = Network(build_scheme("thm4-hub", graph, model_ii_alpha))
-        records = [
-            network.route(u, w)
-            for u in range(1, 9)
-            for w in range(9, 33)
-        ]
-        metrics = summarize(records, graph)
+        kernel = BatchKernel(build_scheme("thm4-hub", graph, model_ii_alpha))
+        for u in range(1, 9):
+            for w in range(9, 33):
+                kernel.inject(u, w)
+        metrics = summarize(kernel.run(), graph)
         assert metrics.mean_stretch <= metrics.p95_stretch <= metrics.max_stretch

@@ -9,10 +9,11 @@ from repro.errors import GraphError, RoutingError
 from repro.graphs import gnp_random_graph, path_graph, star_graph
 from repro.simulator import (
     BatchKernel,
-    Network,
+    DropReason,
     sample_node_failures,
     summarize,
 )
+from tests.routing import route_one
 
 
 class TestQueueing:
@@ -108,37 +109,43 @@ class TestNodeFailures:
         )
 
     def test_single_path_drops_through_dead_node(self, model_ia_alpha):
-        network = Network(
+        kernel = BatchKernel(
             build_scheme("full-table", path_graph(5), model_ia_alpha),
             failed_nodes=[3],
         )
-        record = network.route(1, 5)
+        record = route_one(kernel, 1, 5)
         assert not record.delivered
         assert "down" in record.drop_reason
 
     def test_endpoint_failure_reported(self, model_ia_alpha):
-        network = Network(
+        kernel = BatchKernel(
             build_scheme("full-table", path_graph(4), model_ia_alpha)
         )
-        network.fail_node(4)
-        record = network.route(1, 4)
+        kernel.network.fail_node(1)
+        record = route_one(kernel, 1, 4)
         assert not record.delivered
         assert "endpoint" in record.drop_reason
-        network.restore_node(4)
-        assert network.route(1, 4).delivered
+        kernel.network.restore_node(1)
+        # A crashed destination is routed toward and refused on the way.
+        kernel.network.fail_node(4)
+        record = route_one(kernel, 1, 4)
+        assert record.drop_reason is DropReason.NODE_DOWN
+        assert record.path == (1, 2, 3)
+        kernel.network.restore_node(4)
+        assert route_one(kernel, 1, 4).delivered
 
     def test_full_information_routes_around_dead_nodes(self, model_ii_alpha):
         graph = gnp_random_graph(32, seed=12)
         scheme = build_scheme("full-information", graph, model_ii_alpha)
         failed = sample_node_failures(graph, 6, seed=3, protect={1, 2, 31, 32})
-        network = Network(scheme, failed_nodes=failed)
         pairs = [(1, 31), (1, 32), (2, 31), (2, 32)]
-        records = [network.route(u, w) for u, w in pairs]
-        single = Network(
+        full_info = BatchKernel(scheme, failed_nodes=failed)
+        records = [route_one(full_info, u, w) for u, w in pairs]
+        single = BatchKernel(
             build_scheme("thm1-two-level", graph, model_ii_alpha),
             failed_nodes=failed,
         )
-        single_records = [single.route(u, w) for u, w in pairs]
+        single_records = [route_one(single, u, w) for u, w in pairs]
         assert sum(r.delivered for r in records) >= sum(
             r.delivered for r in single_records
         )
@@ -146,7 +153,7 @@ class TestNodeFailures:
 
 class TestEventEngineFailures:
     def test_single_path_drops_on_failed_link(self, model_ia_alpha):
-        """The timed kernel honours link failures like the walker does."""
+        """The timed kernel drops a single-path message at a failed link."""
         scheme = build_scheme("full-table", path_graph(4), model_ia_alpha)
         sim = BatchKernel(scheme, failed_links=[(2, 3)])
         sim.inject(1, 4)

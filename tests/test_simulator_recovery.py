@@ -14,12 +14,13 @@ from repro.simulator import (
     DropReason,
     FaultEvent,
     FaultSchedule,
-    Network,
     RetryPolicy,
     flapping_links,
+    sample_link_failures,
     summarize,
     uniform_pairs,
 )
+from tests.routing import route_one
 
 
 class TestRetryPolicy:
@@ -133,8 +134,8 @@ class TestDetourWrapper:
         wrapped = DetourWrapper(inner)
         for source, dest in [(1, 5), (7, 20), (32, 2)]:
             assert (
-                Network(wrapped).route(source, dest).path
-                == Network(inner).route(source, dest).path
+                route_one(BatchKernel(wrapped), source, dest).path
+                == route_one(BatchKernel(inner), source, dest).path
             )
 
     def test_costs_no_extra_bits(self, model_ii_alpha, random_graph_32):
@@ -155,8 +156,10 @@ class TestDetourWrapper:
         """On a triangle the detour reaches the destination the long way."""
         inner = build_scheme("full-table", cycle_graph(3), model_ia_alpha)
         failed = [(1, 2)]
-        assert not Network(inner, failed).route(1, 2).delivered
-        record = Network(DetourWrapper(inner), failed).route(1, 2)
+        assert not route_one(BatchKernel(inner, failed_links=failed), 1, 2).delivered
+        record = route_one(
+            BatchKernel(DetourWrapper(inner), failed_links=failed), 1, 2
+        )
         assert record.delivered
         assert record.path == (1, 3, 2)
 
@@ -164,12 +167,30 @@ class TestDetourWrapper:
         """A path graph has no alternative route: the bounce cannot save
         the message, and the budget stops it from wandering forever."""
         inner = build_scheme("full-table", path_graph(4), model_ia_alpha)
-        record = Network(DetourWrapper(inner), [(2, 3)]).route(1, 4)
+        kernel = BatchKernel(DetourWrapper(inner), failed_links=[(2, 3)])
+        record = route_one(kernel, 1, 4)
         assert not record.delivered
         assert record.drop_reason in (
             DropReason.NO_ROUTE,
             DropReason.HOP_LIMIT,
         )
+
+    def test_bounce_restarts_a_stateful_inner_scheme(self, model_ii_alpha):
+        """A bounce must not carry the probe's header to the detour
+        neighbour: there it would act as the probed node and "return" to
+        an origin it is not adjacent to (4 -> 19 on this graph)."""
+        graph = gnp_random_graph(48, seed=4)
+        inner = build_scheme("thm5-probe", graph, model_ii_alpha)
+        failures = sample_link_failures(graph, 60, seed=61)
+        kernel = BatchKernel(DetourWrapper(inner), failed_links=failures)
+        for source in graph.nodes:
+            for dest in graph.nodes:
+                if source != dest:
+                    kernel.inject(source, dest)
+        for record in kernel.run():
+            assert record.drop_reason is not DropReason.INVALID_FORWARD
+            for u, v in zip(record.path, record.path[1:]):
+                assert graph.has_edge(u, v), (record.source, record.path)
 
     def test_rejects_zero_bounce_budget(self, model_ia_alpha):
         inner = build_scheme("full-table", path_graph(3), model_ia_alpha)
@@ -178,8 +199,8 @@ class TestDetourWrapper:
 
     def test_all_links_dead_raises_no_route(self, model_ia_alpha):
         inner = build_scheme("full-table", path_graph(3), model_ia_alpha)
-        network = Network(DetourWrapper(inner), [(1, 2)])
-        record = network.route(1, 3)
+        kernel = BatchKernel(DetourWrapper(inner), failed_links=[(1, 2)])
+        record = route_one(kernel, 1, 3)
         assert not record.delivered
         assert record.drop_reason is DropReason.NO_ROUTE
 

@@ -102,15 +102,16 @@ class TestPermutation:
 class TestEndToEnd:
     def test_workloads_route_cleanly(self, graph, model_ii_alpha):
         from repro.core import build_scheme
-        from repro.simulator import Network, summarize
+        from repro.simulator import BatchKernel, summarize
 
-        network = Network(build_scheme("full-table", graph, model_ii_alpha))
+        kernel = BatchKernel(build_scheme("full-table", graph, model_ii_alpha))
         for pairs in (
             uniform_pairs(graph, 50, seed=1),
             hotspot_pairs(graph, 50, seed=1),
             all_to_one(graph),
             permutation_traffic(graph, seed=1),
         ):
-            records = [network.route(s, t) for s, t in pairs]
-            metrics = summarize(records, graph)
+            for s, t in pairs:
+                kernel.inject(s, t)
+            metrics = summarize(kernel.run(), graph)
             assert metrics.delivered_fraction == 1.0
