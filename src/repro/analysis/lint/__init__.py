@@ -1,28 +1,23 @@
 """`repro.analysis.lint` — repo-specific static analysis.
 
-An AST-based linter (stdlib :mod:`ast` only) enforcing the invariants the
-paper's bookkeeping depends on.  Per-file rules: integral bit accounting
-(R001), an exhaustive drop taxonomy (R002), the nullable-tracer idiom in
-hot paths (R003), seeded explicit RNGs (R004), the full
-:class:`RoutingScheme` contract (R005), no swallowed failures (R006), a
-typed public API (R007), no mutable defaults (R008), and context-routed
-graph derivations (R009).
-
-On top of those, the cross-module flow pass (:mod:`repro.analysis.flow`,
-on by default, off with ``--no-flow``) runs the whole-program rules:
-seed provenance (R010), GraphContext invalidation discipline (R011), bit
-conservation through project helpers (R012), and typed exception
-boundaries at the codec/framing entry points (R013).  Finally the runner
-audits the suppression comments themselves (R014: stale suppressions).
+An AST-based linter (stdlib :mod:`ast` only, one pass over each file on
+its own) enforcing the invariants the paper's bookkeeping depends on:
+integral bit accounting (R001), exhaustive dispatches over the closed
+taxonomies (R002), the nullable-tracer idiom in hot paths (R003), seeded
+explicit RNGs and no clock or entropy reads (R004), no swallowed
+failures (R006), a typed public API (R007), no mutable defaults (R008),
+and context-routed graph derivations with no adjacency writes outside
+``repro.graphs`` (R009).  Finally the runner audits the suppression
+comments themselves (R014: stale suppressions and unknown rule ids).
 
 Run it as ``repro lint src`` (or ``python -m repro.cli lint src``); see
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the flow-engine
-architecture and suppression syntax (``# repro-lint: disable=R001``).
+``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the gates that took
+over the retired rules, and suppression syntax
+(``# repro-lint: disable=R001``).
 """
 
 from repro.analysis.lint.findings import Finding, Severity
 from repro.analysis.lint.registry import (
-    FlowRule,
     LintRule,
     ModuleContext,
     all_rules,
@@ -46,7 +41,6 @@ from repro.analysis.lint.suppressions import SuppressionComment, SuppressionInde
 __all__ = [
     "Finding",
     "Severity",
-    "FlowRule",
     "LintRule",
     "ModuleContext",
     "all_rules",

@@ -41,7 +41,7 @@ class Finding:
     col: int
     """0-based column (matches ``ast`` node offsets)."""
     rule_id: str
-    """Stable rule identifier (``R001`` ... ``R008``, ``R000`` for parse errors)."""
+    """Stable rule identifier (a registered id, ``R000`` for read or parse errors)."""
     severity: Severity
     message: str
 

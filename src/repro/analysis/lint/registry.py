@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Type
+from typing import Dict, Iterator, List, Tuple, Type
 
 from repro.analysis.lint.findings import Finding, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - type-only (flow imports the registry)
-    from repro.analysis.flow.summaries import FlowAnalysis
 
 __all__ = [
     "ModuleContext",
     "LintRule",
-    "FlowRule",
     "register_rule",
     "all_rules",
     "rule_by_id",
@@ -71,38 +67,6 @@ class LintRule:
             path=context.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=message,
-        )
-
-
-class FlowRule(LintRule):
-    """Base class for whole-program (flow-sensitive) rules.
-
-    Flow rules do not inspect modules one at a time; the runner builds a
-    :class:`~repro.analysis.flow.summaries.FlowAnalysis` over every
-    parsed file and hands it to :meth:`check_project` once.  The
-    per-module :meth:`check` is a deliberate no-op so flow rules can live
-    in the same registry (ids, ``--select``, ``--list-rules``,
-    suppressions) as the syntactic ones.
-    """
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, analysis: "FlowAnalysis") -> Iterator[Finding]:
-        """Yield findings for the whole program."""
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        """Build a finding anchored at an absolute source position."""
-        return Finding(
-            path=path,
-            line=line,
-            col=col,
             rule_id=self.rule_id,
             severity=self.severity,
             message=message,

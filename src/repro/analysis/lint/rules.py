@@ -1,11 +1,10 @@
-"""The repo-specific per-file rules (R001–R009) and the suppression
-audit (R014); the cross-module flow rules R010–R013 live in
-:mod:`repro.analysis.flow.rules`.
+"""The repo-specific rules (R001–R004, R006–R009) and the suppression
+audit (R014).
 
 Each rule encodes an invariant the paper's bookkeeping or the simulator's
 design depends on; ``rationale`` strings say which.  Rules are pure AST
-passes over the linted code.  Two vocabularies are read from the
-package itself: R002's taxonomies (the members of the seven enums it
+passes over one linted file at a time.  Two vocabularies are read from
+the package itself: R002's taxonomies (the members of the seven enums it
 guards) and R003's span methods (the public methods of
 :class:`~repro.observability.tracer.Tracer`).
 """
@@ -39,7 +38,6 @@ __all__ = [
     "DropReasonExhaustiveRule",
     "TracerGuardRule",
     "SeededRngRule",
-    "SchemeContractRule",
     "NoSilentExceptRule",
     "PublicAnnotationsRule",
     "NoMutableDefaultRule",
@@ -60,6 +58,38 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> the dotted target an import binds it to.
+
+    ``import time as _time`` binds ``_time`` to ``time``, ``import
+    numpy.random as npr`` binds ``npr`` to ``numpy.random`` and ``from
+    math import log2`` binds ``log2`` to ``math.log2``.  ``np`` means
+    numpy even where a snippet omits the import.
+    """
+    aliases: Dict[str, str] = {"np": "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".", maxsplit=1)[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _resolved_name(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """``_dotted_name`` with its leading name resolved through the imports."""
+    dotted = _dotted_name(node)
+    if dotted is None:
+        return None
+    head, dot, rest = dotted.partition(".")
+    return aliases.get(head, head) + dot + rest
 
 
 def _root_identifier(node: ast.AST) -> Optional[str]:
@@ -95,6 +125,68 @@ def _is_terminal(statements: Sequence[ast.stmt]) -> bool:
 
 # -- R001 ---------------------------------------------------------------------
 
+_FLOAT_CALLS = frozenset(
+    {
+        "float",
+        "math.log", "math.log2", "math.log10", "math.log1p", "math.sqrt",
+        "math.exp", "math.pow", "math.lgamma",
+        "statistics.mean", "statistics.fmean", "statistics.median",
+        "statistics.stdev", "statistics.pstdev", "statistics.variance",
+        "numpy.mean", "numpy.average", "numpy.log", "numpy.log2",
+        "numpy.sqrt",
+    }
+)
+"""Calls (import-resolved) whose value is a float."""
+_INTEGERIZERS = frozenset({"int", "round", "math.ceil", "math.floor"})
+"""Calls that turn whatever they wrap back into an integer."""
+
+
+def _names_float(annotation: Optional[ast.expr]) -> bool:
+    """Whether an annotation mentions ``float`` (``float``, ``Dict[int, float]``)."""
+    return annotation is not None and any(
+        isinstance(node, ast.Name) and node.id == "float"
+        for node in ast.walk(annotation)
+    )
+
+
+def _float_calls(
+    value: ast.expr, aliases: Dict[str, str]
+) -> Iterator[Tuple[ast.Call, str]]:
+    """``(call, callee)`` for each float-valued call no integeriser wraps."""
+    stack: List[ast.AST] = [value]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            if (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bit_length"
+            ):
+                continue
+            callee = _resolved_name(node.func, aliases)
+            if callee in _INTEGERIZERS:
+                continue
+            if callee in _FLOAT_CALLS:
+                yield node, _dotted_name(node.func) or callee
+                continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _own_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """The statements of a function body, not descending into nested defs."""
+    stack: List[ast.stmt] = list(body)
+    while stack:
+        statement = stack.pop()
+        if isinstance(
+            statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        yield statement
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(statement)
+            if isinstance(child, ast.stmt)
+        )
+
 
 @register_rule
 class BitIntegerArithmeticRule(LintRule):
@@ -104,17 +196,22 @@ class BitIntegerArithmeticRule(LintRule):
     name = "bit-integer-arithmetic"
     severity = Severity.ERROR
     description = (
-        "no true division or float values on bit-accounting identifiers "
-        "(`bits`, `*_bits`, `bits_*`); use `//`, `bit_length()`, or "
+        "no true division, float literals or float-valued calls "
+        "(`math.log2`, `float`, `np.mean`, ...) on bit-accounting "
+        "identifiers (`bits`, `*_bits`, `bits_*`) or in the return of a "
+        "`*_bits` function; use `//`, `bit_length()`, an integeriser "
+        "(`int`, `round`, `math.ceil`, `math.floor`) or "
         "`minimal_label_bits`-style integer helpers"
     )
     rationale = (
         "Table 1 of the paper is an exact bits-count grid; one float in a "
         "`*_bits` quantity silently falsifies the headline constants. "
-        "Intentional ratio diagnostics carry a line suppression."
+        "Intentional ratio diagnostics carry a line suppression, and a "
+        "`*_bits` function annotated to return a float is one."
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
+        aliases = _import_aliases(context.tree)
         for node in ast.walk(context.tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
                 for side in (node.left, node.right):
@@ -129,14 +226,17 @@ class BitIntegerArithmeticRule(LintRule):
                             f"ratio diagnostic)",
                         )
                         break
-            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            elif isinstance(node, ast.AugAssign):
                 name = _root_identifier(node.target)
-                if _is_bit_identifier(name):
+                if not _is_bit_identifier(name):
+                    continue
+                if isinstance(node.op, ast.Div):
                     yield self.finding(
                         context,
                         node,
                         f"`/=` on bit quantity {name!r}; use `//=`",
                     )
+                yield from self._float_valued(context, node.value, name, aliases)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     name = _root_identifier(target)
@@ -159,11 +259,15 @@ class BitIntegerArithmeticRule(LintRule):
                             f"quantity {name!r}; bit counts are integers "
                             f"— use `//`",
                         )
+                    yield from self._float_valued(
+                        context, node.value, name, aliases
+                    )
             elif isinstance(node, ast.AnnAssign):
                 name = _root_identifier(node.target)
-                if _is_bit_identifier(name) and (
-                    isinstance(node.annotation, ast.Name)
-                    and node.annotation.id == "float"
+                if not _is_bit_identifier(name):
+                    continue
+                if isinstance(node.annotation, ast.Name) and (
+                    node.annotation.id == "float"
                 ):
                     yield self.finding(
                         context,
@@ -171,6 +275,39 @@ class BitIntegerArithmeticRule(LintRule):
                         f"bit quantity {name!r} annotated `float`; bit "
                         f"counts are integers",
                     )
+                elif node.value is not None:
+                    yield from self._float_valued(
+                        context, node.value, name, aliases
+                    )
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _is_bit_identifier(node.name) and not _names_float(
+                    node.returns
+                ):
+                    for statement in _own_statements(node.body):
+                        if isinstance(statement, ast.Return) and statement.value:
+                            yield from self._float_valued(
+                                context,
+                                statement.value,
+                                f"{node.name}()",
+                                aliases,
+                            )
+
+    def _float_valued(
+        self,
+        context: ModuleContext,
+        value: ast.expr,
+        name: Optional[str],
+        aliases: Dict[str, str],
+    ) -> Iterator[Finding]:
+        for call, callee in _float_calls(value, aliases):
+            yield self.finding(
+                context,
+                call,
+                f"float-valued call `{callee}(...)` feeds bit quantity "
+                f"{name!r}; bit counts are integers — wrap it in an "
+                f"integeriser (`math.ceil`, `int`, ...) or annotate a "
+                f"deliberate diagnostic `-> float`",
+            )
 
     @staticmethod
     def _has_unflagged_division(value: ast.expr) -> bool:
@@ -543,174 +680,156 @@ _RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
 _NP_RANDOM_ALLOWED = frozenset(
     {"default_rng", "Generator", "SeedSequence", "RandomState", "BitGenerator", "PCG64"}
 )
+_RNG_SEED_KEYWORDS: Dict[str, str] = {
+    "random.Random": "x",
+    "numpy.random.default_rng": "seed",
+    "numpy.random.RandomState": "seed",
+    "numpy.random.SeedSequence": "entropy",
+    "numpy.random.PCG64": "seed",
+}
+"""Seeded RNG constructors -> the keyword of their seed argument
+(``SystemRandom`` has no seed by design and is not one of them)."""
+_SEED_WRAPPERS = frozenset({"int", "abs", "hash"})
+"""The only calls a seed argument may contain."""
+_AMBIENT_READS = frozenset(
+    {
+        "time.time", "time.time_ns", "os.urandom", "os.getrandom",
+        "uuid.uuid1", "uuid.uuid4", "datetime.datetime.now",
+        "datetime.datetime.utcnow", "datetime.date.today",
+    }
+)
+"""Wall-clock and entropy reads (every ``secrets.*`` call is one too).
+Duration clocks (``perf_counter``, ``monotonic``) are not: they time a
+run without feeding its results."""
+
+
+def _is_ambient_read(callee: Optional[str]) -> bool:
+    return callee is not None and (
+        callee in _AMBIENT_READS or callee.startswith("secrets.")
+    )
 
 
 @register_rule
 class SeededRngRule(LintRule):
-    """No ambient module-level RNG state."""
+    """Every RNG is explicitly seeded; nothing reads the clock or entropy."""
 
     rule_id = "R004"
     name = "seeded-rng"
     severity = Severity.ERROR
     description = (
-        "no module-level `random.*` / `np.random.*` draws in `src/repro`; "
-        "construct a seeded `random.Random(seed)` or "
-        "`np.random.default_rng(seed)` and thread it explicitly"
+        "no module-level `random.*` / `np.random.*` draws, no RNG "
+        "constructed without a seed or from a seed that calls anything but "
+        "`int`/`abs`/`hash`, and no wall-clock or entropy reads "
+        "(`time.time`, `os.urandom`, `secrets.*`, `uuid.uuid4`, "
+        "`datetime.now`) in `src/repro`, import aliases resolved; "
+        "construct `random.Random(seed)` or `np.random.default_rng(seed)` "
+        "and thread it explicitly"
     )
     rationale = (
-        "Every experiment in the repo is a claim about G(n, 1/2) samples; "
-        "ambient RNG state makes runs irreproducible and lets two "
-        "subsystems silently correlate their draws."
+        "Every experiment in the repo is a claim about seeded G(n, 1/2) "
+        "samples, and the RunManifest replays them from recorded seeds; "
+        "ambient RNG state, an unseeded generator or a clock-derived seed "
+        "makes runs irreproducible and lets two subsystems silently "
+        "correlate their draws."
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
+        aliases = _import_aliases(context.tree)
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Attribute):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == "random"
-                    and node.attr not in _RANDOM_ALLOWED
-                ):
-                    yield self.finding(
-                        context,
-                        node,
-                        f"module-level `random.{node.attr}` uses ambient "
-                        f"global RNG state; thread a seeded "
-                        f"`random.Random(seed)` instead",
-                    )
-                else:
-                    inner = node.value
-                    if (
-                        isinstance(inner, ast.Attribute)
-                        and inner.attr == "random"
-                        and isinstance(inner.value, ast.Name)
-                        and inner.value.id in ("np", "numpy")
-                        and node.attr not in _NP_RANDOM_ALLOWED
-                    ):
-                        yield self.finding(
-                            context,
-                            node,
-                            f"global `{inner.value.id}.random.{node.attr}` "
-                            f"draw; use a seeded "
-                            f"`np.random.default_rng(seed)` generator",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                yield from self._check_draw(context, node, aliases)
+            elif isinstance(node, ast.Call):
+                yield from self._check_call(context, node, aliases)
+            elif (
+                isinstance(node, ast.ImportFrom)
+                and node.module in ("random", "numpy.random")
+                and not node.level
+            ):
+                allowed = (
+                    _RANDOM_ALLOWED if node.module == "random"
+                    else _NP_RANDOM_ALLOWED
+                )
                 for alias in node.names:
-                    if alias.name not in _RANDOM_ALLOWED:
+                    if alias.name not in allowed:
                         yield self.finding(
                             context,
                             node,
-                            f"`from random import {alias.name}` imports an "
-                            f"ambient-state RNG function; import the module "
-                            f"and construct `random.Random(seed)`",
+                            f"`from {node.module} import {alias.name}` "
+                            f"imports an ambient-state RNG function; import "
+                            f"the module and construct a seeded generator",
                         )
 
+    def _check_draw(
+        self,
+        context: ModuleContext,
+        node: ast.Attribute,
+        aliases: Dict[str, str],
+    ) -> Iterator[Finding]:
+        target = _resolved_name(node, aliases)
+        if target is None:
+            return
+        module, _, attr = target.rpartition(".")
+        if (module == "random" and attr not in _RANDOM_ALLOWED) or (
+            module == "numpy.random" and attr not in _NP_RANDOM_ALLOWED
+        ):
+            written = _dotted_name(node)
+            via = "" if written == target else f" (`{target}`)"
+            yield self.finding(
+                context,
+                node,
+                f"module-level `{written}`{via} draws from ambient global "
+                f"RNG state; thread a seeded `random.Random(seed)` or "
+                f"`np.random.default_rng(seed)` instead",
+            )
 
-# -- R005 ---------------------------------------------------------------------
-
-# method name -> number of positional parameters (including self).
-_SCHEME_REQUIRED = {
-    "_build_function": 2,
-    "encode_function": 2,
-    "decode_function": 3,
-    "stretch_bound": 1,
-}
-# Concrete base-class methods a subclass may override, with the positional
-# arity the callers (space_report, verification, simulator) rely on.
-_SCHEME_OVERRIDABLE = {
-    "space_report": 1,
-    "label_bits": 2,
-    "aux_bits": 2,
-    "integrity_bits": 2,
-    "address_of": 2,
-    "node_of_address": 2,
-    "hop_limit": 1,
-}
-
-
-def _is_abstract_class(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        name = _dotted_name(base)
-        if name and name.rsplit(".", maxsplit=1)[-1] in ("ABC", "ABCMeta"):
-            return True
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for decorator in item.decorator_list:
-                name = _dotted_name(decorator)
-                if name and name.rsplit(".", maxsplit=1)[-1] == "abstractmethod":
-                    return True
-    return False
-
-
-def _positional_arity(node: ast.FunctionDef) -> int:
-    return len(node.args.posonlyargs) + len(node.args.args)
-
-
-@register_rule
-class SchemeContractRule(LintRule):
-    """Direct RoutingScheme subclasses must implement the full contract."""
-
-    rule_id = "R005"
-    name = "scheme-contract"
-    severity = Severity.ERROR
-    description = (
-        "direct `RoutingScheme` subclasses must define `_build_function`, "
-        "`encode_function(u)`, `decode_function(u, bits)` and "
-        "`stretch_bound()` with the contract arities; overridden "
-        "accounting hooks must keep their signatures"
-    )
-    rationale = (
-        "`space_report` and the verification walker call the contract "
-        "blindly over every registered scheme; a missing or re-shaped "
-        "method turns a Table 1 column into a runtime error (or worse, a "
-        "default 0-bit charge)."
-    )
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.ClassDef):
+    def _check_call(
+        self,
+        context: ModuleContext,
+        node: ast.Call,
+        aliases: Dict[str, str],
+    ) -> Iterator[Finding]:
+        callee = _resolved_name(node.func, aliases)
+        written = _dotted_name(node.func)
+        if _is_ambient_read(callee):
+            yield self.finding(
+                context,
+                node,
+                f"`{written}()` reads the wall clock or OS entropy; results "
+                f"must derive from explicit seeds (time a run with "
+                f"`time.perf_counter`)",
+            )
+            return
+        keyword = _RNG_SEED_KEYWORDS.get(callee or "")
+        if keyword is None:
+            return
+        seed: Optional[ast.expr] = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == keyword), None
+        )
+        if seed is None or (
+            isinstance(seed, ast.Constant) and seed.value is None
+        ):
+            yield self.finding(
+                context,
+                node,
+                f"`{written}` constructed without a seed; pass an explicit "
+                f"seed (a parameter, RunManifest field or constant)",
+            )
+            return
+        for inner in ast.walk(seed):
+            if not isinstance(inner, ast.Call):
                 continue
-            base_names = {
-                _dotted_name(base).rsplit(".", maxsplit=1)[-1]
-                for base in node.bases
-                if _dotted_name(base)
-            }
-            if "RoutingScheme" not in base_names:
-                continue
-            if _is_abstract_class(node):
-                continue
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, ast.FunctionDef)
-            }
-            for required, arity in _SCHEME_REQUIRED.items():
-                method = methods.get(required)
-                if method is None:
-                    yield self.finding(
-                        context,
-                        node,
-                        f"scheme class {node.name} does not implement "
-                        f"`{required}` (RoutingScheme contract)",
-                    )
-                elif _positional_arity(method) != arity:
-                    yield self.finding(
-                        context,
-                        method,
-                        f"{node.name}.{required} takes "
-                        f"{_positional_arity(method)} positional args, "
-                        f"contract expects {arity}",
-                    )
-            for overridable, arity in _SCHEME_OVERRIDABLE.items():
-                method = methods.get(overridable)
-                if method is not None and _positional_arity(method) != arity:
-                    yield self.finding(
-                        context,
-                        method,
-                        f"{node.name}.{overridable} takes "
-                        f"{_positional_arity(method)} positional args, "
-                        f"base contract expects {arity}",
-                    )
+            inner_callee = _resolved_name(inner.func, aliases)
+            if inner_callee in _SEED_WRAPPERS or _is_ambient_read(inner_callee):
+                continue  # an ambient read is reported at its own call
+            yield self.finding(
+                context,
+                node,
+                f"seed of `{written}` calls "
+                f"`{_dotted_name(inner.func) or '<expression>'}(...)`; a "
+                f"seed must trace to an explicit parameter or constant "
+                f"(only `int`/`abs`/`hash` may wrap it)",
+            )
+            return
 
 
 # -- R006 ---------------------------------------------------------------------
@@ -906,50 +1025,119 @@ class NoMutableDefaultRule(LintRule):
 # -- R009 ---------------------------------------------------------------------
 
 _RAW_DERIVATIONS = frozenset({"distance_matrix", "_bfs_tree"})
+_ADJ_PREFIX = "_adj"
+"""The adjacency family of ``LabeledGraph`` (``_adj_sets``, ``_adj_sorted``)."""
+_MUTATOR_METHODS = frozenset(
+    {
+        "add", "append", "appendleft", "clear", "discard", "extend",
+        "insert", "pop", "popleft", "remove", "setdefault", "update",
+        "__setitem__",
+    }
+)
+
+
+def _store_targets(target: ast.expr) -> Iterator[ast.expr]:
+    """The individual targets of a (possibly unpacking) store."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _store_targets(element)
+    elif isinstance(target, ast.Starred):
+        yield from _store_targets(target.value)
+    else:
+        yield target
+
+
+def _adj_attribute(target: ast.expr) -> Optional[str]:
+    """The ``_adj*`` attribute a target writes through, if any."""
+    node: ast.expr = target
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith(_ADJ_PREFIX):
+            return node.attr
+        node = node.value
+    return None
 
 
 @register_rule
 class ContextRoutedDerivationsRule(LintRule):
-    """Derived graph computations go through the shared GraphContext."""
+    """Derived graph computations go through the shared GraphContext, and
+    only ``repro.graphs`` writes a graph's adjacency."""
 
     rule_id = "R009"
     name = "context-routed-derivations"
     severity = Severity.ERROR
     description = (
         "outside `repro.graphs`, no direct `distance_matrix(...)` or "
-        "`_bfs_tree(...)` calls; derive through a `GraphContext` "
+        "`_bfs_tree(...)` calls — derive through a `GraphContext` "
         "(`ctx.distances()`, `ctx.bfs_tree(root)`) so the result is "
-        "memoized once per graph"
+        "memoized once per graph — and no store, `del` or mutating method "
+        "call on an `_adj*` attribute"
     )
     rationale = (
         "The GraphContext refactor made the distance matrix a "
         "compute-once-per-graph quantity; a raw call reintroduces an "
         "O(n·m) BFS sweep per call site and splits the corruption "
-        "self-healer from its single pristine source. Deliberate "
-        "cache-bypass measurements carry a line suppression."
+        "self-healer from its single pristine source. The memo is sound "
+        "only because a graph's adjacency never changes: `with_edge` and "
+        "`without_edge` return new graphs, so a write to `_adj*` anywhere "
+        "else would serve stale derivations. Deliberate cache-bypass "
+        "measurements carry a line suppression."
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         if context.in_package("repro.graphs"):
             return
         for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign) or (
+                isinstance(node, ast.AnnAssign) and node.value is not None
+            ):
+                targets = [node.target]
+            elif isinstance(node, ast.Call):
+                yield from self._check_call(context, node)
                 continue
-            if isinstance(node.func, ast.Name):
-                callee = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                callee = node.func.attr
             else:
                 continue
-            if callee in _RAW_DERIVATIONS:
-                yield self.finding(
-                    context,
-                    node,
-                    f"direct `{callee}(...)` call outside `repro.graphs`; "
-                    f"go through the shared context "
-                    f"(`get_context(graph)` / `scheme.ctx`) so the "
-                    f"derivation is computed once per graph",
-                )
+            for target in targets:
+                for leaf in _store_targets(target):
+                    attribute = _adj_attribute(leaf)
+                    if attribute is not None:
+                        yield self._adjacency_write(context, node, attribute)
+
+    def _check_call(
+        self, context: ModuleContext, node: ast.Call
+    ) -> Iterator[Finding]:
+        if isinstance(node.func, ast.Name):
+            callee = node.func.id
+        elif isinstance(node.func, ast.Attribute):
+            callee = node.func.attr
+            if callee in _MUTATOR_METHODS:
+                attribute = _adj_attribute(node.func.value)
+                if attribute is not None:
+                    yield self._adjacency_write(context, node, attribute)
+                    return
+        else:
+            return
+        if callee in _RAW_DERIVATIONS:
+            yield self.finding(
+                context,
+                node,
+                f"direct `{callee}(...)` call outside `repro.graphs`; "
+                f"go through the shared context "
+                f"(`get_context(graph)` / `scheme.ctx`) so the "
+                f"derivation is computed once per graph",
+            )
+
+    def _adjacency_write(
+        self, context: ModuleContext, node: ast.AST, attribute: str
+    ) -> Finding:
+        return self.finding(
+            context,
+            node,
+            f"write to graph adjacency `{attribute}` outside `repro.graphs`; "
+            f"graphs are immutable — build a new one (`with_edge` / "
+            f"`without_edge`) so no GraphContext serves stale derivations",
+        )
 
 
 @register_rule
@@ -961,18 +1149,19 @@ class UnusedSuppressionRule(LintRule):
     severity = Severity.WARNING
     description = (
         "a `# repro-lint: disable=RXXX` comment that suppresses zero "
-        "findings is reported so documented exceptions cannot outlive the "
-        "code they excused"
+        "findings, or names an unknown rule id, is reported so documented "
+        "exceptions cannot outlive the code they excused"
     )
     rationale = (
         "Suppressions are the audit trail of deliberate rule exceptions; "
         "once the excused code is rewritten, a leftover comment silently "
         "grants future violations a free pass. The runner counts every "
-        "suppression's uses across the whole run (flow rules included) and "
-        "flags the ones that earned none."
+        "suppression's uses in the run and flags the ones that earned "
+        "none, and, in every run, the ones naming a rule id that does not "
+        "exist (a typo or a retired rule), which can never earn any."
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        # Driven by the runner after all other rules have recorded their
-        # suppression uses; per-module checking cannot see flow findings.
+        # Driven by the runner after every other rule has recorded its
+        # suppression uses for the file.
         return iter(())

@@ -5,20 +5,11 @@ everything is a source-text pass, so a module with a runtime-only import
 problem still gets linted (and a syntax error becomes an ``R000`` finding
 rather than a crash).
 
-Two passes:
-
-1. **Module pass** — every per-file rule runs against each parsed file.
-2. **Flow pass** — every parsed file joins one
-   :class:`~repro.analysis.flow.symbols.ProjectIndex`; the
-   interprocedural :class:`~repro.analysis.flow.summaries.FlowAnalysis`
-   fixpoints run once, and each registered
-   :class:`~repro.analysis.lint.registry.FlowRule` reports against the
-   whole program.  Flow findings are routed back to their file's
-   suppression index, so ``# repro-lint: disable=R011`` works the same
-   for both passes.
-
-Afterwards the runner reports stale suppressions (R014): comments whose
-use counter stayed at zero across both passes.
+Every active rule judges each parsed file on its own; a finding on a
+line (or in a file) its suppression comments mute is counted, not
+reported.  Afterwards the runner audits those comments (R014): one that
+names a rule id no registered rule has can never match anything, and
+one whose use counter stayed at zero is stale.
 """
 
 from __future__ import annotations
@@ -26,30 +17,14 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.analysis.lint.findings import Finding, Severity
-from repro.analysis.lint.registry import (
-    FlowRule,
-    LintRule,
-    ModuleContext,
-    all_rules,
-)
+from repro.analysis.lint.registry import LintRule, ModuleContext, all_rules
 from repro.analysis.lint.suppressions import SuppressionIndex
 
-# Importing the rules modules populates the registry (per-file and flow).
+# Importing the rules module populates the registry.
 from repro.analysis.lint import rules as _rules  # noqa: F401
-from repro.analysis.flow import rules as _flow_rules  # noqa: F401
 
 __all__ = ["LintResult", "lint_paths", "lint_source", "iter_python_files"]
 
@@ -65,8 +40,6 @@ class LintResult:
     files_checked: int = 0
     suppressed: int = 0
     """Findings muted by ``# repro-lint: disable`` comments."""
-    callgraph: Optional[Dict[str, object]] = None
-    """JSON-dumpable call graph when the flow pass ran (else None)."""
 
     @property
     def counts_by_rule(self) -> Dict[str, int]:
@@ -133,149 +106,114 @@ def _module_name(path: str) -> str:
     return ".".join(parts)
 
 
-@dataclass
-class _FileState:
-    """One source file's parse outcome and suppression ledger."""
+@dataclass(frozen=True)
+class _Plan:
+    """The active rules of one run, and what R014 may judge."""
 
-    path: str
-    source: str
-    module: str
-    context: Optional[ModuleContext]
-    """None when the file failed to parse (an R000 finding exists)."""
-    suppressions: SuppressionIndex
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
+    rules: Sequence[LintRule]
+    active_ids: FrozenSet[str]
+    known_ids: FrozenSet[str]
+    """Every registered rule id: a suppression naming any other id is
+    reported in every run, since no rule can ever match it."""
+    full_registry: bool
+    """Whether every registered rule runs (only then is ``all`` judged)."""
 
 
-def _split_rules(
-    active_rules: Optional[Iterable[LintRule]],
-) -> Tuple[List[LintRule], List[FlowRule], FrozenSet[str], bool]:
-    """Partition the active rules into module rules and flow rules."""
-    rules_list = list(active_rules) if active_rules is not None else list(
-        all_rules()
+def _plan(active_rules: Optional[Iterable[LintRule]]) -> _Plan:
+    registry = all_rules()
+    rules = registry if active_rules is None else tuple(active_rules)
+    return _Plan(
+        rules=rules,
+        active_ids=frozenset(rule.rule_id for rule in rules),
+        known_ids=frozenset(rule.rule_id for rule in registry),
+        full_registry=len(rules) == len(registry),
     )
-    full_registry = active_rules is None or len(rules_list) == len(all_rules())
-    module_rules = [r for r in rules_list if not isinstance(r, FlowRule)]
-    flow_rules = [r for r in rules_list if isinstance(r, FlowRule)]
-    active_ids = frozenset(r.rule_id for r in rules_list)
-    return module_rules, flow_rules, active_ids, full_registry
 
 
-def _make_state(path: str, source: str, module: Optional[str]) -> _FileState:
-    resolved_module = module if module is not None else _module_name(path)
-    suppressions = SuppressionIndex.from_source(source)
+def _error(path: str, line: int, col: int, message: str) -> Finding:
+    """An ``R000`` finding: the file could not be read or parsed."""
+    return Finding(
+        path=path,
+        line=line,
+        col=col,
+        rule_id=_PARSE_ERROR_RULE,
+        severity=Severity.ERROR,
+        message=message,
+    )
+
+
+def _audit_suppressions(
+    path: str, suppressions: SuppressionIndex, plan: _Plan
+) -> Iterator[Finding]:
+    """R014 findings for the comments that name unknown ids or are stale."""
+    stale = {
+        id(comment)
+        for comment in suppressions.unused(plan.active_ids, plan.full_registry)
+    }
+    for comment in suppressions.comments:
+        unknown = comment.unknown_ids(plan.known_ids)
+        if unknown:
+            verdict = (
+                f"names unknown rule id(s) {', '.join(sorted(unknown))}, "
+                "which no rule can match; remove them"
+            )
+        elif id(comment) in stale:
+            verdict = "matched no findings in this run; remove the stale comment"
+        else:
+            continue
+        scope = "disable-file" if comment.whole_file else "disable"
+        yield Finding(
+            path=path,
+            line=comment.line,
+            col=0,
+            rule_id=_UNUSED_SUPPRESSION_RULE,
+            severity=Severity.WARNING,
+            message=(
+                f"suppression `# repro-lint: {scope}="
+                f"{comment.display_ids()}` {verdict}"
+            ),
+        )
+
+
+def _lint_file(
+    path: str, source: str, module: Optional[str], plan: _Plan
+) -> LintResult:
+    result = LintResult(files_checked=1)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        state = _FileState(
-            path=path,
-            source=source,
-            module=resolved_module,
-            context=None,
-            suppressions=suppressions,
-        )
-        state.findings.append(
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id=_PARSE_ERROR_RULE,
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
+        result.findings.append(
+            _error(
+                path,
+                exc.lineno or 1,
+                (exc.offset or 1) - 1,
+                f"syntax error: {exc.msg}",
             )
         )
-        return state
+        return result
     context = ModuleContext(
         path=path,
         source=source,
         tree=tree,
-        module=resolved_module,
+        module=module if module is not None else _module_name(path),
         lines=source.splitlines(),
     )
-    return _FileState(
-        path=path,
-        source=source,
-        module=resolved_module,
-        context=context,
-        suppressions=suppressions,
-    )
+    suppressions = SuppressionIndex.from_source(source)
 
+    def add(finding: Finding) -> None:
+        if suppressions.is_suppressed(finding.rule_id, finding.line):
+            result.suppressed += 1
+        else:
+            result.findings.append(finding)
 
-def _add_finding(state: _FileState, finding: Finding) -> None:
-    if state.suppressions.is_suppressed(finding.rule_id, finding.line):
-        state.suppressed += 1
-    else:
-        state.findings.append(finding)
-
-
-def _run_states(
-    states: List[_FileState],
-    active_rules: Optional[Iterable[LintRule]],
-    flow: bool,
-) -> LintResult:
-    module_rules, flow_rules, active_ids, full_registry = _split_rules(
-        active_rules
-    )
-
-    for state in states:
-        if state.context is None:
-            continue
-        for rule in module_rules:
-            for finding in rule.check(state.context):
-                _add_finding(state, finding)
-
-    result = LintResult(files_checked=len(states))
-    if flow and flow_rules:
-        from repro.analysis.flow import FlowAnalysis, build_project
-
-        parsed = [s for s in states if s.context is not None]
-        project = build_project(
-            (s.module, s.path, s.context.tree)  # type: ignore[union-attr]
-            for s in parsed
-        )
-        analysis = FlowAnalysis(project).run()
-        result.callgraph = analysis.graph.to_dict()
-        by_path: Dict[str, _FileState] = {s.path: s for s in states}
-        for rule in flow_rules:
-            for finding in rule.check_project(analysis):
-                state = by_path.get(finding.path)
-                if state is not None:
-                    _add_finding(state, finding)
-                else:  # pragma: no cover - defensive (unknown path)
-                    result.findings.append(finding)
-
-    if _UNUSED_SUPPRESSION_RULE in active_ids:
-        # Flow coverage differs from what a suppression's author could
-        # rely on when the flow pass is off, so only judge flow-rule
-        # suppressions (and `all`) when the flow pass actually ran.
-        judged_ids = active_ids if flow else frozenset(
-            rule.rule_id for rule in module_rules
-        )
-        for state in states:
-            for comment in state.suppressions.unused(
-                judged_ids, full_registry and flow
-            ):
-                scope = "disable-file" if comment.whole_file else "disable"
-                _add_finding(
-                    state,
-                    Finding(
-                        path=state.path,
-                        line=comment.line,
-                        col=0,
-                        rule_id=_UNUSED_SUPPRESSION_RULE,
-                        severity=Severity.WARNING,
-                        message=(
-                            f"suppression `# repro-lint: "
-                            f"{scope}={comment.display_ids()}` matched no "
-                            "findings in this run; remove the stale comment"
-                        ),
-                    ),
-                )
-
-    for state in states:
-        result.findings.extend(state.findings)
-        result.suppressed += state.suppressed
-    result.findings.sort(key=lambda finding: finding.sort_key)
+    for rule in plan.rules:
+        for finding in rule.check(context):
+            add(finding)
+    # The audit runs last: a comment's use counter is final only once
+    # every other rule has reported.
+    if _UNUSED_SUPPRESSION_RULE in plan.active_ids:
+        for finding in list(_audit_suppressions(path, suppressions, plan)):
+            add(finding)
     return result
 
 
@@ -284,65 +222,28 @@ def lint_source(
     path: str = "<string>",
     active_rules: Optional[Iterable[LintRule]] = None,
     module: Optional[str] = None,
-    flow: bool = False,
 ) -> LintResult:
-    """Lint one in-memory source blob (the testing entry point).
-
-    With ``flow=True`` the blob forms a one-module project and the flow
-    rules run against it too (off by default: a lone module is rarely a
-    meaningful whole program).
-    """
-    state = _make_state(path, source, module)
-    return _run_states([state], active_rules, flow=flow)
+    """Lint one in-memory source blob (the testing entry point)."""
+    result = _lint_file(path, source, module, _plan(active_rules))
+    result.findings.sort(key=lambda finding: finding.sort_key)
+    return result
 
 
 def lint_paths(
     paths: Sequence[str],
     active_rules: Optional[Iterable[LintRule]] = None,
-    flow: bool = True,
-    restrict_to: Optional[Set[str]] = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths``.
-
-    ``restrict_to`` (absolute paths) keeps findings only for the named
-    files — the ``--diff`` mode.  Every discovered file still parses and
-    joins the whole-program analysis (a helper you did not touch can
-    still convict the line you did); parse failures (R000) are always
-    reported since they mean the program picture is incomplete.
-    """
-    states: List[_FileState] = []
+    """Lint every Python file under ``paths``."""
+    plan = _plan(active_rules)
+    result = LintResult()
     for path in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
         except OSError as exc:
-            state = _FileState(
-                path=path,
-                source="",
-                module=_module_name(path),
-                context=None,
-                suppressions=SuppressionIndex.from_source(""),
-            )
-            state.findings.append(
-                Finding(
-                    path=path,
-                    line=1,
-                    col=0,
-                    rule_id=_PARSE_ERROR_RULE,
-                    severity=Severity.ERROR,
-                    message=f"cannot read file: {exc}",
-                )
-            )
-            states.append(state)
+            result.files_checked += 1
+            result.findings.append(_error(path, 1, 0, f"cannot read file: {exc}"))
             continue
-        states.append(_make_state(path, source, module=None))
-    result = _run_states(states, active_rules, flow=flow)
-    if restrict_to is not None:
-        allowed = {os.path.abspath(p) for p in restrict_to}
-        result.findings = [
-            f
-            for f in result.findings
-            if os.path.abspath(f.path) in allowed
-            or f.rule_id == _PARSE_ERROR_RULE
-        ]
+        result.extend(_lint_file(path, source, None, plan))
+    result.findings.sort(key=lambda finding: finding.sort_key)
     return result

@@ -16,7 +16,9 @@ suppression is a documented exception, not a deletion.
 Each suppression comment is additionally tracked as a
 :class:`SuppressionComment` with a use counter: one that silences zero
 findings across a full run is stale, and the runner reports it as R014
-so documented exceptions cannot outlive the code they excused.
+so documented exceptions cannot outlive the code they excused.  So is
+one naming a rule id the registry does not have (a typo, or a retired
+rule): it can never match anything.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class SuppressionComment:
 
     def display_ids(self) -> str:
         return ",".join(sorted(self.ids))
+
+    def unknown_ids(self, known_ids: FrozenSet[str]) -> FrozenSet[str]:
+        """The ids it names that are neither ``all`` nor in ``known_ids``."""
+        return self.ids - known_ids - {_ALL}
 
 
 @dataclass
@@ -144,7 +150,7 @@ class SuppressionIndex:
         """Comments that silenced nothing and whose rules all ran.
 
         A comment naming a rule outside ``active_ids`` is skipped — a
-        ``--select R001`` run cannot judge a ``disable=R005`` comment.
+        ``--select R001`` run cannot judge a ``disable=R008`` comment.
         The ``all`` keyword is only judged when the full registry ran.
         """
         stale: List[SuppressionComment] = []

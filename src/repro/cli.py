@@ -58,17 +58,12 @@ Commands
     baseline and exit non-zero on any gated-metric regression beyond the
     per-metric (or ``--threshold``) tolerance — the CI regression gate.
 ``lint [PATH ...]``
-    Run the repo-specific AST linter: per-file rules R001–R009
-    (bit-accounting integrality, DropReason exhaustiveness, tracer
-    guards, seeded RNGs, scheme contract, exception hygiene, public
-    annotations, mutable defaults, context-routed derivations) plus the
-    cross-module flow rules R010–R013 (seed provenance, invalidation
-    discipline, bit conservation, exception boundaries) and the stale
-    suppression audit R014.  ``--no-flow`` skips the flow pass,
-    ``--dump-callgraph FILE`` exports the resolved call graph,
-    ``--diff REF`` restricts findings to files changed since the ref;
-    ``--list-rules`` prints the catalogue; ``--format json``/``--output``
-    emit the structured report.
+    Run the repo-specific AST linter, one pass over each file: rules
+    R001–R004 and R006–R009 (bit-accounting integrality, taxonomy
+    exhaustiveness, tracer guards, seeded RNGs, exception hygiene,
+    public annotations, mutable defaults, context-routed derivations)
+    and the suppression audit R014.  ``--list-rules`` prints the
+    catalogue; ``--format json``/``--output`` emit the structured report.
 
 Observability flags: ``simulate`` and ``build`` accept ``--trace-out
 FILE`` (hop-level JSONL spans), ``--metrics-out FILE`` (metrics-registry
@@ -91,10 +86,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import subprocess
 import sys
 import time as _time
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from repro.core import (
     available_schemes,
@@ -452,27 +446,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo-specific AST linter (per-file rules R001-R009 "
-             "plus the flow-sensitive R010-R013) over source paths",
+        help="run the repo-specific AST linter over source paths",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--no-flow", action="store_true",
-        help="skip the cross-module flow rules (R010-R013); only the "
-             "per-file rules run",
-    )
-    lint.add_argument(
-        "--dump-callgraph", type=str, default=None, metavar="FILE",
-        help="write the import-resolved call graph as JSON to this file "
-             "(requires the flow pass)",
-    )
-    lint.add_argument(
-        "--diff", type=str, default=None, metavar="REF",
-        help="report findings only for files changed since this git ref "
-             "(the whole program is still parsed for flow analysis)",
     )
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -928,38 +906,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_python_files(ref: str) -> Set[str]:
-    """Absolute paths of ``.py`` files changed since ``ref`` (tracked diff
-    plus untracked files), for ``lint --diff``."""
-    import os
-
-    changed: Set[str] = set()
-    diff = subprocess.run(
-        ["git", "diff", "--name-only", ref, "--", "*.py"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    root = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    for blob in (diff.stdout, untracked.stdout):
-        for line in blob.splitlines():
-            line = line.strip()
-            if line:
-                changed.add(os.path.abspath(os.path.join(root, line)))
-    return changed
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported lazily: the linter is a dev-facing subsystem and the other
     # subcommands should not pay for loading the rule registry.
@@ -992,26 +938,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     else:
         active = None
-    flow = not args.no_flow
-    if args.dump_callgraph and not flow:
-        print(
-            "error: --dump-callgraph needs the flow pass; drop --no-flow",
-            file=sys.stderr,
-        )
-        return 2
-    restrict_to = None
-    if args.diff is not None:
-        try:
-            restrict_to = _changed_python_files(args.diff)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            print(
-                f"error: cannot resolve --diff {args.diff!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    result = lint_paths(
-        args.paths, active_rules=active, flow=flow, restrict_to=restrict_to
-    )
+    result = lint_paths(args.paths, active_rules=active)
     if result.files_checked == 0:
         print(
             "error: no Python files found under: "
@@ -1019,17 +946,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dump_callgraph:
-        if result.callgraph is None:
-            print(
-                "error: flow pass produced no call graph (no flow rules "
-                "selected?)",
-                file=sys.stderr,
-            )
-            return 2
-        with open(args.dump_callgraph, "w", encoding="utf-8") as handle:
-            json.dump(result.callgraph, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     if args.format == "json":
         print(render_json(result))
     else:

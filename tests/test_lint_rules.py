@@ -1,4 +1,4 @@
-"""One positive and one negative fixture per lint rule (R001–R009)."""
+"""Positive and negative fixtures for each per-file lint rule (R001–R009)."""
 
 from __future__ import annotations
 
@@ -55,6 +55,65 @@ def test_r001_allows_integer_arithmetic_and_unrelated_division():
         half = total_bits // 2
         ratio = latency / 2.0
         label_bits = header.bit_length()
+        """,
+    )
+    assert findings == []
+
+
+def test_r001_flags_float_valued_call_in_bits_return():
+    findings = findings_for(
+        "R001",
+        """
+        import math
+
+        def table_bits(n: int):
+            return math.log2(n) + 7
+        """,
+    )
+    assert [f.line for f in findings] == [5]
+    assert "math.log2" in findings[0].message
+
+
+def test_r001_flags_float_call_in_bits_assignment():
+    findings = findings_for(
+        "R001",
+        """
+        from math import log2 as lg
+
+        def report(n: int) -> int:
+            header_bits = lg(n)
+            header_bits += float(n)
+            return int(header_bits)
+        """,
+    )
+    assert [f.line for f in findings] == [5, 6]
+    assert "lg" in findings[0].message
+    assert "float" in findings[1].message
+
+
+def test_r001_allows_integerised_calls_and_float_annotated_returns():
+    findings = findings_for(
+        "R001",
+        """
+        import math
+        from typing import Dict
+
+        def table_bits(n: int) -> int:
+            return n * 3 + len(str(n))
+
+        def ratio_bits(n: int) -> float:
+            # Annotated float: a deliberate diagnostic, not a charge.
+            return math.log2(n)
+
+        def mean_total_bits(totals) -> Dict[int, float]:
+            return {n: float(sum(t)) for n, t in totals.items()}
+
+        def ceil_bits(n: int) -> int:
+            label_bits = round(math.sqrt(n))
+            return math.ceil(math.log2(n)) + int(math.log(n)) + label_bits
+
+        def width_bits(n: int) -> int:
+            return max(1, n.bit_length())
         """,
     )
     assert findings == []
@@ -594,15 +653,22 @@ def test_r004_flags_module_level_random_and_from_imports():
         "R004",
         """
         import random
+        import random as r
+        import numpy.random as npr
         from random import shuffle
+        from numpy.random import permutation
 
         def sample():
-            return random.randint(1, 6)
+            return random.randint(1, 6) + r.random() + npr.rand()
         """,
     )
-    assert len(findings) == 2
-    assert any("from random import shuffle" in f.message for f in findings)
-    assert any("random.randint" in f.message for f in findings)
+    messages = [f.message for f in findings]
+    assert len(findings) == 5
+    assert any("from random import shuffle" in m for m in messages)
+    assert any("from numpy.random import permutation" in m for m in messages)
+    assert any("random.randint" in m for m in messages)
+    assert any("`r.random` (`random.random`)" in m for m in messages)
+    assert any("`npr.rand` (`numpy.random.rand`)" in m for m in messages)
 
 
 def test_r004_flags_global_numpy_draws_but_allows_generators():
@@ -637,78 +703,128 @@ def test_r004_accepts_threaded_seeded_generator():
     assert findings == []
 
 
-# -- R005: the RoutingScheme contract ----------------------------------------
-
-
-def test_r005_flags_missing_contract_methods_and_bad_arity():
+def test_r004_flags_unseeded_rng_construction():
     findings = findings_for(
-        "R005",
+        "R004",
         """
-        class BrokenScheme(RoutingScheme):
-            def _build_function(self, u):
-                return None
+        import random
+        import numpy as np
 
-            def encode_function(self, u, extra):
-                return None
+        def fresh() -> random.Random:
+            return random.Random()
+
+        def fresh_generator():
+            return np.random.default_rng(None)
+
+        def fresh_bits():
+            return np.random.Generator(np.random.PCG64())
+
+        def entropy() -> random.Random:
+            return random.SystemRandom()
         """,
     )
-    messages = "\n".join(f.message for f in findings)
-    assert "decode_function" in messages
-    assert "stretch_bound" in messages
-    assert "encode_function takes 3 positional args" in messages
+    assert [f.line for f in findings] == [6, 9, 12]
+    assert all("without a seed" in f.message for f in findings)
 
 
-def test_r005_accepts_full_contract_and_skips_abstract_intermediates():
+def test_r004_flags_clock_read_feeding_a_seed_helper():
     findings = findings_for(
-        "R005",
+        "R004",
         """
-        import abc
+        import random
+        import time as _time
 
-        class GoodScheme(RoutingScheme):
-            def _build_function(self, u):
-                return None
+        def make_rng(seed):
+            return random.Random(seed)
 
-            def encode_function(self, u):
-                return None
+        def runner():
+            return make_rng(_time.time())
+        """,
+    )
+    assert [f.line for f in findings] == [9]
+    assert "`_time.time()` reads the wall clock" in findings[0].message
 
-            def decode_function(self, u, bits):
-                return None
 
-            def stretch_bound(self):
-                return 1.0
+def test_r004_flags_clock_and_entropy_reads_anywhere():
+    findings = findings_for(
+        "R004",
+        """
+        import os
+        import secrets
+        import time
+        import uuid
+        from datetime import datetime
 
-        class Intermediate(RoutingScheme):
-            @abc.abstractmethod
-            def flavour(self):
-                ...
+        def stamp():
+            return (time.time_ns(), os.urandom(4), secrets.token_hex(),
+                    uuid.uuid4(), datetime.now())
+
+        def elapsed(start):
+            return time.perf_counter() - start
+        """,
+    )
+    assert len(findings) == 5
+    assert {f.line for f in findings} == {9, 10}
+
+
+def test_r004_flags_seed_derived_from_a_call():
+    findings = findings_for(
+        "R004",
+        """
+        import random
+        import time
+
+        def fresh(config):
+            return random.Random(config.pick())
+
+        def timed():
+            return random.Random(int(time.perf_counter()))
+        """,
+    )
+    assert [f.line for f in findings] == [6, 9]
+    assert "config.pick" in findings[0].message
+    assert "time.perf_counter" in findings[1].message
+
+
+def test_r004_accepts_param_and_constant_seeds():
+    findings = findings_for(
+        "R004",
+        """
+        import random
+        import numpy as np
+
+        DEFAULT_SEED = 1996
+
+        def from_param(seed):
+            return random.Random(seed)
+
+        def from_constant():
+            return random.Random(DEFAULT_SEED)
+
+        def derived(seed, name):
+            return random.Random(seed * 2 + abs(hash((seed, name))))
+
+        def generator(seed):
+            return np.random.default_rng(seed=int(seed))
         """,
     )
     assert findings == []
 
 
-def test_r005_flags_reshaped_overridable_hooks():
+def test_r004_accepts_seed_threaded_through_helpers():
     findings = findings_for(
-        "R005",
+        "R004",
         """
-        class ReshapedScheme(RoutingScheme):
-            def _build_function(self, u):
-                return None
+        import random
 
-            def encode_function(self, u):
-                return None
+        def make_rng(seed):
+            return random.Random(seed)
 
-            def decode_function(self, u, bits):
-                return None
-
-            def stretch_bound(self):
-                return 1.0
-
-            def label_bits(self):
-                return 0
+        def outer(seed):
+            return make_rng(seed + 1)
         """,
     )
-    assert len(findings) == 1
-    assert "label_bits" in findings[0].message
+    assert findings == []
 
 
 # -- R006: no silent exception swallowing ------------------------------------
@@ -866,5 +982,89 @@ def test_r009_allows_context_accessors_and_graphs_internals():
             return distance_matrix(graph)
         """,
         module="repro.graphs.properties",
+    )
+    assert findings == []
+
+
+def test_r009_flags_adjacency_store_outside_graphs():
+    findings = findings_for(
+        "R009",
+        """
+        def corrupt(graph, ctx):
+            graph._adj_sets = ()
+            return ctx.distances()
+        """,
+        module="repro.fake.mutator",
+    )
+    assert [f.line for f in findings] == [3]
+    assert "_adj_sets" in findings[0].message
+
+
+def test_r009_flags_adjacency_store_even_when_invalidated():
+    # No write to a graph's adjacency belongs outside repro.graphs, so
+    # invalidating the context afterwards does not excuse it.
+    findings = findings_for(
+        "R009",
+        """
+        def repaired(graph, ctx):
+            graph._adj_sets = ()
+            ctx.invalidate()
+            return ctx.distances()
+        """,
+        module="repro.fake.mutator",
+    )
+    assert [f.line for f in findings] == [3]
+
+
+def test_r009_flags_adjacency_store_in_a_helper():
+    findings = findings_for(
+        "R009",
+        """
+        def mutate(graph, u, v):
+            graph._adj_sets[u].add(v)
+            graph._adj_sorted, other = (), 1
+            graph._adj_sets += ()
+            del graph._adj_sorted[u]
+
+        def pipeline(graph, ctx):
+            mutate(graph, 1, 2)
+            return ctx.distances()
+        """,
+        module="repro.fake.pipeline",
+    )
+    assert [f.line for f in findings] == [3, 4, 5, 6]
+
+
+def test_r009_allows_scheme_cache_fills():
+    findings = findings_for(
+        "R009",
+        """
+        class Scheme:
+            def __init__(self, ctx):
+                self._function_cache = {}
+                self._ctx = ctx
+                self._scheme_adj = None
+
+            def function(self, u):
+                if u not in self._function_cache:
+                    self._function_cache[u] = u * 2
+                return self._function_cache[u]
+
+            def read(self, graph):
+                self._scheme_adj = graph._adj_sets
+                return self._ctx.distances()
+        """,
+        module="repro.fake.scheme",
+    )
+    assert findings == []
+
+    # Inside the graphs package the adjacency IS the implementation.
+    findings = findings_for(
+        "R009",
+        """
+        def build(graph):
+            graph._adj_sets = ()
+        """,
+        module="repro.graphs.graph",
     )
     assert findings == []

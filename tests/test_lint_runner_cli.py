@@ -68,6 +68,62 @@ def test_file_suppression_and_all_keyword():
     assert all_muted.findings == []
 
 
+# -- R014: stale suppressions and unknown rule ids ---------------------------
+
+
+def test_r014_flags_suppression_that_matched_nothing():
+    result = lint_source("x = 1  # repro-lint: disable=R001\n")
+    assert [f.rule_id for f in result.findings] == ["R014"]
+    assert "matched no findings" in result.findings[0].message
+
+
+def test_r014_quiet_when_the_suppression_is_earning_its_keep():
+    result = lint_source(
+        "total_bits = 10\n"
+        "share = total_bits / 2  # repro-lint: disable=R001\n"
+    )
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+def test_r014_ignores_docstrings_describing_the_syntax():
+    result = lint_source(
+        '"""Docs: write `# repro-lint: disable=R001` to mute a line."""\n'
+        "x = 1\n"
+    )
+    assert result.findings == []
+
+
+def test_r014_not_judged_for_rules_outside_the_active_set():
+    # Only R001 runs: a stale R008 suppression cannot be judged fairly.
+    result = lint_source(
+        "x = 1  # repro-lint: disable=R008\n",
+        active_rules=[rule_by_id("R001"), rule_by_id("R014")],
+    )
+    assert result.findings == []
+
+
+def test_r014_flags_suppression_naming_an_unknown_rule():
+    # A typo or a retired rule id can never match a finding, so it is
+    # reported whichever rules run, even beside an id that did match.
+    source = (
+        "x = 1  # repro-lint: disable=R099\n"
+        "y = 2  # repro-lint: disable-file=R011\n"
+        "z_bits = 3 / 4  # repro-lint: disable=R001,R005\n"
+    )
+    for active in (None, [rule_by_id("R001"), rule_by_id("R014")]):
+        result = lint_source(source, active_rules=active)
+        assert [(f.rule_id, f.line) for f in result.findings] == [
+            ("R014", 1),
+            ("R014", 2),
+            ("R014", 3),
+        ]
+        assert "unknown rule id(s) R099" in result.findings[0].message
+        assert "unknown rule id(s) R011" in result.findings[1].message
+        assert "unknown rule id(s) R005" in result.findings[2].message
+        assert result.suppressed == 1
+
+
 def test_suppression_index_parsing():
     index = SuppressionIndex.from_source(
         "x = 1  # repro-lint: disable=R001, r003\n"
@@ -147,9 +203,24 @@ def test_runner_walks_directories_deterministically(tmp_path):
     assert result.findings == []  # no bit-named target or operand
 
 
+DOCUMENTED_RULES = [
+    "R001", "R002", "R003", "R004", "R006", "R007", "R008", "R009", "R014",
+]
+
+
+def test_unparseable_file_does_not_stop_the_other_files(tmp_path):
+    (tmp_path / "broken.py").write_text("def f(:\n")
+    (tmp_path / "fine.py").write_text(
+        "import random\n\ndef f():\n    return random.Random()\n"
+    )
+    result = lint_paths([str(tmp_path)])
+    ids = {finding.rule_id for finding in result.findings}
+    assert "R000" in ids and "R004" in ids
+
+
 def test_registry_has_exactly_the_documented_rules():
     ids = [rule.rule_id for rule in all_rules()]
-    assert ids == [f"R{n:03d}" for n in range(1, 15)]
+    assert ids == DOCUMENTED_RULES
     for rule in all_rules():
         assert rule.description
         assert rule.rationale
@@ -201,8 +272,10 @@ def test_cli_lint_select_subset_of_rules(tmp_path, capsys):
 def test_cli_list_rules_catalogue(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in [f"R{n:03d}" for n in range(1, 9)]:
+    for rule_id in DOCUMENTED_RULES:
         assert rule_id in out
+    for retired in ("R005", "R010", "R011", "R012", "R013"):
+        assert retired not in out
     assert "rationale:" in out
 
 
@@ -227,10 +300,55 @@ def test_cli_lint_src_is_clean():
         ("try:\n    pass\nexcept:\n    pass\n", "R006"),
         ("def f(x):\n    return x\n", "R007"),
         ("def f(x=[]):\n    return x\n", "R008"),
+        # The CI smoke's fixtures, one per rule.
+        (
+            "import random\n\ndef f() -> random.Random:\n"
+            "    return random.Random()\n",
+            "R004",
+        ),
+        (
+            "def corrupt(graph, ctx):\n    graph._adj_sets = ()\n"
+            "    return ctx.distances()\n",
+            "R009",
+        ),
+        (
+            "import math\n\ndef table_bits(n: int):\n"
+            "    return math.log2(n) + 7\n",
+            "R001",
+        ),
+        ("def f(tracer):\n    tracer.hop(1)\n", "R003"),
+        ("x = 1  # repro-lint: disable=R011\n", "R014"),
     ],
 )
 def test_cli_lint_seeded_violations_fail(tmp_path, source, rule, capsys):
-    bad = tmp_path / "seeded.py"
+    # Under repro/simulator, so the package-scoped rules (R003) apply.
+    bad = tmp_path / "repro" / "simulator" / "seeded.py"
+    bad.parent.mkdir(parents=True)
     bad.write_text(source)
     assert main(["lint", str(bad), "--select", rule]) == 1
     assert rule in capsys.readouterr().out
+
+
+# -- CLI: runs that cannot honestly complete exit 2 -------------------------
+
+
+def test_unreadable_file_exits_2_with_structured_diagnostic(tmp_path, capsys):
+    broken_link = tmp_path / "locked.py"
+    broken_link.symlink_to(tmp_path / "does-not-exist")
+    assert main(["lint", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "R000" in out
+    assert "cannot read file" in out
+
+
+def test_syntax_error_file_exits_2_with_r000(tmp_path, capsys):
+    bad = tmp_path / "broken.py"
+    bad.write_text("def f(:\n")
+    assert main(["lint", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "R000" in out and "syntax error" in out
+
+
+def test_empty_directory_exits_2(tmp_path, capsys):
+    assert main(["lint", str(tmp_path)]) == 2
+    assert "no Python files found" in capsys.readouterr().err

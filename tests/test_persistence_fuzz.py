@@ -1,9 +1,12 @@
-"""Fuzzing the hardened blob parser (satellite of CORRUPTION).
+"""Fuzzing the hardened blob parser and the integrity framing layer.
 
 ``unpack_blob`` faces bytes from disk or the wire, so the contract is
 strict: any input — truncated, bit-flipped, or pure noise — either parses
 or raises :class:`CodecError`.  ``IndexError``, ``UnicodeDecodeError``,
-``BitstreamError`` or a hang are all bugs.
+``BitstreamError`` or a hang are all bugs.  The framing entry points
+promise the same for :class:`IntegrityError`: ``unframe_bits`` returns
+the payload or raises it, ``verify_frame`` answers with a bool, and
+framing then unframing is the identity, under every policy.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bitio import BitArray
 from repro.core import build_scheme
 from repro.core.persistence import pack_scheme, unpack_blob
-from repro.errors import CodecError
+from repro.errors import CodecError, IntegrityError
 from repro.graphs import gnp_random_graph
+from repro.integrity import FramingPolicy, frame_bits, unframe_bits, verify_frame
 from repro.models import Knowledge, Labeling, RoutingModel
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
@@ -102,3 +107,22 @@ def test_trailing_garbage_is_rejected():
     data = bits.to_bytes(4, "big") + _BLOB[4:] + b"\xa5\x5a"
     with pytest.raises(CodecError, match="trailing"):
         unpack_blob(data)
+
+
+@given(
+    policy=st.sampled_from(list(FramingPolicy)),
+    bits=st.lists(st.integers(0, 1), max_size=300),
+    node=st.integers(),
+)
+def test_framing_returns_or_raises_integrity_error_and_round_trips(
+    policy, bits, node
+):
+    framed = BitArray(bits)
+    try:
+        payload = unframe_bits(framed, policy, node)
+    except IntegrityError:
+        payload = None
+    verified = verify_frame(framed, policy)
+    assert isinstance(verified, bool)
+    assert verified is (payload is not None)
+    assert unframe_bits(frame_bits(framed, policy), policy, node) == framed
