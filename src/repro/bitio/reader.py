@@ -8,17 +8,27 @@ garbage, so truncated encodings are always detected.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.bitio.bitarray import BitArray
+from repro.bitio.writer import BULK_RUN
 from repro.errors import BitstreamError
 
 __all__ = ["BitReader"]
 
 
 class BitReader:
-    """Sequential reader over a :class:`BitArray`."""
+    """Sequential reader over a :class:`BitArray`.
+
+    Reads index the packed bytes directly: a fixed-width read converts
+    the byte window under the requested bits with one ``int.from_bytes``,
+    then a shift and a mask.
+    """
 
     def __init__(self, bits: BitArray) -> None:
         self._bits = bits
+        self._buf = bits.to_bytes()
+        self._length = len(bits)
         self._pos = 0
 
     @property
@@ -29,37 +39,68 @@ class BitReader:
     @property
     def remaining(self) -> int:
         """Number of unread bits."""
-        return len(self._bits) - self._pos
+        return self._length - self._pos
 
     def at_end(self) -> bool:
         """True when every bit has been consumed."""
-        return self._pos >= len(self._bits)
+        return self._pos >= self._length
 
     # -- primitive reads ---------------------------------------------------
 
     def read_bit(self) -> int:
         """Read a single bit."""
-        if self._pos >= len(self._bits):
+        pos = self._pos
+        if pos >= self._length:
             raise BitstreamError("read past end of bit stream")
-        bit = self._bits[self._pos]
-        self._pos += 1
-        return bit
+        self._pos = pos + 1
+        return (self._buf[pos >> 3] >> (7 - (pos & 7))) & 1
 
-    def read_bits(self, count: int) -> BitArray:
-        """Read ``count`` bits as a :class:`BitArray`."""
+    def _advance(self, count: int) -> int:
+        """Claim the next ``count`` bits; returns their start offset."""
         if count < 0:
             raise BitstreamError(f"count must be non-negative, got {count}")
-        if self._pos + count > len(self._bits):
+        start = self._pos
+        if start + count > self._length:
             raise BitstreamError(
                 f"requested {count} bits but only {self.remaining} remain"
             )
-        chunk = self._bits[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
+        self._pos = start + count
+        return start
+
+    def read_bits(self, count: int) -> BitArray:
+        """Read ``count`` bits as a :class:`BitArray`."""
+        start = self._advance(count)
+        return self._bits[start : start + count]
 
     def read_uint(self, width: int) -> int:
         """Read a fixed-width big-endian unsigned integer."""
-        return self.read_bits(width).to_int()
+        start = self._advance(width)
+        return self._bits._window(start, start + width)
+
+    def read_uints(self, count: int, width: int) -> List[int]:
+        """Read ``count`` consecutive ``width``-bit unsigned integers.
+
+        The bulk form of :meth:`read_uint`: each run of
+        :data:`~repro.bitio.writer.BULK_RUN` values is read as one window
+        and split with shifts.  Nothing is consumed when fewer than
+        ``count * width`` bits remain.
+        """
+        if count < 0 or width < 0:
+            raise BitstreamError(
+                f"count and width must be non-negative, got {count}, {width}"
+            )
+        start = self._advance(count * width)
+        if not width:
+            return [0] * count
+        mask = (1 << width) - 1
+        values: List[int] = []
+        for first in range(0, count, BULK_RUN):
+            size = min(BULK_RUN, count - first)
+            offset = start + first * width
+            word = self._bits._window(offset, offset + size * width)
+            shifts = range((size - 1) * width, -1, -width)
+            values.extend([(word >> shift) & mask for shift in shifts])
+        return values
 
     # -- prefix codes ------------------------------------------------------
 

@@ -10,7 +10,7 @@ optimal under ``IA ∧ α``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -119,28 +119,32 @@ class FullTableScheme(RoutingScheme):
         """Fixed width of one port entry at ``u``: ``⌈log₂ d(u)⌉`` bits."""
         return max(self._graph.degree(u) - 1, 0).bit_length()
 
+    def _destinations(self, u: int) -> List[int]:
+        """The destinations ``u``'s table holds an entry for, in order.
+
+        Unreachable destinations (only under ``allow_unreachable``) are
+        skipped by encoder and decoder alike; reachability comes from the
+        scheme's own distance knowledge.
+        """
+        reachable = (self._dist[u - 1, :] >= 0).tolist()
+        return [w for w in self._graph.nodes if w != u and reachable[w - 1]]
+
     def encode_function(self, u: int) -> BitArray:
         """Fixed-width port entries, one per reachable destination, in
         destination order (``n - 1`` of them on a connected graph)."""
-        width = self.entry_width(u)
+        table = self._tables[u]
         writer = BitWriter()
-        own_row = self._dist[u - 1, :]
-        for w in self._graph.nodes:
-            if w != u and own_row[w - 1] >= 0:
-                writer.write_uint(self._tables[u][w] - 1, width)
+        writer.write_uints(
+            [table[w] - 1 for w in self._destinations(u)], self.entry_width(u)
+        )
         return writer.getvalue()
 
     def decode_function(self, u: int, bits: BitArray) -> PortTableFunction:
-        # The decoder skips the same unreachable destinations the encoder
-        # skipped — reachability comes from the scheme's own distance
-        # knowledge, mirroring the encode order exactly.
-        width = self.entry_width(u)
-        reader = BitReader(bits)
-        ports = {}
-        own_row = self._dist[u - 1, :]
-        for w in self._graph.nodes:
-            if w != u and own_row[w - 1] >= 0:
-                ports[w] = reader.read_uint(width) + 1
+        destinations = self._destinations(u)
+        entries = BitReader(bits).read_uints(
+            len(destinations), self.entry_width(u)
+        )
+        ports = {w: entry + 1 for w, entry in zip(destinations, entries)}
         return PortTableFunction(u, ports, self._ports)
 
     def stretch_bound(self) -> float:

@@ -23,6 +23,7 @@ from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import BitstreamError, CodecError
 from repro.graphs import LabeledGraph
 from repro.models import RoutingModel
+from repro.observability import timed
 from repro.core.builder import build_scheme
 from repro.core.scheme import RoutingScheme
 
@@ -46,16 +47,14 @@ class SchemeBlob:
         return sum(len(bits) for bits in self.functions.values())
 
 
+@timed("persist.pack")
 def pack_scheme(scheme: RoutingScheme) -> bytes:
     """Serialise every local function of a scheme into one byte string."""
     writer = BitWriter()
     writer.write_uint(_MAGIC, 8)
     writer.write_uint(_VERSION, 8)
     name_bytes = scheme.scheme_name.encode("utf-8")
-    name_bits = BitArray(
-        (byte >> (7 - i)) & 1 for byte in name_bytes for i in range(8)
-    )
-    writer.write_prime(name_bits)
+    writer.write_prime(BitArray._from_packed(name_bytes, 8 * len(name_bytes)))
     writer.write_gamma(scheme.graph.n)
     for u in scheme.graph.nodes:
         writer.write_prime(scheme.encode_function(u))
@@ -65,6 +64,7 @@ def pack_scheme(scheme: RoutingScheme) -> bytes:
     return header + bits.to_bytes()
 
 
+@timed("persist.unpack")
 def unpack_blob(data: bytes) -> SchemeBlob:
     """Parse a packed scheme back into per-node bit strings.
 
@@ -72,6 +72,9 @@ def unpack_blob(data: bytes) -> SchemeBlob:
     truncated mid-field, garbage prime codes, a name that is not valid
     UTF-8 — raises :class:`CodecError` with context, never a leaked
     :class:`BitstreamError`, ``UnicodeDecodeError`` or ``IndexError``.
+
+    A scheme has exactly one blob: bytes past the declared bit length and
+    set padding bits in the last byte are rejected, not ignored.
     """
     if len(data) < 4:
         raise CodecError("blob too short for its length header")
@@ -79,6 +82,13 @@ def unpack_blob(data: bytes) -> SchemeBlob:
     payload = data[4:]
     if bit_length > 8 * len(payload):
         raise CodecError("blob length header exceeds payload")
+    if len(payload) > (bit_length + 7) // 8:
+        raise CodecError(
+            f"{len(payload) - (bit_length + 7) // 8} bytes follow the "
+            f"declared {bit_length}-bit payload"
+        )
+    if bit_length % 8 and payload[-1] & ((1 << (-bit_length % 8)) - 1):
+        raise CodecError("padding bits after the declared payload are not zero")
     try:
         bits = BitArray._from_packed(payload, bit_length)
         reader = BitReader(bits)
@@ -90,12 +100,8 @@ def unpack_blob(data: bytes) -> SchemeBlob:
         name_bits = reader.read_prime()
         if len(name_bits) % 8:
             raise CodecError("scheme name is not byte-aligned")
-        name_bytes = bytes(
-            name_bits[8 * i : 8 * i + 8].to_int()
-            for i in range(len(name_bits) // 8)
-        )
         try:
-            name = name_bytes.decode("utf-8")
+            name = name_bits.to_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"scheme name is not valid UTF-8: {exc}") from exc
         n = reader.read_gamma()

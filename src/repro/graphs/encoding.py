@@ -63,9 +63,12 @@ def encode_graph(graph: LabeledGraph) -> BitArray:
     n = graph.n
     writer = BitWriter()
     for u in range(1, n + 1):
-        adjacent = graph.neighbor_set(u)
-        for v in range(u + 1, n + 1):
-            writer.write_bit(1 if v in adjacent else 0)
+        # Row u holds the bits of (u, u+1) .. (u, n); v sits at n - v.
+        row = 0
+        for v in graph.neighbor_set(u):
+            if v > u:
+                row |= 1 << (n - v)
+        writer.write_uint(row, n - u)
     return writer.getvalue()
 
 

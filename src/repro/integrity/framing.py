@@ -27,7 +27,10 @@ CRC would stay zero at *every* truncated length, is covered too.
 
 from __future__ import annotations
 
+import binascii
 import enum
+import functools
+from typing import Tuple
 
 from repro.bitio import BitArray
 from repro.errors import BitstreamError, IntegrityError
@@ -40,16 +43,46 @@ __all__ = [
 ]
 
 
-def _crc_over_bits(payload: BitArray, poly: int, width: int, init: int) -> int:
-    """Non-reflected CRC of a bit stream (all-ones init, no final XOR)."""
+def _shift_in(register: int, byte: int, count: int, poly: int, width: int) -> int:
+    """Shift the top ``count`` bits of ``byte`` into a CRC register."""
     mask = (1 << width) - 1
     top = width - 1
-    register = init
-    for bit in payload:
-        feedback = ((register >> top) & 1) ^ bit
+    for i in range(count):
+        feedback = ((register >> top) & 1) ^ ((byte >> (7 - i)) & 1)
         register = (register << 1) & mask
         if feedback:
             register ^= poly
+    return register
+
+
+@functools.lru_cache(maxsize=None)
+def _crc_table(poly: int, width: int) -> Tuple[int, ...]:
+    """The classic MSB-first table: each byte value's register update."""
+    return tuple(
+        _shift_in(byte << (width - 8), 0, 8, poly, width) for byte in range(256)
+    )
+
+
+def _crc_over_bits(payload: BitArray, poly: int, width: int, init: int) -> int:
+    """Non-reflected CRC of a bit stream (all-ones init, no final XOR).
+
+    Whole bytes go through ``binascii.crc_hqx`` (CRC-16, poly 0x1021) or
+    a 256-entry table (any other ``width >= 8``); the fewer than eight
+    bits past the last whole byte are shifted in one at a time.
+    """
+    data = payload.to_bytes()
+    whole, tail = divmod(len(payload), 8)
+    if poly == 0x1021 and width == 16:
+        register = binascii.crc_hqx(data[:whole], init)
+    else:
+        table = _crc_table(poly, width)
+        mask = (1 << width) - 1
+        shift = width - 8
+        register = init
+        for byte in data[:whole]:
+            register = ((register << 8) & mask) ^ table[(register >> shift) ^ byte]
+    if tail:
+        register = _shift_in(register, data[whole], tail, poly, width)
     return register
 
 

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.observability.profiling import timed
 from repro.observability.registry import MetricsRegistry, get_registry
 from repro.observability.tracer import Tracer
 from repro.store.catalog import (
@@ -186,6 +187,7 @@ class RecoveryManager:
 
     # -- entry point ----------------------------------------------------------
 
+    @timed("store.recover")
     def recover(self) -> Tuple[Catalog, RecoveryReport]:
         """Rebuild the catalog; damage is reported, never raised."""
         started = time.perf_counter()

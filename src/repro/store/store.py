@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.persistence import unpack_blob
 from repro.errors import CodecError, StoreError
+from repro.observability.profiling import timed
 from repro.observability.registry import MetricsRegistry, get_registry
 from repro.observability.tracer import Tracer
 from repro.store.catalog import (
@@ -178,12 +179,26 @@ class SchemeStore:
         string; it is structurally validated before any byte is written.
         The first generation of a name becomes active immediately.
         """
-        try:
-            unpack_blob(blob)
-        except CodecError as exc:
-            raise StoreError(
-                f"refusing to store undecodable blob for {name!r}: {exc}"
-            ) from exc
+        return self._put(name, blob, manifest, validate=True)
+
+    @timed("store.put")
+    def _put(
+        self,
+        name: str,
+        blob: bytes,
+        manifest: Optional[Dict[str, Any]],
+        *,
+        validate: bool,
+    ) -> int:
+        """:meth:`put`; ``validate=False`` when the caller has already
+        decoded ``blob`` (hot-swap's candidate)."""
+        if validate:
+            try:
+                unpack_blob(blob)
+            except CodecError as exc:
+                raise StoreError(
+                    f"refusing to store undecodable blob for {name!r}: {exc}"
+                ) from exc
         generation = self.catalog.next_generation(name)
         record = encode_put(name, generation, manifest or {}, blob)
         self._append_record(record)
@@ -212,6 +227,7 @@ class SchemeStore:
             self.tracer.persist("swap", detail=f"{name}@{generation}")
             self.tracer.swap(f"{name}@{generation}")
 
+    @timed("store.hot_swap")
     def hot_swap(
         self,
         name: str,
@@ -220,7 +236,8 @@ class SchemeStore:
     ) -> int:
         """Build new → verify → atomically switch; returns the generation.
 
-        The candidate blob is decoded up front, durably PUT, then
+        The candidate blob is decoded once, up front (the PUT reuses
+        that validation), durably PUT, then
         re-read **from disk** — a fresh recovery pass over snapshot plus
         journal, deliberately not the in-memory catalog (which still
         holds the very bytes object just written and would make the
@@ -237,7 +254,7 @@ class SchemeStore:
             raise StoreError(
                 f"hot-swap candidate for {name!r} failed verification: {exc}"
             ) from exc
-        generation = self.put(name, blob, manifest)
+        generation = self._put(name, blob, manifest, validate=False)
         # Scratch tracer/registry: this read-back is an internal proof
         # step, not an operator-visible recovery.
         audit = RecoveryManager(

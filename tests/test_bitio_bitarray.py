@@ -120,6 +120,23 @@ class TestOperators:
         assert "101" in repr(BitArray.from01("101"))
 
 
+class TestCanonicalForm:
+    """Packed bytes are exactly ⌈len/8⌉ long with zero padding bits."""
+
+    def test_from_packed_zeroes_padding_bits(self):
+        bits = BitArray._from_packed(b"\xff", 1)
+        assert bits == BitArray.from01("1")
+        assert bits.to_bytes() == b"\x80"
+
+    def test_from_packed_drops_bytes_past_the_length(self):
+        bits = BitArray._from_packed(b"\x00\x00", 8) + BitArray.from01("1")
+        assert bits.to01() == "000000001"
+
+    def test_from_packed_rejects_negative_length(self):
+        with pytest.raises(BitstreamError):
+            BitArray._from_packed(b"\x00", -1)
+
+
 class TestProperties:
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=200))
     def test_to01_round_trip(self, bits):

@@ -94,3 +94,20 @@ class TestErrors:
         corrupted = (2**31).to_bytes(4, "big") + blob[4:]
         with pytest.raises(CodecError):
             unpack_blob(corrupted)
+
+
+class TestOneByteForm:
+    """A scheme has exactly one blob: no trailing bytes, zero padding."""
+
+    def test_trailing_bytes_rejected(self, graph, model_ii_alpha):
+        blob = pack_scheme(build_scheme("thm4-hub", graph, model_ii_alpha))
+        with pytest.raises(CodecError, match="bytes follow"):
+            unpack_blob(blob + b"\xde\xad")
+
+    def test_set_padding_bit_rejected(self, graph, model_ii_alpha):
+        blob = pack_scheme(build_scheme("thm4-hub", graph, model_ii_alpha))
+        bit_length = int.from_bytes(blob[:4], "big")
+        assert bit_length % 8, "needs a blob whose last byte is padded"
+        tampered = blob[:-1] + bytes((blob[-1] | 1,))
+        with pytest.raises(CodecError, match="padding"):
+            unpack_blob(tampered)

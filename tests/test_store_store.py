@@ -7,6 +7,7 @@ import pytest
 from repro.core import build_scheme, route_message, verify_scheme
 from repro.core.persistence import pack_scheme, restore_scheme
 from repro.errors import StoreError
+from repro.observability import phase_breakdown, set_registry
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracer import RecordingTracer
 from repro.store import (
@@ -224,6 +225,30 @@ class TestHotSwap:
         # Recovery over the damaged journal also serves generation 1.
         reopened = open_store(fs)
         assert reopened.active_generation("ft") == 1
+
+
+    def test_hot_swap_phase_counts(self, scheme):
+        # The candidate is decoded once; the disk read-back decodes it
+        # a second time.  Only the read-back runs a recovery pass.
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            store = SchemeStore(MemoryFilesystem(), registry=MetricsRegistry())
+            store.hot_swap("ft", pack_scheme(scheme))
+        finally:
+            set_registry(previous)
+        calls = {
+            phase: row["calls"]
+            for phase, row in phase_breakdown(registry).items()
+            if phase.startswith(("persist.", "store."))
+        }
+        assert calls == {
+            "persist.pack": 1,
+            "persist.unpack": 2,
+            "store.put": 1,
+            "store.hot_swap": 1,
+            "store.recover": 1,
+        }
 
 
 class TestVerifyAndRot:
