@@ -58,7 +58,6 @@ from repro.core.scheme import (
     HopDecision,
     LocalRoutingFunction,
     RoutingScheme,
-    StaticFunction,
 )
 from repro.core.tree_cover import (
     TreeCoverAddress,
@@ -104,7 +103,6 @@ __all__ = [
     "RoutingScheme",
     "SCHEME_BUILDERS",
     "SchemeBlob",
-    "StaticFunction",
     "TowardHubFunction",
     "TreeCoverAddress",
     "TreeCoverFunction",

@@ -11,41 +11,65 @@ bits are necessary on random graphs (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bitio import BitArray, BitReader, BitWriter
-from repro.errors import RoutingError, SchemeBuildError
+from repro.bitio import BitArray
+from repro.errors import BitstreamError, RoutingError, SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph
 from repro.models import RoutingModel
+from repro.core.full_table import shortest_hop_mask
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
 
 __all__ = ["FullInformationScheme", "FullInformationFunction"]
 
 
 class FullInformationFunction(LocalRoutingFunction):
-    """Destination → set of shortest-path neighbours."""
+    """Destination → set of shortest-path neighbours, read off the node's
+    :func:`~repro.core.full_table.shortest_hop_mask` (or a decoded one)."""
 
-    def __init__(
-        self,
-        node: int,
-        options: Dict[int, Tuple[int, ...]],
-    ) -> None:
+    def __init__(self, node: int, neighbors: Tuple[int, ...], mask: np.ndarray) -> None:
         super().__init__(node)
-        self._options = {dest: tuple(hops) for dest, hops in options.items()}
+        self._neighbors = np.array(neighbors, dtype=np.int64)
+        self._mask = mask
+        # next_hop's O(1) row: the least option per destination, 0 for none.
+        first = self._neighbors[mask.argmax(axis=0)] if neighbors else 0
+        self._first: List[int] = np.where(mask.any(axis=0), first, 0).tolist()
+        # shortest_edges' tuples, all cut from the mask on first use.
+        self._edges: Dict[int, Tuple[int, ...]] = {}
 
     def shortest_edges(self, destination: int) -> Tuple[int, ...]:
         """All neighbours of this node lying on shortest paths to ``destination``."""
         try:
-            return self._options[destination]
-        except KeyError as exc:
-            raise RoutingError(
-                f"node {self.node}: no entry for destination {destination}"
-            ) from exc
+            return self._edges[destination]
+        except KeyError:
+            if not self._edges:
+                self._edges.update(self._index_edges())
+                if destination in self._edges:
+                    return self._edges[destination]
+        raise RoutingError(
+            f"node {self.node}: no entry for destination {destination}"
+        )
+
+    def _index_edges(self) -> Dict[int, Tuple[int, ...]]:
+        """Every destination's options, read off the mask in one pass."""
+        degree, n = self._mask.shape
+        cells = np.flatnonzero(self._mask.T)
+        hops = tuple(self._neighbors[cells % max(degree, 1)].tolist())
+        bounds = np.searchsorted(cells, np.arange(n + 1) * degree).tolist()
+        node = self.node
+        return {
+            w: hops[bounds[w - 1] : bounds[w]] for w in range(1, n + 1) if w != node
+        }
 
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
-        return HopDecision(self.shortest_edges(int(destination))[0])
+        w = int(destination)
+        if 0 < w <= len(self._first):
+            hop = self._first[w - 1]
+            if hop:
+                return HopDecision(hop)
+        return HopDecision(self.shortest_edges(w)[0])
 
     def next_hop_avoiding(
         self, destination: int, blocked: Iterable[int]
@@ -83,57 +107,29 @@ class FullInformationScheme(RoutingScheme):
             raise SchemeBuildError(
                 "full-information scheme requires a connected graph"
             )
-        self._options: Dict[int, Dict[int, Tuple[int, ...]]] = {
-            u: self._build_options(u) for u in graph.nodes
-        }
-
-    def _build_options(self, u: int) -> Dict[int, Tuple[int, ...]]:
-        graph = self._graph
-        neighbors = graph.neighbors(u)
-        neighbor_rows = self._dist[np.array(neighbors) - 1, :]
-        own_row = self._dist[u - 1, :]
-        options: Dict[int, Tuple[int, ...]] = {}
-        for w in graph.nodes:
-            if w == u:
-                continue
-            mask = neighbor_rows[:, w - 1] == own_row[w - 1] - 1
-            hops = tuple(nb for nb, good in zip(neighbors, mask) if good)
-            if not hops:
-                raise SchemeBuildError(f"no shortest edge from {u} to {w}")
-            options[w] = hops
-        return options
+        self._masks = [shortest_hop_mask(graph, self._dist, u) for u in graph.nodes]
 
     # -- RoutingScheme interface ------------------------------------------------
 
     def _build_function(self, u: int) -> FullInformationFunction:
-        return FullInformationFunction(u, self._options[u])
+        return FullInformationFunction(
+            u, self._graph.neighbors(u), self._masks[u - 1]
+        )
 
     def encode_function(self, u: int) -> BitArray:
         """Per destination, a ``d(u)``-bit bitmap over the sorted neighbours."""
-        graph = self._graph
-        neighbors = graph.neighbors(u)
-        writer = BitWriter()
-        for w in graph.nodes:
-            if w == u:
-                continue
-            chosen = set(self._options[u][w])
-            for nb in neighbors:
-                writer.write_bit(1 if nb in chosen else 0)
-        return writer.getvalue()
+        bitmaps = np.delete(self._masks[u - 1], u - 1, axis=1).T
+        return BitArray._from_packed(np.packbits(bitmaps).tobytes(), bitmaps.size)
 
     def decode_function(self, u: int, bits: BitArray) -> FullInformationFunction:
-        graph = self._graph
-        neighbors = graph.neighbors(u)
-        reader = BitReader(bits)
-        options: Dict[int, Tuple[int, ...]] = {}
-        for w in graph.nodes:
-            if w == u:
-                continue
-            hops = tuple(
-                nb for nb in neighbors if reader.read_bit()
-            )
-            options[w] = hops
-        return FullInformationFunction(u, options)
+        neighbors = self._graph.neighbors(u)
+        shape = (self._graph.n - 1, len(neighbors))
+        if len(bits) < shape[0] * shape[1]:
+            raise BitstreamError("read past end of bit stream")
+        raw = np.frombuffer(bits.to_bytes(), dtype=np.uint8)
+        bitmaps = np.unpackbits(raw, count=shape[0] * shape[1]).reshape(shape)
+        mask = np.insert(bitmaps.T.astype(bool), u - 1, False, axis=1)
+        return FullInformationFunction(u, neighbors, mask)
 
     def stretch_bound(self) -> float:
         return 1.0

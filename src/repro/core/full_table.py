@@ -21,27 +21,41 @@ from repro.models import RoutingModel
 from repro.observability import profile_section
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
 
-__all__ = ["FullTableScheme", "PortTableFunction"]
+__all__ = ["FullTableScheme", "PortTableFunction", "shortest_hop_mask"]
+
+
+def shortest_hop_mask(graph: LabeledGraph, dist: np.ndarray, u: int) -> np.ndarray:
+    """Which neighbours of ``u`` lie on a shortest path to each destination.
+
+    A ``d(u) × n`` boolean array over ``u``'s sorted neighbours: entry
+    ``[i, w - 1]`` is True iff neighbour ``i`` is one hop closer to ``w``
+    than ``u`` is.  Column ``u`` and the columns of destinations ``u``
+    cannot reach (``dist`` is ``-1``) are all False.
+    """
+    neighbors = np.array(graph.neighbors(u), dtype=np.intp)
+    return dist[neighbors - 1, :] == dist[u - 1, :] - 1
 
 
 class PortTableFunction(LocalRoutingFunction):
-    """Destination → port table; the network resolves port → link."""
+    """Destination → port table (``ports[w - 1]``, 0 for no entry); the
+    network resolves port → link."""
 
     def __init__(
-        self, node: int, ports: Dict[int, int], assignment: PortAssignment
+        self, node: int, ports: np.ndarray, assignment: PortAssignment
     ) -> None:
         super().__init__(node)
-        self._ports = dict(ports)
+        self._ports: List[int] = ports.tolist()
         self._assignment = assignment
 
     def port_for(self, destination: int) -> int:
         """The stored port for a destination (1-based)."""
-        try:
-            return self._ports[destination]
-        except KeyError as exc:
-            raise RoutingError(
-                f"node {self.node}: no table entry for destination {destination}"
-            ) from exc
+        if 0 < destination <= len(self._ports):
+            port = self._ports[destination - 1]
+            if port:
+                return port
+        raise RoutingError(
+            f"node {self.node}: no table entry for destination {destination}"
+        )
 
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
         port = self.port_for(int(destination))
@@ -73,78 +87,70 @@ class FullTableScheme(RoutingScheme):
         if not allow_unreachable and (self._dist < 0).any():
             raise SchemeBuildError("full-table scheme requires a connected graph")
         with profile_section("build.full-table.tables"):
-            self._tables: Dict[int, Dict[int, int]] = {
-                u: self._build_table(u) for u in graph.nodes
-            }
+            # [u - 1, w - 1]: the port of u's least neighbour on a shortest
+            # path to w; 0 (no entry) when w is u or unreachable, possible
+            # only under ``allow_unreachable`` (e.g. a churn node-leave).
+            self._port_table = np.zeros((graph.n, graph.n), dtype=np.int32)
+            for u in graph.nodes:
+                mask = shortest_hop_mask(graph, self._dist, u)
+                if len(mask):  # an isolated node keeps an empty row
+                    port_of = np.array(ports.permutation_at(u), dtype=np.int32) + 1
+                    self._port_table[u - 1] = np.where(
+                        mask.any(axis=0), port_of[mask.argmax(axis=0)], 0
+                    )
 
     @property
     def port_assignment(self) -> PortAssignment:
         """The port assignment the tables are expressed against."""
         return self._ports
 
-    def _build_table(self, u: int) -> Dict[int, int]:
-        """Least-neighbour-on-a-shortest-path table for one node.
-
-        Unreachable destinations (possible only under
-        ``allow_unreachable``, e.g. after a churn node-leave isolated a
-        node) simply have no entry: a lookup raises
-        :class:`~repro.errors.RoutingError` and the kernel records a
-        NO_ROUTE drop.
-        """
-        graph = self._graph
-        neighbors = graph.neighbors(u)
-        own_row = self._dist[u - 1, :]
-        table: Dict[int, int] = {}
-        if not neighbors:
-            return table
-        neighbor_rows = self._dist[np.array(neighbors) - 1, :]
-        for w in graph.nodes:
-            if w == u or own_row[w - 1] < 0:
-                continue
-            on_shortest = neighbor_rows[:, w - 1] == own_row[w - 1] - 1
-            index = int(np.argmax(on_shortest))
-            if not on_shortest[index]:
-                raise SchemeBuildError(
-                    f"no shortest-path neighbour from {u} to {w}"
-                )
-            table[w] = self._ports.port(u, neighbors[index])
-        return table
+    def destinations_by_port(self, u: int) -> Dict[int, List[int]]:
+        """Every destination ``w ≠ u`` grouped by its port, both ascending;
+        raises RoutingError, as ``port_for`` would, on a missing entry."""
+        destinations = np.delete(np.arange(1, self._graph.n + 1), u - 1)
+        ports = self._port_table[u - 1, destinations - 1]
+        if not ports.all():
+            raise RoutingError(
+                f"node {u}: no table entry for destination "
+                f"{destinations[ports == 0][0]}"
+            )
+        order = np.argsort(ports, kind="stable")
+        ports = ports[order]
+        members = destinations[order].tolist()
+        starts = np.flatnonzero(np.diff(ports, prepend=0)).tolist()
+        return {
+            int(ports[a]): members[a:b]
+            for a, b in zip(starts, starts[1:] + [len(members)])
+        }
 
     # -- RoutingScheme interface ----------------------------------------------
 
     def _build_function(self, u: int) -> PortTableFunction:
-        return PortTableFunction(u, self._tables[u], self._ports)
+        return PortTableFunction(u, self._port_table[u - 1], self._ports)
 
     def entry_width(self, u: int) -> int:
         """Fixed width of one port entry at ``u``: ``⌈log₂ d(u)⌉`` bits."""
         return max(self._graph.degree(u) - 1, 0).bit_length()
 
-    def _destinations(self, u: int) -> List[int]:
-        """The destinations ``u``'s table holds an entry for, in order.
-
-        Unreachable destinations (only under ``allow_unreachable``) are
-        skipped by encoder and decoder alike; reachability comes from the
-        scheme's own distance knowledge.
-        """
-        reachable = (self._dist[u - 1, :] >= 0).tolist()
-        return [w for w in self._graph.nodes if w != u and reachable[w - 1]]
-
     def encode_function(self, u: int) -> BitArray:
         """Fixed-width port entries, one per reachable destination, in
         destination order (``n - 1`` of them on a connected graph)."""
-        table = self._tables[u]
+        reachable = self._dist[u - 1] > 0
         writer = BitWriter()
         writer.write_uints(
-            [table[w] - 1 for w in self._destinations(u)], self.entry_width(u)
+            (self._port_table[u - 1, reachable] - 1).tolist(), self.entry_width(u)
         )
         return writer.getvalue()
 
     def decode_function(self, u: int, bits: BitArray) -> PortTableFunction:
-        destinations = self._destinations(u)
+        """The inverse of :meth:`encode_function`; unreachable destinations
+        (from the scheme's own distance knowledge) get no entry."""
+        reachable = self._dist[u - 1] > 0
         entries = BitReader(bits).read_uints(
-            len(destinations), self.entry_width(u)
+            int(reachable.sum()), self.entry_width(u)
         )
-        ports = {w: entry + 1 for w, entry in zip(destinations, entries)}
+        ports = np.zeros(self._graph.n, dtype=np.int64)
+        ports[reachable] = np.array(entries, dtype=np.int64) + 1
         return PortTableFunction(u, ports, self._ports)
 
     def stretch_bound(self) -> float:

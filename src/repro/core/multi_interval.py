@@ -121,11 +121,7 @@ class MultiIntervalScheme(RoutingScheme):
         self._ports = self._table.port_assignment
         self._port_intervals: Dict[int, Dict[int, List[Interval]]] = {}
         for u in graph.nodes:
-            by_port: Dict[int, List[int]] = {}
-            function = self._table.function(u)
-            for w in graph.nodes:
-                if w != u:
-                    by_port.setdefault(function.port_for(w), []).append(w)
+            by_port = self._table.destinations_by_port(u)
             self._port_intervals[u] = {
                 port: cyclic_intervals(destinations, graph.n)
                 for port, destinations in by_port.items()

@@ -126,9 +126,9 @@ def plan_repair(
 ) -> RepairPlan:
     """Plan the convergence of ``scheme`` onto ``new_graph``.
 
-    Builds the target scheme over the mutated graph, carries every still
-    valid per-node derivation and pristine table into the new graph's
-    context, and returns the dirty/clean split with its bit accounting.
+    Builds the target scheme over the mutated graph, carries every clean
+    node's pristine table into the new graph's context, and returns the
+    dirty/clean split with its bit accounting.
     ``full`` forces a full rebuild (the benchmark's control arm);
     ``extra_dirty`` adds nodes the caller knows hold non-converged tables
     (e.g. installs from a repair that a newer mutation aborted).
@@ -148,7 +148,6 @@ def plan_repair(
         dirty = dirty_nodes(old_graph, new_graph) | frozenset(
             int(u) for u in extra_dirty
         )
-    new_ctx.inherit(old_ctx, dirty)
     new_scheme = scheme.rebuild(new_graph, ctx=new_ctx)
     clean = frozenset(new_graph.nodes) - dirty
     bits_reused = 0

@@ -18,7 +18,7 @@ from repro.errors import RoutingError
 from repro.graphs import GraphContext, LabeledGraph, get_context
 from repro.models import NodeSpace, RoutingModel, SpaceReport
 
-__all__ = ["HopDecision", "LocalRoutingFunction", "RoutingScheme", "StaticFunction"]
+__all__ = ["HopDecision", "LocalRoutingFunction", "RoutingScheme"]
 
 
 @dataclass(frozen=True)
@@ -233,29 +233,3 @@ class RoutingScheme(abc.ABC):
             f"stretch<= {self.stretch_bound()})"
         )
 
-
-class StaticFunction(LocalRoutingFunction):
-    """A stateless function backed by an explicit destination → hop map."""
-
-    def __init__(
-        self,
-        node: int,
-        table: Dict[Hashable, int],
-        default: Optional[int] = None,
-    ) -> None:
-        super().__init__(node)
-        self._table = dict(table)
-        self._default = default
-
-    def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
-        if destination in self._table:
-            return HopDecision(self._table[destination])
-        if self._default is not None:
-            return HopDecision(self._default)
-        raise RoutingError(
-            f"node {self.node}: no routing entry for destination {destination!r}"
-        )
-
-    def as_table(self) -> Dict[Hashable, int]:
-        """A copy of the underlying destination → next-hop map."""
-        return dict(self._table)

@@ -296,75 +296,6 @@ class GraphContext:
         self._cache[("pristine_bits", (id(scheme), node))] = (scheme, bits)
         get_registry().counter(CTX_COUNTER, kind="pristine_bits", op="adopt").inc()
 
-    def inherit(self, other: "GraphContext", dirty: Iterable[int]) -> int:
-        """Carry still-valid per-node derivations over from a predecessor.
-
-        ``other`` is the context of the graph a topology mutation started
-        from and ``dirty`` the nodes the mutation affected.  Entries are
-        copied only when provably unchanged on *this* graph:
-
-        * ``sorted_adjacency`` — revalidated against the new adjacency;
-        * ``eccentricity`` — carried for clean nodes (a clean node's
-          distance row is unchanged by the dirty-set closure rule);
-        * ``bfs_tree`` — carried only when every tree edge still exists
-          and the depth map equals the new distance row (validated).
-
-        Whole-graph derivations and pristine bits are never inherited here
-        (pristine bits are scheme-keyed; the repair layer adopts them per
-        target scheme via :meth:`adopt_pristine_bits`).  Returns the
-        number of entries carried; each carried entry counts as an
-        ``op="adopt"`` on the cache-traffic counter.
-        """
-        dirty_set = {int(v) for v in dirty}
-        graph = self._graph
-        new_dist = self.distances()
-        registry = get_registry()
-        carried = 0
-        for full_key, value in other._cache.items():
-            kind, key = full_key  # type: ignore[misc]
-            if full_key in self._cache:
-                continue
-            if kind == "sorted_adjacency":
-                if value != graph.neighbors(key):
-                    continue
-            elif kind == "eccentricity":
-                if key in dirty_set:
-                    continue
-            elif kind == "bfs_tree":
-                if not self._bfs_tree_still_valid(key, value, new_dist):
-                    continue
-            else:
-                continue
-            self._cache[full_key] = value
-            registry.counter(CTX_COUNTER, kind=kind, op="adopt").inc()
-            carried += 1
-        return carried
-
-    def _bfs_tree_still_valid(
-        self,
-        root: int,
-        value: Tuple[Dict[int, int], Dict[int, int]],
-        new_dist: np.ndarray,
-    ) -> bool:
-        """Whether a predecessor graph's BFS tree is a BFS tree here too.
-
-        True iff the tree covers exactly the nodes reachable from the
-        root, every parent edge still exists, and every depth equals the
-        new distance row — i.e. the memo is indistinguishable from a
-        fresh traversal.
-        """
-        parent, depth = value
-        row = new_dist[root - 1]
-        if len(parent) != int((row >= 0).sum()):
-            return False
-        graph = self._graph
-        for v, p in parent.items():
-            if depth[v] != row[v - 1]:
-                return False
-            if v != root and not graph.has_edge(v, p):
-                return False
-        return True
-
     # -- derivations ---------------------------------------------------------
 
     def distances(self, max_distance: Optional[int] = None) -> np.ndarray:
@@ -513,30 +444,6 @@ class GraphContext:
         if held is not scheme:  # pragma: no cover - defensive (id collision)
             raise GraphError("pristine-bits cache keyed a recycled scheme id")
         return bits
-
-    def port_matrix(self) -> np.ndarray:
-        """The identity port table as a dense C-contiguous ``int32`` array.
-
-        ``matrix[u - 1, p]`` is the neighbour that port ``p`` of node ``u``
-        leads to, padded with ``-1`` past ``degree(u)``.  Shape is
-        ``[n, max_degree]`` (at least one column), derived from
-        :meth:`port_table` and frozen read-only so the batch kernel can
-        gather from it without per-step copies.
-        """
-
-        def _compute() -> np.ndarray:
-            graph = self._graph
-            table = self.port_table()
-            width = max((graph.degree(u) for u in graph.nodes), default=0)
-            matrix = np.full((graph.n, max(width, 1)), -1, dtype=np.int32)
-            for u in graph.nodes:
-                for port in range(graph.degree(u)):
-                    matrix[u - 1, port] = table.neighbor(u, port)
-            matrix = np.ascontiguousarray(matrix)
-            matrix.setflags(write=False)
-            return matrix
-
-        return self._memo("port_matrix", None, _compute)
 
     def next_hop_matrix(self, scheme: "RoutingScheme") -> Optional[np.ndarray]:
         """A dense next-hop lookup for ``scheme``, or None if not derivable.

@@ -55,13 +55,7 @@ def port_destination_lists(
     This is Claim 3's first step: "apply the local routing function to each
     of the labels of the nodes in turn".
     """
-    function = scheme.function(u)
-    lists: Dict[int, List[int]] = {}
-    for w in scheme.graph.nodes:
-        if w == u:
-            continue
-        lists.setdefault(function.port_for(w), []).append(w)
-    return lists
+    return scheme.destinations_by_port(u)
 
 
 def encode_neighbor_choices(scheme: FullTableScheme, u: int) -> BitArray:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     SCHEME_BUILDERS,
-    StaticFunction,
     available_schemes,
     build_scheme,
     route_message,
@@ -18,29 +17,12 @@ from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 
 
-class TestStaticFunction:
-    def test_table_lookup(self):
-        function = StaticFunction(1, {2: 5, 3: 6})
-        assert function.next_hop(2).next_node == 5
-        assert function.next_hop(3).next_node == 6
-
-    def test_default_fallback(self):
-        function = StaticFunction(1, {2: 5}, default=9)
-        assert function.next_hop(4).next_node == 9
-
-    def test_missing_raises(self):
-        function = StaticFunction(1, {2: 5})
-        with pytest.raises(RoutingError):
-            function.next_hop(4)
-
-    def test_as_table_copy(self):
-        function = StaticFunction(1, {2: 5})
-        table = function.as_table()
-        table[2] = 99
-        assert function.next_hop(2).next_node == 5
-
+class TestLocalRoutingFunction:
     def test_node_property(self):
-        assert StaticFunction(7, {}).node == 7
+        scheme = build_scheme(
+            "full-table", path_graph(7), RoutingModel(Knowledge.IA, Labeling.ALPHA)
+        )
+        assert scheme.function(7).node == 7
 
     def test_hop_decision_defaults(self):
         decision = HopDecision(4)
