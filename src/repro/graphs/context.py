@@ -2,8 +2,8 @@
 
 The paper's constructions (Theorems 1–5), the verifier, the simulator and
 the lower-bound machinery all consume the same few derived objects:
-all-pairs distances, per-root BFS trees, degree statistics, the identity
-port table.  Before this layer existed every consumer recomputed them
+all-pairs distances, per-root BFS trees, the identity port table, the
+next-hop matrix.  Before this layer existed every consumer recomputed them
 independently — a build→verify→simulate pipeline paid for the ``O(n·m)``
 distance matrix three times on the *same* immutable graph.  Compact-routing
 practice (Thorup–Zwick landmark schemes and their descendants) hoists that
@@ -14,12 +14,11 @@ One context exists per graph (see :func:`get_context`), keyed on a cheap
 structural fingerprint so that *equal* graphs — not just the same object —
 share their derivations.  Every accessor is memoised with hit/miss
 counters in the process-wide :class:`~repro.observability.registry.
-MetricsRegistry` (``repro_graph_ctx_total``) and an optional
-:class:`~repro.observability.tracer.Tracer` receives ``ctx`` spans for
-every fresh computation, so reuse is observable, not assumed.  The
-corruption/heal path additionally sources its pristine table knowledge
-from :meth:`GraphContext.pristine_bits` and can drop every memo with
-:meth:`GraphContext.invalidate`.
+MetricsRegistry` (``repro_graph_ctx_total``), and every fresh computation
+runs inside a ``ctx.<kind>`` profiling section, so reuse is observable,
+not assumed.  The corruption/heal path additionally sources its pristine
+table knowledge from :meth:`GraphContext.pristine_bits` and can drop
+every memo with :meth:`GraphContext.invalidate`.
 """
 
 from __future__ import annotations
@@ -44,18 +43,13 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.ports import PortAssignment
-from repro.graphs.properties import (
-    DegreeStatistics,
-    degree_statistics,
-    distance_matrix,
-)
+from repro.graphs.properties import distance_matrix
 from repro.observability.profiling import profile_section
 from repro.observability.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports graphs)
     from repro.bitio import BitArray
     from repro.core.scheme import RoutingScheme
-    from repro.observability.tracer import Tracer
 
 __all__ = [
     "GraphContext",
@@ -75,24 +69,11 @@ CTX_INVALIDATIONS = "repro_graph_ctx_invalidations_total"
 
 Full flushes increment the plain (unlabelled) counter; selective drops
 increment it once per derivation ``kind`` actually dropped, labelled with
-that kind, so dashboards can tell a targeted churn invalidation from an
+that kind, so dashboards can tell a targeted invalidation from an
 all-or-nothing flush.
 """
 CTX_STORE_COUNTER = "repro_graph_ctx_store_total"
 """Counter name for the process-wide context store (label: ``op``)."""
-
-_NODE_OF_KEY: Dict[str, Callable[[Any], int]] = {
-    "bfs_tree": lambda key: key,
-    "eccentricity": lambda key: key,
-    "sorted_adjacency": lambda key: key,
-    "pristine_bits": lambda key: key[1],
-}
-"""Node-scoped derivation kinds and how to read the node out of their key.
-
-Kinds absent here (``distances``, ``degree_stats``, ``port_table``) are
-whole-graph derivations: a node-scoped invalidation only drops them when
-their kind is requested explicitly.
-"""
 
 
 def structural_fingerprint(graph: LabeledGraph) -> Fingerprint:
@@ -117,36 +98,31 @@ class GraphContext:
 
     * :meth:`distances` — all-pairs hop distances (optionally truncated);
     * :meth:`bfs_tree` / :meth:`ball` — per-root BFS parents and hop-balls;
-    * :meth:`eccentricity` — single-source eccentricities;
-    * :meth:`degree_stats` — the Lemma 1 degree band summary;
-    * :meth:`sorted_adjacency` — the "least neighbour" order;
     * :meth:`port_table` — the canonical identity
       :class:`~repro.graphs.ports.PortAssignment` of model IB;
     * :meth:`pristine_bits` — a scheme's serialised local functions (the
-      corruption self-healer's knowledge source).
+      corruption self-healer's knowledge source);
+    * :meth:`next_hop_matrix` — a scheme's dense next-hop lookup (the
+      batched kernel's fast lane).
 
     The context never observes graph mutation (graphs are immutable); the
     explicit :meth:`invalidate` exists for the corruption/heal path and for
-    tests that must force recomputation.
+    benches and tests that must force recomputation.
     """
 
-    __slots__ = ("_graph", "_fingerprint", "_cache", "_tracer", "_stats", "_aliases")
+    __slots__ = ("_graph", "_fingerprint", "_cache", "_aliases")
 
     def __init__(
         self,
         graph: LabeledGraph,
         fingerprint: Optional[Fingerprint] = None,
-        tracer: Optional["Tracer"] = None,
     ) -> None:
         self._graph = graph
         self._fingerprint = (
             fingerprint if fingerprint is not None else structural_fingerprint(graph)
         )
-        self._cache: Dict[Hashable, Any] = {}
-        self._tracer: Optional["Tracer"] = None
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "invalidations": 0}
+        self._cache: Dict[Tuple[str, Hashable], Any] = {}
         self._aliases: List[LabeledGraph] = []
-        self.set_tracer(tracer)
 
     # -- identity ------------------------------------------------------------
 
@@ -160,31 +136,11 @@ class GraphContext:
         """The structural key this context is stored under."""
         return self._fingerprint
 
-    def matches(self, graph: LabeledGraph) -> bool:
-        """Whether ``graph`` is (structurally) the graph of this context."""
-        return graph is self._graph or (
-            structural_fingerprint(graph) == self._fingerprint
-            and graph == self._graph
-        )
-
     # -- observability -------------------------------------------------------
-
-    def set_tracer(self, tracer: Optional["Tracer"]) -> None:
-        """Attach a tracer for ``ctx`` spans (disabled tracers normalise to None)."""
-        if tracer is not None and tracer.enabled:
-            self._tracer = tracer
-        elif tracer is None:
-            # Explicit detach only on None; a disabled tracer is ignored so
-            # simulators can pass their (possibly disabled) tracer blindly.
-            self._tracer = None
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Local hit/miss/invalidation counts (registry-independent view)."""
-        return dict(self._stats)
 
     def cached_kinds(self) -> Set[str]:
         """The derivation kinds currently memoised (first key component)."""
-        return {key[0] for key in self._cache}  # type: ignore[index]
+        return {kind for kind, _ in self._cache}
 
     @property
     def has_cached_distances(self) -> bool:
@@ -196,89 +152,39 @@ class GraphContext:
     def _memo(self, kind: str, key: Hashable, compute: Callable[[], Any]) -> Any:
         full_key = (kind, key)
         if full_key in self._cache:
-            self._stats["hits"] += 1
             get_registry().counter(CTX_COUNTER, kind=kind, op="hit").inc()
             return self._cache[full_key]
-        self._stats["misses"] += 1
         get_registry().counter(CTX_COUNTER, kind=kind, op="miss").inc()
         with profile_section(f"ctx.{kind}"):
             value = compute()
         self._cache[full_key] = value
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.ctx(kind=kind, op="miss")
         return value
 
-    def invalidate(
-        self,
-        nodes: Optional[Iterable[int]] = None,
-        kinds: Optional[Iterable[str]] = None,
-    ) -> int:
-        """Drop memoised derivations — wholesale or selectively.
+    def invalidate(self, kinds: Optional[Iterable[str]] = None) -> int:
+        """Drop memoised derivations — all of them, or only ``kinds``.
 
-        With no arguments every memo is dropped (the corruption/heal
-        escape hatch, unchanged semantics).  With ``nodes`` and/or
-        ``kinds`` only the matching entries go: a topology mutation that
-        touches three nodes dirties their BFS trees, eccentricities,
-        adjacency orders and pristine table bits while the rest of the
-        cache survives.  Whole-graph derivations (``distances``,
-        ``degree_stats``, ``port_table``) are dropped by a node-scoped
-        call only when their kind is named explicitly in ``kinds``.
+        With no argument every memo is dropped (the corruption/heal
+        escape hatch); with ``kinds`` only the derivations of the named
+        kinds go and the rest of the cache survives.
 
-        Returns the number of cache entries dropped.  Selective drops
-        increment the invalidation counter once per affected ``kind``
-        (labelled), full flushes increment the unlabelled counter —
-        see :data:`CTX_INVALIDATIONS`.
+        Returns the number of cache entries dropped.  A full flush
+        increments the unlabelled invalidation counter, a selective drop
+        increments it once per kind actually dropped, labelled with that
+        kind — see :data:`CTX_INVALIDATIONS`.
         """
-        if nodes is None and kinds is None:
+        if kinds is None:
             dropped = len(self._cache)
             self._cache.clear()
-            self._stats["invalidations"] += 1
             get_registry().counter(CTX_INVALIDATIONS).inc()
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.ctx(kind="*", op="invalidate")
             return dropped
-        node_set = None if nodes is None else {int(v) for v in nodes}
-        kind_set = None if kinds is None else set(kinds)
-        doomed = [
-            full_key
-            for full_key in self._cache
-            if self._invalidation_selects(full_key, node_set, kind_set)
-        ]
-        dropped_kinds: Dict[str, int] = {}
-        for full_key in doomed:
-            del self._cache[full_key]
-            kind = full_key[0]  # type: ignore[index]
-            dropped_kinds[kind] = dropped_kinds.get(kind, 0) + 1
-        if doomed:
-            self._stats["invalidations"] += 1
-            registry = get_registry()
-            tracer = self._tracer
-            for kind in sorted(dropped_kinds):
-                registry.counter(CTX_INVALIDATIONS, kind=kind).inc()
-                if tracer is not None:
-                    tracer.ctx(kind=kind, op="invalidate")
+        kind_set = set(kinds)
+        doomed = [key for key in self._cache if key[0] in kind_set]
+        for key in doomed:
+            del self._cache[key]
+        registry = get_registry()
+        for kind in sorted({kind for kind, _ in doomed}):
+            registry.counter(CTX_INVALIDATIONS, kind=kind).inc()
         return len(doomed)
-
-    @staticmethod
-    def _invalidation_selects(
-        full_key: Hashable,
-        node_set: Optional[Set[int]],
-        kind_set: Optional[Set[str]],
-    ) -> bool:
-        """Whether a selective :meth:`invalidate` call drops ``full_key``."""
-        kind, key = full_key  # type: ignore[misc]
-        if kind_set is not None and kind not in kind_set:
-            return False
-        if node_set is None:
-            return True
-        node_of = _NODE_OF_KEY.get(kind)
-        if node_of is None:
-            # Whole-graph derivation: a node-scoped call drops it only
-            # when the caller asked for the kind by name.
-            return kind_set is not None
-        return node_of(key) in node_set
 
     # -- churn carry-forward --------------------------------------------------
 
@@ -378,42 +284,6 @@ class GraphContext:
             raise GraphError(f"radius must be >= 0, got {radius}")
         _, depth = self._bfs(center)
         return {v for v, d in depth.items() if d <= radius}
-
-    def eccentricity(self, u: int) -> int:
-        """Largest hop distance from ``u`` (raises on disconnected graphs).
-
-        Served from the full distance matrix when it is already cached;
-        otherwise one BFS from ``u``.
-        """
-
-        def _compute() -> int:
-            if self.has_cached_distances:
-                row = self._cache[("distances", None)][u - 1]
-                if (row < 0).any():
-                    raise GraphError(
-                        "eccentricity undefined: graph is disconnected"
-                    )
-                return int(row.max())
-            parent, depth = self._bfs(u)
-            if len(parent) != self._graph.n:
-                raise GraphError("eccentricity undefined: graph is disconnected")
-            return max(depth.values())
-
-        return self._memo("eccentricity", u, _compute)
-
-    def degree_stats(self, deficiency: Optional[float] = None) -> DegreeStatistics:
-        """The Lemma 1 degree-band summary (memoised per deficiency)."""
-        return self._memo(
-            "degree_stats",
-            deficiency,
-            lambda: degree_statistics(self._graph, deficiency=deficiency),
-        )
-
-    def sorted_adjacency(self, u: int) -> Tuple[int, ...]:
-        """Neighbours of ``u`` in increasing label order (the "least" order)."""
-        return self._memo(
-            "sorted_adjacency", u, lambda: self._graph.neighbors(u)
-        )
 
     def port_table(self) -> PortAssignment:
         """The canonical identity port assignment of model IB (memoised).

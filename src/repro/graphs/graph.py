@@ -9,7 +9,7 @@ treat the topology as static, matching the paper's static-network setting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -192,17 +192,24 @@ class LabeledGraph:
 
     # -- connectivity --------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        """True when the graph is connected (n = 1 counts as connected)."""
-        seen = {1}
-        stack = [1]
+    def is_connected(self, removed: AbstractSet[int] = frozenset()) -> bool:
+        """True when the nodes outside ``removed`` induce a connected graph.
+
+        One surviving node counts as connected (so does n = 1); none does
+        not.
+        """
+        survivors = [u for u in range(1, self._n + 1) if u not in removed]
+        if not survivors:
+            return False
+        seen = {survivors[0]}
+        stack = [survivors[0]]
         while stack:
             u = stack.pop()
             for v in self._adj_sets[u]:
-                if v not in seen:
+                if v not in seen and v not in removed:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == self._n
+        return len(seen) == len(survivors)
 
     # -- dunder --------------------------------------------------------------
 

@@ -10,9 +10,8 @@ carry under models IA/IB where neighbour knowledge is not free (e.g. the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from repro.errors import ModelError
 from repro.models.model import RoutingModel
@@ -66,11 +65,18 @@ class SpaceReport:
     n: int
     per_node: List[NodeSpace] = field(default_factory=list)
     notes: Dict[str, float] = field(default_factory=dict)
+    _nodes: Set[int] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._nodes.update(entry.node for entry in self.per_node)
 
     def add(self, entry: NodeSpace) -> None:
         """Record one node's charges (each node exactly once)."""
-        if any(existing.node == entry.node for existing in self.per_node):
+        if entry.node in self._nodes:
             raise ModelError(f"node {entry.node} already accounted for")
+        self._nodes.add(entry.node)
         self.per_node.append(entry)
 
     @property
@@ -134,8 +140,3 @@ class SpaceReport:
             f"mean/node {self.mean_node_bits:.1f}, "
             f"T/n² = {self.bits_per_n_squared():.3f})"
         )
-
-
-def log2n(n: int) -> float:
-    """Convenience ``log₂ n`` guarded for tiny n."""
-    return math.log2(max(n, 2))

@@ -33,7 +33,7 @@ from repro.observability.manifest import (
     embedded_manifest,
 )
 from repro.observability.profiling import phase_breakdown, profile_section, timed
-from repro.observability.sampling import RingBufferTracer, SamplingTracer
+from repro.observability.sampling import SamplingTracer
 from repro.observability.registry import (
     Counter,
     Gauge,
@@ -80,7 +80,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "RecordingTracer",
-    "RingBufferTracer",
     "RunManifest",
     "SamplingTracer",
     "TraceDecodeError",

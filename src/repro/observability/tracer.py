@@ -32,12 +32,6 @@ message's life inside :class:`~repro.simulator.kernel.BatchKernel`:
     value, ``subject`` the edge or node), a dirtied node's table was
     rebuilt and installed, and the scheme finished converging (``duration``
     is the convergence time since the first uncovered mutation).
-``ctx``
-    The shared :class:`~repro.graphs.context.GraphContext` computed a
-    fresh derivation (``detail`` names the kind, e.g. ``distances``) or
-    was explicitly invalidated.  Cache *hits* are deliberately not traced
-    — they are counted in the metrics registry — so a trace shows exactly
-    the work that was actually performed.
 ``persist`` / ``reject`` / ``recover`` / ``swap``
     The durable-store lifecycle (:mod:`repro.store`): a journal record or
     snapshot was durably written (``reason`` carries the operation —
@@ -51,11 +45,7 @@ message's life inside :class:`~repro.simulator.kernel.BatchKernel`:
 ``sample``
     A :class:`~repro.observability.sampling.SamplingTracer` summarising
     its own behaviour on close: how many messages it saw, kept by the
-    seeded coin, and promoted because they turned anomalous.
-``slo``
-    A self-observed guarantee was violated (e.g. the sampler failed to
-    retain an anomalous message).  Emitted defensively; a healthy run
-    contains none.
+    seeded coin, promoted because they turned anomalous, and suppressed.
 
 Causality
 ---------
@@ -142,9 +132,9 @@ class TraceEvent:
 
     event: str
     """``inject`` | ``hop`` | ``retry`` | ``fault`` | ``drop`` | ``deliver``
-    | ``corrupt`` | ``quarantine`` | ``heal`` | ``ctx`` | ``mutate`` |
-    ``repair`` | ``converged`` | ``persist`` | ``reject`` | ``recover`` |
-    ``swap`` | ``sample`` | ``slo``."""
+    | ``corrupt`` | ``quarantine`` | ``heal`` | ``mutate`` | ``repair`` |
+    ``converged`` | ``persist`` | ``reject`` | ``recover`` | ``swap`` |
+    ``sample``."""
     seq: int = 0
     """Tracer-assigned monotone sequence number (total order of emission)."""
     time: float = 0.0
@@ -240,12 +230,13 @@ class Tracer:
 
     # -- sampling protocol ----------------------------------------------------
     #
-    # Emission sites that process many messages (the timed kernel) ask
-    # ``wants(msg_id)`` once per message and cache the answer instead of
-    # paying a method call per suppressed span.  Base tracers keep every
-    # message, so the default is a constant ``True`` and ``promote`` —
-    # re-announcing a message the caller had suppressed — is a no-op.
-    # ``SamplingTracer`` overrides both.
+    # The emitter (the timed kernel) asks ``wants(msg_id)`` once per
+    # message and caches the answer, emitting no span of a suppressed
+    # message until it turns anomalous and the emitter calls ``promote``
+    # once.  Base tracers keep every message, so the default is a
+    # constant ``True`` and ``promote`` — re-announcing a message the
+    # caller had suppressed — is a no-op.  ``SamplingTracer`` overrides
+    # both.
 
     def wants(self, msg_id: int) -> bool:
         """Should the caller emit this message's spans at all?"""
@@ -524,19 +515,6 @@ class Tracer:
         """A verified hot-swap switched a scheme's active generation."""
         return self._record("swap", detail=detail, time=time, cause=cause)
 
-    def ctx(
-        self,
-        kind: str,
-        op: str,
-        time: float = 0.0,
-        duration: Optional[float] = None,
-    ) -> int:
-        """The graph context computed (``op="miss"``) or dropped
-        (``op="invalidate"``) the derivation named by ``kind``."""
-        return self._record(
-            "ctx", reason=op, detail=kind, time=time, duration=duration
-        )
-
     def sample(
         self,
         detail: str,
@@ -546,18 +524,6 @@ class Tracer:
         """A sampling tracer summarises its keep/promote/suppress tallies."""
         return self._record(
             "sample", detail=detail, time=time, duration=duration
-        )
-
-    def slo(
-        self,
-        reason: str,
-        time: float = 0.0,
-        detail: Optional[str] = None,
-        subject: Optional[Subject] = None,
-    ) -> int:
-        """A self-observed guarantee was violated (defensive marker span)."""
-        return self._record(
-            "slo", reason=reason, time=time, detail=detail, subject=subject
         )
 
 

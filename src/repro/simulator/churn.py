@@ -307,22 +307,6 @@ class ChurnSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _live_connected(graph: LabeledGraph, left: Set[int]) -> bool:
-    """Whether the non-left nodes form one connected component."""
-    live = [u for u in graph.nodes if u not in left]
-    if len(live) <= 1:
-        return True
-    seen = {live[0]}
-    stack = [live[0]]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbor_set(u):
-            if v not in seen and v not in left:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(live)
-
-
 _SAMPLE_TRIES = 24
 """Rejection-sampling budget per mutation before a kind is given up on."""
 
@@ -403,9 +387,7 @@ def _draw_mutation(
             edges = list(graph.edges())
             rng.shuffle(edges)
             for u, v in edges[:_SAMPLE_TRIES]:
-                if keep_connected and not _live_connected(
-                    graph.without_edge(u, v), left
-                ):
+                if keep_connected and not graph.without_edge(u, v).is_connected(left):
                     continue
                 return TopologyMutation.edge_remove(time, u, v)
         elif kind is TopologyMutationKind.EDGE_ADD:
@@ -422,10 +404,10 @@ def _draw_mutation(
             for node in live[:_SAMPLE_TRIES]:
                 if len(live) <= 2 or graph.degree(node) == 0:
                     continue
-                if keep_connected and not _live_connected(
-                    graph.without_node_edges(node), left | {node}
-                ):
-                    continue
+                if keep_connected:
+                    remaining = graph.without_node_edges(node)
+                    if not remaining.is_connected(left | {node}):
+                        continue
                 return TopologyMutation.node_leave(time, node)
         else:  # NODE_JOIN
             if not left:

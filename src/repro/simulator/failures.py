@@ -84,7 +84,7 @@ def sample_node_failures(
             break
         if keep_connected:
             trial = failed | {node}
-            if not _survivors_connected(graph, trial):
+            if not graph.is_connected(trial):
                 continue
         failed.add(node)
     if len(failed) < count:
@@ -93,22 +93,6 @@ def sample_node_failures(
             f"disconnecting the survivors"
         )
     return failed
-
-
-def _survivors_connected(graph: LabeledGraph, failed: Set[int]) -> bool:
-    """Is the graph induced on the surviving nodes connected?"""
-    survivors = [u for u in graph.nodes if u not in failed]
-    if not survivors:
-        return False
-    seen = {survivors[0]}
-    stack = [survivors[0]]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbor_set(u):
-            if v not in failed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(survivors)
 
 
 def sample_incident_failures(

@@ -251,23 +251,6 @@ class TestRepairPlanning:
 
 
 class TestSelectiveInvalidation:
-    def test_node_scoped_drop_spares_whole_graph_derivations(self, registry):
-        graph = star_graph(6)
-        ctx = get_context(graph)
-        ctx.invalidate()  # clean slate (contexts are process-shared)
-        ctx.distances()
-        ctx.bfs_tree(2)
-        ctx.bfs_tree(3)
-        dropped = ctx.invalidate(nodes=[2])
-        assert dropped == 1
-        assert ctx.has_cached_distances
-        assert ("bfs_tree", 2) not in ctx._cache
-        assert ("bfs_tree", 3) in ctx._cache
-        # Selective drops label the invalidation counter by kind.
-        assert registry.counter(
-            "repro_graph_ctx_invalidations_total", kind="bfs_tree"
-        ).value == 1
-
     def test_kind_scoped_and_full_flush(self, registry):
         graph = star_graph(7)
         ctx = get_context(graph)

@@ -8,7 +8,7 @@ Three families:
   invalidated (corrupted/healed) one does, the pipeline computes the
   distance matrix exactly once, and the store aliases equal graphs;
 * integration — the corruption self-healer sources pristine bits from
-  the context, and tracer ``ctx`` spans mark fresh computations only.
+  the context.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_scheme, verify_scheme
-from repro.errors import GraphError
 from repro.graphs import (
     GraphContext,
     LabeledGraph,
     clear_context_cache,
-    degree_statistics,
     distance_matrix,
     get_context,
     gnp_random_graph,
@@ -33,10 +31,8 @@ from repro.graphs import (
 )
 from repro.graphs.context import CTX_COUNTER
 from repro.graphs.ports import PortAssignment
-from repro.graphs.properties import eccentricity
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, set_registry
-from repro.observability.tracer import RecordingTracer
 from repro.simulator import BatchKernel, MutationKind, TableMutation
 from tests.routing import route_one
 
@@ -117,27 +113,9 @@ class TestAccessorsMatchRawProperties:
 
     @given(graph=random_graph, data=st.data())
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
-    def test_eccentricity(self, graph, data):
+    def test_port_table_is_the_identity_assignment(self, graph, data):
         u = data.draw(st.integers(min_value=1, max_value=graph.n))
-        ctx = GraphContext(graph)
-        if (distance_matrix(graph)[u - 1] < 0).any():
-            with pytest.raises(GraphError):
-                ctx.eccentricity(u)
-        else:
-            assert ctx.eccentricity(u) == eccentricity(graph, u)
-            # The distance-matrix fast path agrees with the BFS path.
-            warm = GraphContext(graph)
-            warm.distances()
-            assert warm.eccentricity(u) == ctx.eccentricity(u)
-
-    @given(graph=random_graph, data=st.data())
-    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
-    def test_degree_stats_adjacency_and_ports(self, graph, data):
-        u = data.draw(st.integers(min_value=1, max_value=graph.n))
-        ctx = GraphContext(graph)
-        assert ctx.degree_stats() == degree_statistics(graph)
-        assert ctx.sorted_adjacency(u) == graph.neighbors(u)
-        ports = ctx.port_table()
+        ports = GraphContext(graph).port_table()
         assert ports.is_identity()
         identity = PortAssignment.identity(graph)
         for v in graph.neighbors(u):
@@ -155,12 +133,13 @@ class TestCachingSemantics:
         for _ in range(5):
             assert ctx.distances() is first
             ctx.bfs_tree(1)
-            ctx.degree_stats()
-        stats = ctx.cache_stats()
-        assert stats["misses"] == 3  # distances, bfs_tree(1), degree_stats
-        assert stats["hits"] == 13  # 5 distances + 4 bfs_tree + 4 degree_stats
-        assert stats["invalidations"] == 0
-        assert _ctx_count(registry, "distances", "miss") == 1
+            ctx.port_table()
+        for kind, hits in (("distances", 5), ("bfs_tree", 4), ("port_table", 4)):
+            assert _ctx_count(registry, kind, "miss") == 1
+            assert _ctx_count(registry, kind, "hit") == hits
+        assert (
+            registry.counter("repro_graph_ctx_invalidations_total").value == 0
+        )
 
     def test_invalidate_forces_one_recompute(self, registry):
         graph = gnp_random_graph(12, seed=2)
@@ -171,7 +150,6 @@ class TestCachingSemantics:
         second = ctx.distances()
         assert second is not first
         np.testing.assert_array_equal(second, first)
-        assert ctx.cache_stats()["invalidations"] == 1
         assert _ctx_count(registry, "distances", "miss") == 2
         assert (
             registry.counter("repro_graph_ctx_invalidations_total").value == 1
@@ -221,7 +199,6 @@ class TestCachingSemantics:
         assert structural_fingerprint(a) == structural_fingerprint(b)
         ctx = get_context(a)
         assert get_context(b) is ctx
-        assert ctx.matches(a) and ctx.matches(b)
         # The alias shares derivations: b's distances come for free.
         ctx.distances()
         assert get_context(b).distances() is ctx.distances()
@@ -231,10 +208,10 @@ class TestCachingSemantics:
         a = gnp_random_graph(10, seed=6)
         b = gnp_random_graph(10, seed=7)
         assert get_context(a) is not get_context(b)
-        assert not get_context(a).matches(b)
+        assert get_context(a).fingerprint != structural_fingerprint(b)
 
 
-# -- integration: healer knowledge and tracer spans ---------------------------
+# -- integration: healer knowledge --------------------------------------------
 
 
 class TestPristineKnowledge:
@@ -264,39 +241,3 @@ class TestPristineKnowledge:
         assert _ctx_count(registry, "pristine_bits", "miss") == 1
         ctx.pristine_bits(two, 3)
         assert _ctx_count(registry, "pristine_bits", "miss") == 2
-
-
-class TestTracerSpans:
-    def test_ctx_spans_mark_fresh_computations_only(self, registry):
-        graph = gnp_random_graph(10, seed=10)
-        ctx = get_context(graph)
-        tracer = RecordingTracer()
-        ctx.set_tracer(tracer)
-        ctx.distances()
-        ctx.distances()
-        ctx.invalidate()
-        events = [(e.event, e.detail, e.reason) for e in tracer.events]
-        assert events == [
-            ("ctx", "distances", "miss"),
-            ("ctx", "*", "invalidate"),
-        ]
-
-    def test_building_a_kernel_keeps_the_context_tracer(self):
-        graph = gnp_random_graph(10, seed=11)
-        ctx = get_context(graph)
-        tracer = RecordingTracer()
-        ctx.set_tracer(tracer)
-        kernel = BatchKernel(build_scheme("full-table", graph, II_ALPHA))
-        kernel.inject(1, 2)
-        assert kernel.run()[0].delivered
-        ctx.invalidate()
-        assert ("ctx", "*", "invalidate") in [
-            (e.event, e.detail, e.reason) for e in tracer.events
-        ]
-
-    def test_disabled_tracer_is_ignored(self):
-        from repro.observability.tracer import NULL_TRACER
-
-        ctx = get_context(path_graph(4))
-        ctx.set_tracer(NULL_TRACER)
-        assert ctx._tracer is None

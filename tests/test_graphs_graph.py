@@ -138,6 +138,19 @@ class TestConnectivity:
     def test_complete_connected(self):
         assert complete_graph(6).is_connected()
 
+    def test_removed_nodes_are_left_out(self):
+        graph = path_graph(5)
+        assert not graph.is_connected({3})
+        assert graph.is_connected({1, 5})
+        assert LabeledGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]).is_connected({2})
+        assert not LabeledGraph(4, [(1, 2), (3, 4)]).is_connected({1})
+
+    def test_one_survivor_is_connected_and_none_is_not(self):
+        graph = path_graph(4)
+        assert graph.is_connected({1, 2, 4})
+        assert not graph.is_connected({1, 2, 3, 4})
+        assert LabeledGraph(1).is_connected()
+
 
 class TestEquality:
     def test_equality_by_structure(self):

@@ -490,21 +490,22 @@ def test_r003_flags_unguarded_span_call_in_simulator():
     assert "tracer.hop" in findings[0].message
 
 
-def test_r003_flags_unguarded_sample_and_slo_spans():
-    # Seeded violations for the sampling-protocol span names: the summary
-    # and breach spans are hot-path emissions like any other.
+def test_r003_flags_unguarded_sample_and_converged_spans():
+    # Seeded violations for the end-of-run span names: the sampler's
+    # summary and the churn convergence spans are hot-path emissions
+    # like any other.
     findings = findings_for(
         "R003",
         """
         def finish(self):
-            self._tracer.sample(0.01, 100, 1, time=9.0)
-            self._tracer.slo(7, time=9.0)
+            self._tracer.sample("rate=0.01", time=9.0)
+            self._tracer.converged(time=9.0, duration=4.0)
         """,
         module="repro.simulator.fake",
     )
     assert len(findings) == 2
     assert "tracer.sample" in findings[0].message
-    assert "tracer.slo" in findings[1].message
+    assert "tracer.converged" in findings[1].message
 
 
 def test_r003_span_vocabulary_is_read_from_the_tracer():

@@ -121,6 +121,8 @@ class TestSpaceReport:
         report = self._report()
         with pytest.raises(ModelError):
             report.add(NodeSpace(node=2, routing_bits=5))
+        assert [entry.node for entry in report.per_node] == [1, 2, 3]
+        assert report.total_bits == 71
 
     def test_bits_per_n_squared(self):
         report = self._report()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import gnp_random_graph, path_graph, star_graph
+from repro.graphs import complete_graph, gnp_random_graph, path_graph, star_graph
 from repro.simulator import (
     sample_incident_failures,
     sample_link_failures,
@@ -71,6 +71,14 @@ class TestSampleNodeFailuresInteractions:
         )
         assert len(failed) == 1
         assert failed.isdisjoint({1, 5})
+
+    def test_failing_every_node_raises(self):
+        # No survivors is not a connected survivor set.
+        graph = complete_graph(5)
+        with pytest.raises(GraphError):
+            sample_node_failures(graph, graph.n)
+        # One survivor is.
+        assert len(sample_node_failures(graph, graph.n - 1)) == graph.n - 1
 
     def test_keep_connected_skips_cut_vertices(self):
         graph = star_graph(6)
