@@ -2,8 +2,9 @@
 
 Executes any :class:`~repro.core.scheme.RoutingScheme` on its graph in
 simulated time — link latency, node queueing, retries — through one
-router, :class:`~repro.simulator.kernel.BatchKernel` (a scalar lane and
-its bit-identical batch lane), over the network's routing state
+router, :class:`~repro.simulator.kernel.BatchKernel` (an exact scalar
+step, and a bit-identical vectorised drain for fault-free cohorts), over
+the network's routing state
 (:class:`~repro.simulator.network.Network`), with reproducible static
 failure injection (:mod:`~repro.simulator.failures`), dynamic chaos
 schedules (:mod:`~repro.simulator.chaos`), live topology churn with
@@ -21,7 +22,6 @@ from repro.simulator.chaos import (
     FaultSchedule,
     MutationKind,
     TableMutation,
-    failure_masks,
     flapping_links,
     regional_failures,
     renewal_faults,
@@ -31,7 +31,6 @@ from repro.simulator.churn import (
     ChurnSchedule,
     TopologyMutation,
     TopologyMutationKind,
-    adjacency_mask,
     random_churn,
 )
 from repro.simulator.failures import (
@@ -88,10 +87,8 @@ __all__ = [
     "TableMutation",
     "TopologyMutation",
     "TopologyMutationKind",
-    "adjacency_mask",
     "all_to_one",
     "drop_breakdown",
-    "failure_masks",
     "flapping_links",
     "hotspot_pairs",
     "one_to_all",

@@ -29,8 +29,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.bitio import BitArray
 from repro.errors import GraphError
 from repro.graphs import LabeledGraph, get_context
@@ -41,40 +39,11 @@ __all__ = [
     "FaultSchedule",
     "MutationKind",
     "TableMutation",
-    "failure_masks",
     "flapping_links",
     "renewal_faults",
     "regional_failures",
     "table_corruption",
 ]
-
-
-def failure_masks(
-    n: int,
-    failed_links: Iterable[FrozenSet[int]],
-    failed_nodes: Iterable[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The current failure state as 1-indexed boolean masks.
-
-    Returns ``(link_down, node_down)`` where ``link_down[u, v]`` is True
-    for a failed link (symmetric, shape ``[n+1, n+1]``) and
-    ``node_down[u]`` for a crashed node (shape ``[n+1]``).  Row/column 0
-    is padding so the batch kernel can index by node label directly.
-    """
-    link_down = np.zeros((n + 1, n + 1), dtype=bool)
-    for link in failed_links:
-        endpoints = tuple(link)
-        if len(endpoints) != 2:
-            continue
-        u, v = endpoints
-        if 1 <= u <= n and 1 <= v <= n:
-            link_down[u, v] = True
-            link_down[v, u] = True
-    node_down = np.zeros(n + 1, dtype=bool)
-    for u in failed_nodes:
-        if 1 <= u <= n:
-            node_down[u] = True
-    return link_down, node_down
 
 
 class FaultKind(str, enum.Enum):

@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.errors import GraphError
 from repro.graphs import LabeledGraph
 
@@ -36,24 +34,8 @@ __all__ = [
     "TopologyMutationKind",
     "TopologyMutation",
     "ChurnSchedule",
-    "adjacency_mask",
     "random_churn",
 ]
-
-
-def adjacency_mask(graph: LabeledGraph) -> np.ndarray:
-    """``graph``'s adjacency as a 1-indexed boolean mask.
-
-    ``mask[u, v]`` is True exactly when ``u–v`` is an edge; shape is
-    ``[n+1, n+1]`` with row/column 0 as padding so batch consumers index
-    by node label.  The batch kernel rebuilds this per topology epoch —
-    every :class:`TopologyMutation` becomes one mask swap instead of a
-    per-hop ``has_edge`` call.
-    """
-    n = graph.n
-    mask = np.zeros((n + 1, n + 1), dtype=bool)
-    mask[1:, 1:] = graph.adjacency_matrix()
-    return mask
 
 
 class TopologyMutationKind(str, enum.Enum):

@@ -21,29 +21,25 @@ cohort's lane:
   routing-loop checks, the forwarding decision via
   :meth:`~repro.simulator.network.Network._choose_hop` and its adjacency
   check (a forward to a non-neighbour drops ``INVALID_FORWARD``), drop
-  details, spans and counters.  Cohorts smaller than
-  :data:`_MIN_BATCH_ROWS` take it (one Python step beats a round of mask
-  algebra there), and so does every cohort while a node service time is
-  set, because per-node busy state depends on processing order.
-* the **batch lane** — every larger cohort.  Rows whose next step is
-  provably a clean advance or delivery, decided by numpy mask algebra
-  over the scheme's dense next-hop matrix
-  (:meth:`~repro.graphs.context.GraphContext.next_hop_matrix`), the
-  failure masks (:func:`~repro.simulator.chaos.failure_masks`), the live
-  adjacency under churn (:func:`~repro.simulator.churn.adjacency_mask`)
-  and overlay masks for corrupted/quarantined/healed/updated tables,
-  gather their next hop from the matrix and scatter it back in one
-  vector operation; the rest (traced rows, header state, anything near
-  a failure, overlay or churn boundary) take the scalar step.
+  details, spans and counters.  The hop semantics are written here and
+  nowhere else.
+* the **quiescent drain** — :meth:`BatchKernel._drain_quiescent`, for a
+  cohort of at least :data:`_MIN_BATCH_ROWS` rows that nothing outside
+  them can perturb: no tracer, node service time, churn schedule or
+  queued event, a :attr:`~repro.simulator.network.Network.quiescent`
+  network, and a derivable next-hop matrix
+  (:meth:`~repro.graphs.context.GraphContext.next_hop_matrix`).  Its
+  rows walk to completion in lockstep gathers off the matrix; a row
+  with header state, at the hop limit or without a matrix entry leaves
+  it through the scalar step.  Every other cohort takes the scalar lane.
 
-Because batch-lane eligibility is deliberately conservative — a row is
-advanced in bulk only when no shared state it touches can change this
-generation — the default lane choice and ``batch=False`` (every cohort
+Under those conditions a matrix gather is exactly the scalar step's
+decision, so the default lane choice and ``batch=False`` (every cohort
 through the scalar lane) produce **bit-identical**
 :class:`~repro.simulator.message.DeliveryRecord` streams.  That
 equivalence is the batch boundary's contract, enforced by a hypothesis
 property over every registered scheme with latency, queueing, chaos,
-churn and corruption enabled.
+churn and corruption enabled, and on clean runs that reach the drain.
 
 Retry backoff jitter draws from a *per-message* :class:`random.Random`
 seeded as ``retry_seed * 1_000_003 + msg_id``, so a message's backoffs
@@ -61,9 +57,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro.core import RoutingScheme
-from repro.core.full_information import FullInformationFunction
 from repro.core.repair import RepairPlan, plan_repair
-from repro.errors import IntegrityError, RoutingError
+from repro.errors import IntegrityError, ReproError, RoutingError
 from repro.observability.registry import get_registry
 from repro.observability.tracer import (
     Subject,
@@ -71,17 +66,11 @@ from repro.observability.tracer import (
     link_subject,
     node_subject,
 )
-from repro.simulator.chaos import (
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    failure_masks,
-)
+from repro.simulator.chaos import FaultEvent, FaultKind, FaultSchedule
 from repro.simulator.churn import (
     ChurnSchedule,
     TopologyMutation,
     TopologyMutationKind,
-    adjacency_mask,
 )
 from repro.simulator.message import DeliveryRecord, DropReason, MessageBatch
 from repro.simulator.network import Network
@@ -90,14 +79,16 @@ from repro.simulator.recovery import RetryPolicy
 __all__ = ["BatchKernel"]
 
 _MIN_BATCH_ROWS = 8
-"""Smallest cohort the batch lane takes; smaller cohorts step row by row.
+"""Smallest cohort the quiescent drain takes; smaller ones step row by row.
 
-Measured on full-table over G(128, 1/2) with renewal faults and table
-corruption live (so the quiescent drain is off), cohorts of k rows moving
-in lockstep, batch-lane time over scalar-lane time: 1.27-1.36 at k=2,
-0.62-1.00 at k=4, 0.61-0.74 at k=8, 0.21 at k=128.  A batch-lane round
-costs a fixed mask set-up per cohort, so below a handful of rows one
-exact scalar step per row is cheaper."""
+Measured on fault-free full-table over G(128, 1/2) on a shared 2-core
+host: cohorts of k uniform-pair rows moving in lockstep (one or two hops
+each), time spent stepping the cohort, drain over scalar step (medians
+of 600 alternated runs, three runs): 2.25-2.30 at k=1, 1.53-1.63 at
+k=2, 1.06-1.12 at k=4, 0.63-0.69 at k=8, 0.34-0.39 at k=16.  A drain
+costs a near-fixed 50-75 µs of numpy calls per cohort, about what four
+rows' scalar steps cost, so below that one exact step per row is
+cheaper."""
 
 # Drops worth retrying: the condition that caused them can heal as the
 # fault schedule advances (ROUTING_LOOP: as churn repair converges).  A
@@ -248,6 +239,8 @@ class BatchKernel:
                 "live topology churn requires a plain-label scheme "
                 "(address_of(u) == u)"
             )
+        if churn_schedule is not None:
+            self._check_node_churn(churn_schedule)
         self._batch = batch
         self._latency = link_latency
         self._service = node_service_time
@@ -301,28 +294,15 @@ class BatchKernel:
         self._corrupt_spans: Dict[int, int] = {}
         self._mutate_span: Optional[int] = None
         self._episode_root_span: Optional[int] = None
-        # Vectorised state caches, keyed on Network.state_epoch.
-        self._mask_epoch = -1
-        self._mask_scheme: Optional[RoutingScheme] = None
+        # The quiescent drain's next-hop matrix, derived once per scheme.
+        self._matrix_scheme: Optional[RoutingScheme] = None
         self._matrix: Optional[np.ndarray] = None
-        self._scheme_adj: Optional[np.ndarray] = None
-        self._fa_nodes: Optional[np.ndarray] = None
-        self._fa_any = False
-        self._fa_guard = False
-        self._link_down: Optional[np.ndarray] = None
-        self._node_down: Optional[np.ndarray] = None
-        self._quar_like: Optional[np.ndarray] = None
-        self._override: Optional[np.ndarray] = None
-        self._live_adj: Optional[np.ndarray] = None
-        self._node_clear: Optional[np.ndarray] = None
-        self._all_clear = False
         self._matrix_complete = False
-        self._fwd_vec: Optional[np.ndarray] = None
         self._fwd_pending: List[np.ndarray] = []
         # Per-row kernel bookkeeping (sized at run()).
         self._has_state = np.zeros(0, dtype=bool)
-        # ``batch.traced`` mirrored as a list (filled only under a tracer)
-        # so the scalar step's per-hop test costs no numpy call.
+        # Per-row trace verdicts (filled only under a tracer), a list so
+        # the scalar step's per-hop test costs no numpy call.
         self._traced: List[bool] = []
         self.batch: Optional[MessageBatch] = None
 
@@ -336,22 +316,16 @@ class BatchKernel:
     @property
     def forward_counts(self) -> Dict[int, int]:
         """Messages forwarded per node in the last :meth:`run`."""
+        counts = self._forward_counts
         if self._fwd_pending:
             # The quiescent drain defers its (0-based) hop sources here;
             # one bincount on first read replaces a per-step accumulate.
-            vec = self._fwd_vec
-            if vec is None:
-                n = self._network.scheme.graph.n
-                vec = self._fwd_vec = np.zeros(n + 1, dtype=np.int64)
             hop0 = np.concatenate(self._fwd_pending)
             self._fwd_pending = []
-            vec[1:] += np.bincount(hop0, minlength=vec.size - 1)
-        counts = dict(self._forward_counts)
-        if self._fwd_vec is not None:
-            for node, count in enumerate(self._fwd_vec.tolist()):
+            for node0, count in enumerate(np.bincount(hop0).tolist()):
                 if count:
-                    counts[node] = counts.get(node, 0) + count
-        return counts
+                    counts[node0 + 1] = counts.get(node0 + 1, 0) + count
+        return dict(counts)
 
     def churn_summary(self) -> Dict[str, object]:
         """Episode accounting of the last run's churn convergence.
@@ -403,7 +377,6 @@ class BatchKernel:
         self._retry_rngs = {}
         self._forward_counts = {}
         self._busy_until = {}
-        self._fwd_vec = None
         self._fwd_pending = []
         msg_ids = [p[0] for p in self._pending]
         sources = [p[1] for p in self._pending]
@@ -412,10 +385,8 @@ class BatchKernel:
         batch = MessageBatch(msg_ids, sources, destinations, times, self._limit)
         if self._tracer is None:
             self._traced = []
-            batch.traced[:] = False
         else:
             self._traced = [p[4] for p in self._pending]
-            batch.traced[:] = self._traced
         self._pending = []
         self._has_state = np.zeros(batch.size, dtype=bool)
         self.batch = batch
@@ -583,6 +554,31 @@ class BatchKernel:
 
     # -- live topology churn --------------------------------------------------
 
+    def _check_node_churn(self, schedule: ChurnSchedule) -> None:
+        """Refuse node churn the scheme cannot be repaired under.
+
+        A node that leaves stays isolated until it rejoins, so the
+        repairs in between rebuild the scheme on a disconnected graph.
+        The scheme's own rebuild decides whether it accepts one: it is
+        tried once, on the live graph right after the first leave.
+        """
+        leave = next(
+            (m for m in schedule if m.kind is TopologyMutationKind.NODE_LEAVE),
+            None,
+        )
+        if leave is None:
+            return
+        scheme = self._network.scheme
+        graph = schedule.graph_at(scheme.graph, leave.time)
+        try:
+            scheme.rebuild(graph)
+        except ReproError as exc:
+            raise RoutingError(
+                f"node churn isolates node {leave.subject[0]}, and "
+                f"{scheme.scheme_name} cannot be rebuilt on that graph "
+                f"({exc}); use edge churn only (--kinds edges)"
+            ) from exc
+
     def _apply_mutation_event(
         self, mutation: TopologyMutation, now: float
     ) -> None:
@@ -702,96 +698,17 @@ class BatchKernel:
         self._plan_installed = set()
         self._aborted_installs = set()
 
-    # -- vectorised masks -----------------------------------------------------
-
-    def _refresh_state(self) -> None:
-        """Rebuild the cached masks when the network's state epoch moved."""
-        nw = self._network
-        scheme = nw.scheme
-        if nw.state_epoch == self._mask_epoch and scheme is self._mask_scheme:
-            return
-        n = scheme.graph.n
-        if scheme is not self._mask_scheme:
-            self._mask_scheme = scheme
-            self._matrix = scheme.ctx.next_hop_matrix(scheme)
-            if self._matrix is not None:
-                # Complete off the diagonal means the quiescent drain can
-                # skip the per-step no-route check entirely.
-                off_diag = self._matrix.copy()
-                np.fill_diagonal(off_diag, 1)
-                self._matrix_complete = bool((off_diag >= 1).all())
-            else:
-                self._matrix_complete = False
-            fa = np.zeros(n + 1, dtype=bool)
-            if self._matrix is not None:
-                for u in scheme.graph.nodes:
-                    if isinstance(scheme.function(u), FullInformationFunction):
-                        fa[u] = True
-            self._fa_nodes = fa
-            self._fa_any = bool(fa.any())
-            self._scheme_adj = adjacency_mask(scheme.graph)
-        self._link_down, self._node_down = failure_masks(
-            n, nw._failed, nw._failed_nodes
-        )
-        quar_like = np.zeros(n + 1, dtype=bool)
-        for u in nw._quarantined:
-            quar_like[u] = True
-        override = quar_like.copy()
-        # Corrupted tables count as quarantine-like: a mid-cohort detection
-        # can only quarantine an already-corrupted node, so excluding them
-        # up front keeps bulk advances independent of scalar-step ordering.
-        for u in nw._corrupt_tables:
-            quar_like[u] = True
-            override[u] = True
-        for u in nw._healed_functions:
-            override[u] = True
-        for u in nw._updated_functions:
-            override[u] = True
-        self._quar_like = quar_like
-        self._override = override
-        if nw.churned:
-            self._live_adj = adjacency_mask(nw.live_graph)
-        self._all_clear = not (
-            nw._failed
-            or nw._failed_nodes
-            or nw._quarantined
-            or nw._corrupt_tables
-            or nw._healed_functions
-            or nw._updated_functions
-            or nw.churned
-        )
-        blocked_now = bool(
-            nw._failed or nw._failed_nodes or nw._quarantined or nw._churned
-        )
-        self._fa_guard = self._fa_any and (
-            blocked_now or bool(nw._corrupt_tables)
-        )
-        if self._fa_guard:
-            assert self._scheme_adj is not None
-            bad = self._node_down | quar_like
-            adjacency = self._scheme_adj
-            if nw.churned and self._live_adj is not None:
-                adjacency = adjacency | self._live_adj
-                blocked_edge = adjacency & (
-                    self._link_down | bad[None, :] | ~self._live_adj
-                )
-            else:
-                blocked_edge = adjacency & (self._link_down | bad[None, :])
-            self._node_clear = ~blocked_edge.any(axis=1)
-        self._mask_epoch = nw.state_epoch
-
     # -- cohort stepping ------------------------------------------------------
 
     def _step_cohort(
         self, batch: MessageBatch, bucket: _Bucket, now: float
     ) -> None:
-        """Step the cohort due at ``now``, through the lane it fits.
+        """Step the cohort due at ``now``: drain it, or step it row by row.
 
-        Either lane visits the cohort's rows in ascending row order.
+        Both lanes visit the cohort's rows in ascending row order.
         """
-        scalar = not self._batch or self._service > 0
         singles, arrays = bucket
-        if not arrays and (scalar or len(singles) < _MIN_BATCH_ROWS):
+        if not arrays and len(singles) < _MIN_BATCH_ROWS:
             for i in sorted(singles):
                 self._step_one(batch, i, now)
             return
@@ -801,97 +718,67 @@ class BatchKernel:
             rows = arrays[0]
         else:
             rows = np.sort(np.concatenate(arrays))
-        if scalar or rows.size < _MIN_BATCH_ROWS:
-            for i in rows:
-                self._step_one(batch, int(i), now)
-            return
-        self._refresh_state()
+        matrix = (
+            self._drain_matrix() if rows.size >= _MIN_BATCH_ROWS else None
+        )
+        if matrix is None:
+            for i in rows.tolist():
+                self._step_one(batch, i, now)
+        else:
+            self._drain_quiescent(batch, rows, now, matrix)
+
+    def _drain_matrix(self) -> Optional[np.ndarray]:
+        """The next-hop matrix if the quiescent drain may run, else ``None``.
+
+        The drain needs rows that nothing outside them can perturb:
+        ``batch`` on, and no node service time, tracer, churn schedule,
+        queued event or network fault state.  The matrix is derived once
+        per installed scheme, and only when it is needed.
+        """
+        nw = self._network
         if (
-            self._all_clear
-            and self._tracer is None
-            and self._churn is None
-            and not self._events
-            and self._matrix is not None
+            not self._batch
+            or self._service > 0
+            or self._tracer is not None
+            or self._churn is not None
+            or self._events
+            or not nw.quiescent
         ):
-            self._drain_quiescent(batch, rows, now)
-            return
-        node_down = self._node_down
-        quar_like = self._quar_like
-        override = self._override
-        link_down = self._link_down
-        assert node_down is not None and quar_like is not None
-        assert override is not None and link_down is not None
-        cur = batch.current[rows]
-        dst = batch.destination[rows]
-        arrived = cur == dst
-        traced = batch.traced[rows]
-        deliver = arrived & ~node_down[dst]
-        if self._tracer is not None:
-            # Traced and stale deliveries emit spans (or a promotion):
-            # exact scalar path.
-            deliver &= ~traced & ~batch.stale[rows]
-        fast = np.zeros(rows.size, dtype=bool)
-        nxt = np.ones(rows.size, dtype=np.int32)
-        matrix = self._matrix
-        if matrix is not None:
-            fast = ~arrived
-            fast &= ~traced
-            fast &= ~self._has_state[rows]
-            fast &= (batch.plen[rows] - 1) < self._limit
-            fast &= ~override[cur]
-            fast &= ~node_down[cur]
-            nxt = matrix[cur - 1, dst - 1]
-            fast &= nxt >= 1
-            nxt = np.where(fast, nxt, 1).astype(np.int32)
-            fast &= ~quar_like[nxt]
-            fast &= ~node_down[nxt]
-            fast &= ~link_down[cur, nxt]
-            if self._network.churned and self._live_adj is not None:
-                fast &= self._live_adj[cur, nxt]
-            if self._fa_guard:
-                assert self._fa_nodes is not None
-                assert self._node_clear is not None
-                fast &= ~self._fa_nodes[cur] | self._node_clear[cur]
-            if self._churn is not None and bool(fast.any()):
-                # Routing-loop candidates drop through the scalar path.
-                span = int(batch.plen[rows].max())
-                prefix = batch.path[rows, :span]
-                cols = np.arange(span)[None, :]
-                revisit = (prefix == cur[:, None]) & (
-                    cols < (batch.plen[rows] - 1)[:, None]
-                )
-                fast &= ~revisit.any(axis=1)
-        deliver_rows = rows[deliver]
-        fast_rows = rows[fast]
-        slow = ~deliver & ~fast
-        if deliver_rows.size:
-            batch.delivered[deliver_rows] = True
-            batch.completed[deliver_rows] = now
-            batch.active[deliver_rows] = False
-        if fast_rows.size:
-            self._advance_fast(batch, fast_rows, nxt[fast], now)
-        for i in rows[slow]:
-            self._step_one(batch, int(i), now)
+            return None
+        scheme = nw.scheme
+        if scheme is not self._matrix_scheme:
+            self._matrix_scheme = scheme
+            self._matrix = scheme.ctx.next_hop_matrix(scheme)
+            if self._matrix is not None:
+                # Complete off the diagonal means the quiescent drain can
+                # skip the per-step no-route check entirely.
+                off_diag = self._matrix.copy()
+                np.fill_diagonal(off_diag, 1)
+                self._matrix_complete = bool((off_diag >= 1).all())
+            else:
+                self._matrix_complete = False
+        return self._matrix
 
     def _drain_quiescent(
-        self, batch: MessageBatch, rows: np.ndarray, now: float
+        self,
+        batch: MessageBatch,
+        rows: np.ndarray,
+        now: float,
+        matrix: np.ndarray,
     ) -> None:
         """Advance lockstep cohorts with pure gather/scatter steps.
 
-        Entered only when nothing outside a row can perturb it: no
-        failures, overlays or churn (``_all_clear``), no tracer, no
-        service time and no queued events — so rows are mutually
-        independent and the whole cohort can be walked to completion
-        without returning to the drain loop.  Rows that arrive deliver
-        unconditionally; rows that carry header state, hit the hop limit
-        or lack a matrix entry leave the lockstep set through the exact
-        scalar step (and, after a retry backoff, re-enter via the ready
-        index at their own ready time).  Each surviving step is one
-        arrival compare plus one matrix gather — the untraced hot path
-        the throughput bench measures.
+        Entered only when nothing outside a row can perturb it (see
+        :meth:`_drain_matrix`), so rows are mutually independent and the
+        whole cohort can be walked to completion without returning to
+        the drain loop.  Rows that arrive deliver unconditionally; rows
+        that carry header state, hit the hop limit or lack a matrix entry
+        leave the lockstep set through the exact scalar step (and, after
+        a retry backoff, re-enter via the ready index at their own ready
+        time).  Each surviving step is one arrival compare plus one
+        matrix gather — the untraced hot path the throughput bench
+        measures.
         """
-        matrix = self._matrix
-        assert matrix is not None
         nw = self._network
         limit = self._limit
         latency = self._latency
@@ -947,9 +834,10 @@ class BatchKernel:
                     dst0 = dst0[ok]
                     plen = plen[ok]
                     nxt = nxt[ok]
-                    if nw.state_epoch != self._mask_epoch:
+                    if not nw.quiescent:
                         # A slow row touched shared network state; hand
-                        # the rest back to the mask-checked path.
+                        # the rest back to the ready index, whose next
+                        # pop steps them row by row.
                         batch.current[idx] = cur0 + 1
                         batch.plen[idx] = plen
                         batch.ready[idx] = now
@@ -979,33 +867,6 @@ class BatchKernel:
             )
             batch.completed[done] = times
             batch.ready[done] = times
-
-    def _count_forwards(self, hop_from: np.ndarray) -> None:
-        """Accumulate per-node forward counts without a Python loop."""
-        vec = self._fwd_vec
-        if vec is None:
-            n = self._network.scheme.graph.n
-            vec = self._fwd_vec = np.zeros(n + 1, dtype=np.int64)
-        vec += np.bincount(hop_from, minlength=vec.size)
-
-    def _advance_fast(
-        self,
-        batch: MessageBatch,
-        fast_rows: np.ndarray,
-        next_nodes: np.ndarray,
-        now: float,
-    ) -> None:
-        """Scatter one clean hop for every batch-lane row."""
-        self._count_forwards(batch.current[fast_rows])
-        batch.ensure_path_capacity(int(batch.plen[fast_rows].max()) + 1)
-        batch.path[fast_rows, batch.plen[fast_rows]] = next_nodes
-        batch.plen[fast_rows] += 1
-        batch.current[fast_rows] = next_nodes
-        arrival = now + self._latency
-        batch.ready[fast_rows] = arrival
-        self._bucket(arrival)[1].append(fast_rows)
-        if self._churn is not None and self._stale_since is not None:
-            batch.stale[fast_rows] = True
 
     # -- scalar lane ----------------------------------------------------------
 
@@ -1280,7 +1141,6 @@ class BatchKernel:
             if tracer is not None:
                 # A retried message is traced from here on: it turned
                 # anomalous, and its promotion already opened its span.
-                batch.traced[i] = True
                 self._traced[i] = True
             return
         if tracer is not None:

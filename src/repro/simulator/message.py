@@ -130,7 +130,7 @@ class MessageBatch:
 
     __slots__ = (
         "size", "msg_id", "source", "destination", "current", "attempt",
-        "plen", "stale", "traced", "active", "ready", "injected",
+        "plen", "stale", "active", "ready", "injected",
         "completed", "delivered", "drop_code", "drop_detail", "state",
         "path", "_path_capacity",
     )
@@ -154,7 +154,6 @@ class MessageBatch:
         self.attempt = np.zeros(size, dtype=np.int32)
         self.plen = np.ones(size, dtype=np.int32)
         self.stale = np.zeros(size, dtype=bool)
-        self.traced = np.ones(size, dtype=bool)
         self.active = np.ones(size, dtype=bool)
         self.ready = np.asarray(inject_times, dtype=np.float64).copy()
         self.injected = self.ready.copy()

@@ -83,10 +83,6 @@ class Network:
             "undetected": 0,
             "healed": 0,
         }
-        # Monotone counter bumped by every state change that can affect a
-        # routing decision; the batch kernel keys its cached boolean masks
-        # on it so unchanged state costs zero mask rebuilds per generation.
-        self._state_epoch = 0
 
     @property
     def scheme(self) -> RoutingScheme:
@@ -94,15 +90,23 @@ class Network:
         return self._scheme
 
     @property
-    def state_epoch(self) -> int:
-        """Monotone version of the mutable routing state.
+    def quiescent(self) -> bool:
+        """Whether every forwarding decision is the installed scheme's own.
 
-        Incremented by every failure/restore, corruption/quarantine/heal,
-        table install, scheme swap and topology mutation — anything that
-        could change a forwarding decision.  Batch consumers compare it to
-        decide whether their vectorised masks are still valid.
+        True while no link or node is down, no table is corrupted,
+        quarantined, healed or repaired in place, and no topology
+        mutation has been applied: the only state in which the kernel's
+        quiescent drain may answer hops from the next-hop matrix.
         """
-        return self._state_epoch
+        return not (
+            self._failed
+            or self._failed_nodes
+            or self._quarantined
+            or self._corrupt_tables
+            or self._healed_functions
+            or self._updated_functions
+            or self._churned
+        )
 
     @property
     def failed_links(self) -> Set[Link]:
@@ -112,12 +116,10 @@ class Network:
     def fail_link(self, u: int, v: int) -> None:
         """Mark one link as failed."""
         self._failed.add(frozenset((u, v)))
-        self._state_epoch += 1
 
     def restore_link(self, u: int, v: int) -> None:
         """Bring one link back up."""
         self._failed.discard(frozenset((u, v)))
-        self._state_epoch += 1
 
     @property
     def failed_nodes(self) -> Set[int]:
@@ -127,12 +129,10 @@ class Network:
     def fail_node(self, node: int) -> None:
         """Crash one node: it neither forwards nor receives."""
         self._failed_nodes.add(node)
-        self._state_epoch += 1
 
     def restore_node(self, node: int) -> None:
         """Bring a crashed node back."""
         self._failed_nodes.discard(node)
-        self._state_epoch += 1
 
     def apply_fault(self, event: FaultEvent) -> None:
         """Apply one scheduled fault event to the live failure state."""
@@ -174,7 +174,6 @@ class Network:
         """
         self._live_graph = mutation.apply(self._live_graph)
         self._churned = True
-        self._state_epoch += 1
         if mutation.kind is TopologyMutationKind.NODE_LEAVE:
             self.fail_node(mutation.subject[0])
         elif mutation.kind is TopologyMutationKind.NODE_JOIN:
@@ -197,7 +196,6 @@ class Network:
         self._healed_functions.pop(node, None)
         self._quarantined.discard(node)
         self._updated_functions[node] = function
-        self._state_epoch += 1
 
     def install_scheme(self, scheme: RoutingScheme) -> None:
         """Swap in the converged scheme built over the live graph.
@@ -214,7 +212,6 @@ class Network:
         self._scheme = scheme
         self._ctx = scheme.ctx
         self._updated_functions.clear()
-        self._state_epoch += 1
 
     # -- table corruption ----------------------------------------------------
 
@@ -246,7 +243,6 @@ class Network:
         self._healed_functions.pop(node, None)
         # Fresh damage supersedes any earlier detection verdict.
         self._quarantined.discard(node)
-        self._state_epoch += 1
         self._corruption_stats["injected"] += 1
         get_registry().counter(
             "repro_table_corruptions_total", kind=mutation.kind.name
@@ -269,7 +265,6 @@ class Network:
         self._corrupt_tables.pop(node, None)
         self._corrupt_functions.pop(node, None)
         self._quarantined.discard(node)
-        self._state_epoch += 1
         self._healed_functions[node] = self._scheme.decode_function(
             node, self._ctx.pristine_bits(self._scheme, node)
         )
@@ -281,7 +276,6 @@ class Network:
         """Quarantine ``node`` after a detection; returns the error to raise."""
         if node not in self._quarantined:
             self._quarantined.add(node)
-            self._state_epoch += 1
             self._corruption_stats["detected"] += 1
             get_registry().counter(
                 "repro_table_corruption_detected_total"

@@ -11,9 +11,8 @@ every axis the task switches on, and the kernel's injections.  The CLI's
 single run and every ``--workers`` replica go through it alike.
 
 With only static failures on, every message is injected at t=0 (outcomes
-cannot depend on injection time, and one large cohort keeps the batch
-lane); with any timed axis on, injection times are uniform over
-``[0, 0.8 * horizon]``, seeded by ``seed``.
+cannot depend on injection time); with any timed axis on, injection
+times are uniform over ``[0, 0.8 * horizon]``, seeded by ``seed``.
 
 Nothing live crosses the process boundary, so results are a pure function
 of the task description and :func:`run_sweep` returns the same

@@ -5,8 +5,9 @@ The batch boundary's contract is *bit identity*: for any fixed seed the
 ``DeliveryRecord`` stream of its all-scalar reference (``batch=False``)
 — across every scheme, with link latency, node queueing, chaos,
 corruption and churn (instant or rate-staggered installs) enabled, over
-one-row and many-row cohorts, with tracing on or off.  These tests pin
-that contract with a hypothesis property over all 11 schemes, pin the
+one-row and many-row cohorts, with tracing on or off, and on clean runs
+whose bursts take the quiescent drain.  These tests pin that contract
+with a hypothesis property over all 11 schemes, pin the
 sweep driver's worker-count independence, and regression-test that the
 untraced kernel pays nothing for the (disabled) tracer hooks.
 """
@@ -72,8 +73,8 @@ def _injections(graph, messages, seed, horizon=30.0, burst=0, burst_at=0.0):
     """``messages`` pairs at uniform times, then ``burst`` more at once.
 
     Uniform times make one-row cohorts; the burst (at ``burst_at``) is
-    one many-row cohort that moves in lockstep and so keeps the batch
-    lane busy.
+    one many-row cohort that moves in lockstep, so on a clean run it
+    takes the quiescent drain.
     """
     clock = random.Random(seed)
     nodes = sorted(graph.nodes)
@@ -106,25 +107,32 @@ def _tracer(kind):
 
 @st.composite
 def fault_cases(draw):
+    # "clean" runs without faults, churn, service time or tracer, and
+    # always with a burst: the only variant that reaches the quiescent
+    # drain.
     variant = draw(
-        st.sampled_from(("static", "chaos", "corruption", "churn"))
+        st.sampled_from(("static", "chaos", "corruption", "churn", "clean"))
     )
     scheme_name = draw(
         st.sampled_from(CHURN_SCHEMES if variant == "churn" else ALL_SCHEMES)
     )
     seed = draw(st.integers(0, 3))
     messages = draw(st.integers(1, 20))
-    burst = draw(st.sampled_from((0, 0, 24, 40)))
+    burst = draw(
+        st.sampled_from((24, 40) if variant == "clean" else (0, 0, 24, 40))
+    )
     retries = draw(st.integers(0, 2))
     # Zero jitter re-injects rows dropped together as one retry cohort.
     jitter = draw(st.sampled_from((0.1, 0.0)))
     timing = {"link_latency": draw(st.sampled_from((0.35, 1.0, 2.0)))}
     service = draw(st.sampled_from((0.0, 0.0, 0.2, 0.7)))
-    if service:
+    if service and variant != "clean":
         timing["node_service_time"] = service
         timing["queue_capacity"] = draw(st.sampled_from((None, 1, 3)))
     repair_rate = draw(st.sampled_from((None, 40.0, 400.0)))
     tracer = draw(st.sampled_from((None, "recording", "sampled")))
+    if variant == "clean":
+        tracer = None
     return (scheme_name, seed, variant, messages, burst, retries, jitter,
             timing, repair_rate, tracer)
 
@@ -173,7 +181,7 @@ def test_batch_matches_scalar_under_faults(case):
             graph, max(graph.n // 4, 1), horizon=40.0, seed=seed
         )
         kwargs["repair_delay"] = 6.0
-    else:
+    elif variant == "churn":
         kwargs["churn_schedule"] = random_churn(
             graph, 3, horizon=20.0, seed=seed
         )
@@ -225,6 +233,23 @@ def test_batch_matches_scalar_under_churn(scheme_name):
         assert sum(r.stale for r in results[True][0][80:]) >= 8
 
 
+def test_drained_forward_counts_match_scalar():
+    """The quiescent drain's deferred forward counts equal the scalar
+    step's, including on a second read."""
+    scheme, graph = _scheme("full-table")
+    injections = _injections(graph, 10, seed=3, burst=40)
+    counts = {}
+    for batch in (True, False):
+        kernel = BatchKernel(scheme, batch=batch)
+        for source, destination, at_time in injections:
+            kernel.inject(source, destination, at_time)
+        kernel.run()
+        counts[batch] = kernel.forward_counts
+        assert kernel.forward_counts == counts[batch]
+    assert counts[True] == counts[False]
+    assert sum(counts[True].values()) >= 40
+
+
 class _SkipsAhead(LocalRoutingFunction):
     """A broken table naming the node two labels on: on a path graph,
     never a neighbour."""
@@ -238,7 +263,7 @@ def test_forward_to_a_non_neighbour_drops_invalid_forward(batch):
     scheme = build_scheme("full-table", path_graph(6), II_ALPHA)
     scheme._function_cache[2] = _SkipsAhead(2)
     kernel = BatchKernel(scheme, batch=batch)
-    for _ in range(16):  # a cohort large enough for the batch lane
+    for _ in range(16):  # a cohort large enough for the quiescent drain
         kernel.inject(1, 6)
     for record in kernel.run():
         assert record.drop_reason is DropReason.INVALID_FORWARD
@@ -248,8 +273,8 @@ def test_forward_to_a_non_neighbour_drops_invalid_forward(batch):
 def test_tracing_is_preserved_behind_the_boundary():
     """Full tracing: identical records AND identical span streams.
 
-    The t=0 burst is one many-row cohort, so the batch lane must route
-    every traced row to the scalar step to keep its spans.
+    The t=0 burst is one many-row cohort; a live tracer keeps it off the
+    quiescent drain, so every row must step exactly as in the reference.
     """
     graph = gnp_random_graph(16, seed=21)
     scheme = build_scheme("full-table", graph, II_ALPHA)
@@ -279,8 +304,8 @@ def test_sampled_tracing_promotion_matches_scalar():
 
     Burst rows share cohorts with the sampled-in rows.  Node 2's outage
     at t=0 makes 18 of them retry, and without jitter rows dropped at
-    the same instant come back as one cohort of promoted rows, so the
-    batch lane has to split each cohort by its traced flag.
+    the same instant come back as one many-row cohort of promoted rows
+    that must keep their spans.
     """
     graph = gnp_random_graph(16, seed=21)
     scheme = build_scheme("full-table", graph, II_ALPHA)
@@ -341,8 +366,8 @@ def _sweep_tasks(batch=True):
 
 
 def test_only_timed_axes_spread_injections():
-    """Static failures alone inject every message at t=0 (one cohort for
-    the batch lane); any timed axis spreads them over the horizon."""
+    """Static failures alone inject every message at t=0 (one cohort);
+    any timed axis spreads them over the horizon."""
     static = build_run(SweepTask("full-table", 14, messages=24, failures=3))
     assert {r.injected_at for r in static.kernel.run()} == {0.0}
     timed = build_run(
@@ -364,8 +389,8 @@ def test_sweep_digests_independent_of_batch_flag():
     """The flag reaches every axis's kernel and changes no outcome.
 
     Timed tasks inject at uniform random times, so their cohorts hold one
-    row and both flags step them identically; the same kernels fed their
-    pairs as one t=0 cohort make the batch lane carry it.
+    row and both flags step them identically; the same kernels are also
+    fed their pairs as one t=0 cohort.
     """
     batched = run_sweep(_sweep_tasks(batch=True), workers=1)
     scalar = run_sweep(_sweep_tasks(batch=False), workers=1)

@@ -454,6 +454,22 @@ class TestEngineChurn:
                 _Relabeled(scheme), churn_schedule=schedule
             )
 
+    def test_node_churn_needs_a_scheme_that_rebuilds_without_the_node(self):
+        """A leave is refused up front when the scheme's own rebuild
+        rejects the graph with the node isolated; full-table accepts it."""
+        graph = gnp_random_graph(16, seed=13)
+        schedule = ChurnSchedule([TopologyMutation.node_leave(2.0, 5)])
+        refusing = build_scheme("full-information", graph, IA_ALPHA)
+        with pytest.raises(RoutingError, match="--kinds edges"):
+            BatchKernel(refusing, churn_schedule=schedule)
+        u, v = next(iter(graph.edges()))
+        edges_only = ChurnSchedule([TopologyMutation.edge_remove(2.0, u, v)])
+        BatchKernel(refusing, churn_schedule=edges_only)
+        BatchKernel(
+            build_scheme("full-table", graph, IA_ALPHA),
+            churn_schedule=schedule,
+        )
+
 
 class TestChurnCli:
     def test_simulate_churn_json_reports_convergence(self, capsys):
@@ -472,6 +488,19 @@ class TestChurnCli:
         assert churn["incremental"] is True
         assert churn["bits_rewritten"] <= churn["bits_full"]
         assert payload["messages"] == 30
+
+    @pytest.mark.parametrize("scheme", ["full-information", "interval"])
+    def test_node_churn_is_rejected_before_the_run(self, scheme, capsys):
+        from repro.cli import main
+
+        code = main([
+            "simulate", scheme, "40", "--events", "6", "--kinds", "all",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: node churn")
+        assert "--kinds edges" in captured.err
 
     def test_simulate_churn_text_mentions_repair_mode(self, capsys):
         from repro.cli import main

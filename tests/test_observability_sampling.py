@@ -34,7 +34,7 @@ _WORKLOAD = dict(
     events=3, kinds="all", retries=2,
 )
 _BURST = 40
-"""Rows injected together at t=2.5: a cohort for the batch lane."""
+"""Rows injected together at t=2.5: one many-row cohort."""
 
 
 def _run(tracer, seed=0, **overrides):
