@@ -119,7 +119,9 @@ def _run_once(scheme, schedule, injections, tracer):
     for source, destination, at_time in injections:
         sim.inject(source, destination, at_time)
     start = time.perf_counter()
-    records = sim.run()
+    # list(): the view builds records only when read, and the timed
+    # region covers building every one.
+    records = list(sim.run())
     return time.perf_counter() - start, records
 
 

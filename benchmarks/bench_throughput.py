@@ -6,9 +6,11 @@ where uniform pairs average ~85 hops per message) the batched lane of
 scalar per-message loop, untraced.  Both lanes are timed at the batch
 boundary (:meth:`BatchKernel.drain`): the loop that decides and applies
 hops, exactly the code the vectorisation replaced.  The scalar epilogue
-that materialises one frozen ``DeliveryRecord`` per row is identical in
-both modes — it is timed separately and reported as an end-to-end
-ratio, so nothing is hidden, but it is not what the kernel parallelised.
+that materialises one frozen ``DeliveryRecord`` per row
+(``list(finished.records())``: the view builds records only when read)
+is identical in both modes — it is timed separately and reported as an
+end-to-end ratio, so nothing is hidden, but it is not what the kernel
+parallelised.
 
 The two lanes are the *same* kernel:
 
@@ -115,7 +117,7 @@ def measure(n=N, messages=MESSAGES, reps=REPS, scalar_reps=SCALAR_REPS):
         elapsed, finished = _drain_once(scheme, injections, batch=True)
         timings["batched"].append(elapsed)
         start = time.perf_counter()
-        records = finished.records()
+        records = list(finished.records())
         materialize = time.perf_counter() - start
         if reference is None:
             reference = records

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from repro.bitio.bitarray import BitArray
 from repro.bitio.reader import BitReader
 from repro.bitio.writer import BitWriter
@@ -116,11 +118,14 @@ def rank_permutation(perm: Sequence[int]) -> int:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise BitstreamError(f"not a permutation of 0..{n - 1}: {perm!r}")
+    # Lehmer digit i counts the later entries smaller than entry i: one
+    # strictly-upper-triangular comparison matrix, summed by rows.
+    items = np.asarray(perm)
+    digits = np.triu(items[None, :] < items[:, None], 1).sum(axis=1, dtype=np.int32)
+    # Horner's rule over the factorial base: r <- r * (n - i) + digit i.
     rank = 0
-    items = list(perm)
-    for i in range(n):
-        smaller = sum(1 for later in items[i + 1 :] if later < items[i])
-        rank += smaller * math.factorial(n - 1 - i)
+    for i, digit in enumerate(digits.tolist()):
+        rank = rank * (n - i) + digit
     return rank
 
 

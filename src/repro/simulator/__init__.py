@@ -41,6 +41,7 @@ from repro.simulator.failures import (
 from repro.simulator.kernel import BatchKernel
 from repro.simulator.message import (
     DeliveryRecord,
+    DeliveryRecords,
     DropReason,
     MessageBatch,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "BootstrapResult",
     "ChurnSchedule",
     "DeliveryRecord",
+    "DeliveryRecords",
     "DetourWrapper",
     "DropReason",
     "FaultEvent",

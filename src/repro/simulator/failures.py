@@ -9,7 +9,7 @@ that against single-path schemes.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs import LabeledGraph
@@ -28,7 +28,8 @@ def sample_link_failures(
     With ``keep_connected`` (default) candidate failures that would
     disconnect the surviving graph are skipped, so undeliverability in an
     experiment is attributable to the *scheme*, not to a partitioned
-    network.
+    network.  On a graph that is already disconnected no candidate
+    qualifies.
     """
     edges = list(graph.edges())
     if count > len(edges):
@@ -38,15 +39,23 @@ def sample_link_failures(
     rng = random.Random(seed)
     rng.shuffle(edges)
     failed: Set[FrozenSet[int]] = set()
-    current = graph
+    if keep_connected:
+        if not graph.is_connected():
+            edges = []
+        # The surviving links, as one adjacency the candidates edit in
+        # place: the survivors stay connected, so dropping (u, v) keeps
+        # them connected exactly when v is still reachable from u.
+        links = {u: set(graph.neighbor_set(u)) for u in graph.nodes}
     for u, v in edges:
         if len(failed) == count:
             break
         if keep_connected:
-            candidate = current.without_edge(u, v)
-            if not candidate.is_connected():
+            links[u].discard(v)
+            links[v].discard(u)
+            if not _reachable(links, u, v):
+                links[u].add(v)
+                links[v].add(u)
                 continue
-            current = candidate
         failed.add(frozenset((u, v)))
     if len(failed) < count:
         raise GraphError(
@@ -54,6 +63,20 @@ def sample_link_failures(
             f"disconnecting the graph"
         )
     return failed
+
+
+def _reachable(links: Dict[int, Set[int]], source: int, target: int) -> bool:
+    """Whether ``target`` is reachable from ``source`` (stops on sight)."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for node in links[stack.pop()]:
+            if node == target:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return False
 
 
 def sample_node_failures(

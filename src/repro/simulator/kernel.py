@@ -41,6 +41,11 @@ equivalence is the batch boundary's contract, enforced by a hypothesis
 property over every registered scheme with latency, queueing, chaos,
 churn and corruption enabled, and on clean runs that reach the drain.
 
+Outcomes stay in the batch's columns past the boundary: :meth:`run`
+returns a :class:`~repro.simulator.message.DeliveryRecords` view that
+builds a record only when one is read, and the metrics aggregate the
+columns without building any.
+
 Retry backoff jitter draws from a *per-message* :class:`random.Random`
 seeded as ``retry_seed * 1_000_003 + msg_id``, so a message's backoffs
 do not depend on how other messages' outcomes interleave.
@@ -59,6 +64,7 @@ import numpy as np
 from repro.core import RoutingScheme
 from repro.core.repair import RepairPlan, plan_repair
 from repro.errors import IntegrityError, ReproError, RoutingError
+from repro.observability.profiling import timed
 from repro.observability.registry import get_registry
 from repro.observability.tracer import (
     Subject,
@@ -72,7 +78,7 @@ from repro.simulator.churn import (
     TopologyMutation,
     TopologyMutationKind,
 )
-from repro.simulator.message import DeliveryRecord, DropReason, MessageBatch
+from repro.simulator.message import DeliveryRecords, DropReason, MessageBatch
 from repro.simulator.network import Network
 from repro.simulator.recovery import RetryPolicy
 
@@ -358,18 +364,23 @@ class BatchKernel:
                 traced = True
         self._pending.append((msg_id, source, destination, at_time, traced))
 
-    def run(self) -> List[DeliveryRecord]:
-        """Drain every injected message; one record per row, row order."""
+    def run(self) -> DeliveryRecords:
+        """Drain every injected message; one record per row, row order.
+
+        The records are a read-only view over the finished batch's
+        columns (no ``append`` or ``sort``; a slice is a list): a record
+        is built only when it is read.
+        """
         return self.drain().records()
 
+    @timed("simulator.drain")
     def drain(self) -> MessageBatch:
         """Route every injected message, leaving outcomes in SoA form.
 
         Returns the finished :class:`MessageBatch` with every row
-        inactive.  :meth:`run` is this plus the per-row
-        ``DeliveryRecord`` materialisation; consumers that aggregate
-        straight from the arrays (the throughput bench's batched lane)
-        can stay on the vector side of the boundary.
+        inactive; its :meth:`~MessageBatch.records` view is what
+        :meth:`run` returns.  The registry phase ``simulator.drain``
+        times each call.
         """
         nw = self._network
         self._limit = nw.scheme.hop_limit()

@@ -2,23 +2,36 @@
 
 The kernel (:mod:`repro.simulator.kernel`) keeps every in-flight message
 in the struct-of-arrays :class:`MessageBatch`, which both of its lanes
-read and write.  Outcomes leave as frozen :class:`DeliveryRecord`
-objects, so everything downstream of the batch boundary (metrics,
-analysis, persistence) never sees the arrays.
+read and write.  Outcomes stay columns until they are read: a finished
+batch hands out :class:`DeliveryRecords`, a read-only sequence that
+builds a frozen :class:`DeliveryRecord` only for the element read, and
+whose columns :mod:`repro.simulator.metrics` aggregates directly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 import numpy as np
 
 __all__ = [
     "DropReason",
     "DeliveryRecord",
+    "DeliveryRecords",
     "MessageBatch",
     "DROP_REASON_CODES",
     "DROP_REASON_BY_CODE",
@@ -226,45 +239,103 @@ class MessageBatch:
         self.drop_detail[i] = None
         self.ready[i] = ready_at
 
-    def records(self) -> List[DeliveryRecord]:
-        """Every row's outcome, in injection (row) order.
+    def records(self) -> DeliveryRecords:
+        """Every row's outcome, in injection (row) order, as a view.
 
-        Bulk-converts every column once (``ndarray.tolist``) instead of
-        round-tripping one numpy scalar per field per row; on a 16k-row
-        batch the per-row cost is the ``DeliveryRecord`` construction
-        itself, not the array reads.
+        Raises ``ValueError`` while a row is still in flight.
         """
         if self.active.any():
             i = int(np.argmax(self.active))
             raise ValueError(f"message row {i} is still in flight")
-        msg_ids = self.msg_id.tolist()
-        sources = self.source.tolist()
-        destinations = self.destination.tolist()
-        delivered = self.delivered.tolist()
-        plens = self.plen.tolist()
-        injected = self.injected.tolist()
-        completed = self.completed.tolist()
-        codes = self.drop_code.tolist()
-        attempts = self.attempt.tolist()
-        stales = self.stale.tolist()
-        path = self.path
-        return [
-            DeliveryRecord(
+        return DeliveryRecords(self)
+
+
+class DeliveryRecords(Sequence[DeliveryRecord]):
+    """A finished batch's outcomes: a read-only sequence of records.
+
+    Backed by the batch's columns, so element ``i`` is built only when it
+    is read.  Iteration converts every column in bulk (``ndarray.tolist``)
+    instead of round-tripping one numpy scalar per field per row, so
+    ``list(view)`` costs what building the records eagerly did.  A slice
+    returns a list; ``==`` compares element by element with any sequence;
+    like a list, the view is unhashable.
+    """
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: MessageBatch) -> None:
+        self._batch = batch
+
+    @property
+    def batch(self) -> MessageBatch:
+        """The finished batch whose columns this view reads."""
+        return self._batch
+
+    def __len__(self) -> int:
+        return self._batch.size
+
+    @overload
+    def __getitem__(self, index: int) -> DeliveryRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[DeliveryRecord]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[DeliveryRecord, List[DeliveryRecord]]:
+        if isinstance(index, slice):
+            return list(self._build(index))
+        size = self._batch.size
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"record index {index} out of range for {size}")
+        return next(self._build(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        return self._build(slice(None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"DeliveryRecords({len(self)} records)"
+
+    def _build(self, rows: slice) -> Iterator[DeliveryRecord]:
+        """The records of ``rows``, each column converted once."""
+        batch = self._batch
+        msg_ids = batch.msg_id[rows].tolist()
+        sources = batch.source[rows].tolist()
+        destinations = batch.destination[rows].tolist()
+        delivered = batch.delivered[rows].tolist()
+        plens = batch.plen[rows].tolist()
+        injected = batch.injected[rows].tolist()
+        completed = batch.completed[rows].tolist()
+        codes = batch.drop_code[rows].tolist()
+        attempts = batch.attempt[rows].tolist()
+        stales = batch.stale[rows].tolist()
+        details = batch.drop_detail[rows]
+        path = batch.path[rows]
+        for i, plen in enumerate(plens):
+            yield DeliveryRecord(
                 msg_id=msg_ids[i],
                 source=sources[i],
                 destination=destinations[i],
                 delivered=delivered[i],
-                hops=plens[i] - 1 if plens[i] > 1 else 0,
-                path=tuple(path[i, : plens[i]].tolist()),
+                hops=plen - 1 if plen > 1 else 0,
+                path=tuple(path[i, :plen].tolist()),
                 latency=completed[i] - injected[i],
                 drop_reason=(
                     None if codes[i] == NO_DROP else DROP_REASON_BY_CODE[codes[i]]
                 ),
-                drop_detail=self.drop_detail[i],
+                drop_detail=details[i],
                 retries=attempts[i],
                 injected_at=injected[i],
                 completed_at=completed[i],
                 stale=stales[i],
             )
-            for i in range(self.size)
-        ]

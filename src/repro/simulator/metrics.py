@@ -4,6 +4,11 @@ Besides the classic delivery/stretch statistics this module reports the
 resilience quantities the chaos experiments sweep over: retry counts,
 time-to-delivery including backoff, and the per-:class:`DropReason`
 breakdown of everything that did not arrive.
+
+Every aggregate is one numpy pass over a record sequence's columns: a
+:class:`~repro.simulator.message.DeliveryRecords` view lends its batch's
+arrays as they are, and any other sequence is read field by field once,
+so no record object is built to be folded back into a mean.
 """
 
 from __future__ import annotations
@@ -15,8 +20,16 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.graphs import LabeledGraph, get_context
+from repro.observability.profiling import profile_section
 from repro.observability.registry import get_registry
-from repro.simulator.message import DeliveryRecord, DropReason
+from repro.simulator.message import (
+    DROP_REASON_BY_CODE,
+    DROP_REASON_CODES,
+    NO_DROP,
+    DeliveryRecord,
+    DeliveryRecords,
+    DropReason,
+)
 
 __all__ = [
     "RoutingMetrics",
@@ -87,84 +100,159 @@ class RoutingMetrics:
         }
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """A record sequence as parallel arrays, in row order."""
+
+    source: np.ndarray
+    destination: np.ndarray
+    delivered: np.ndarray
+    hops: np.ndarray
+    latency: np.ndarray
+    injected: np.ndarray
+    completed: np.ndarray
+    retries: np.ndarray
+    stale: np.ndarray
+    drop_code: np.ndarray
+    """:data:`~repro.simulator.message.NO_DROP` where the record has no
+    drop reason."""
+
+    def drops(self) -> Dict[DropReason, int]:
+        """Undelivered rows per reason (none given counts as ``NO_ROUTE``),
+        keyed in order of first occurrence."""
+        codes = self.drop_code[~self.delivered]
+        codes = np.where(
+            codes == NO_DROP, DROP_REASON_CODES[DropReason.NO_ROUTE], codes
+        )
+        return {
+            DROP_REASON_BY_CODE[code]: count
+            for code, count in _tally(codes).items()
+        }
+
+
+def _columns(records: Sequence[DeliveryRecord]) -> _Columns:
+    """The columns of ``records``: a view's arrays as they are, or every
+    field of a plain sequence read once."""
+    if isinstance(records, DeliveryRecords):
+        batch = records.batch
+        return _Columns(
+            source=batch.source,
+            destination=batch.destination,
+            delivered=batch.delivered,
+            hops=np.maximum(batch.plen - 1, 0).astype(np.int64),
+            latency=batch.completed - batch.injected,
+            injected=batch.injected,
+            completed=batch.completed,
+            retries=batch.attempt,
+            stale=batch.stale,
+            drop_code=batch.drop_code,
+        )
+    return _Columns(
+        source=np.array([r.source for r in records], dtype=np.int64),
+        destination=np.array([r.destination for r in records], dtype=np.int64),
+        delivered=np.array([r.delivered for r in records], dtype=bool),
+        hops=np.array([r.hops for r in records], dtype=np.int64),
+        latency=np.array([r.latency for r in records], dtype=np.float64),
+        injected=np.array([r.injected_at for r in records], dtype=np.float64),
+        completed=np.array([r.completed_at for r in records], dtype=np.float64),
+        retries=np.array([r.retries for r in records], dtype=np.int64),
+        stale=np.array([r.stale for r in records], dtype=bool),
+        drop_code=np.array(
+            [
+                NO_DROP if r.drop_reason is None
+                else DROP_REASON_CODES[r.drop_reason]
+                for r in records
+            ],
+            dtype=np.int64,
+        ),
+    )
+
+
+def _tally(values: np.ndarray) -> Dict[int, int]:
+    """Occurrences of each value, keyed in order of first occurrence."""
+    keys, first, counts = np.unique(
+        values, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return dict(zip(keys[order].tolist(), counts[order].tolist()))
+
+
 def drop_breakdown(
     records: Sequence[DeliveryRecord],
 ) -> Dict[DropReason, int]:
     """Count undelivered records per structured :class:`DropReason`."""
-    drops: Dict[DropReason, int] = {}
-    for record in records:
-        if record.delivered:
-            continue
-        reason = record.drop_reason or DropReason.NO_ROUTE
-        drops[reason] = drops.get(reason, 0) + 1
-    return drops
+    return _columns(records).drops()
 
 
 def retry_histogram(
     records: Sequence[DeliveryRecord],
 ) -> Dict[int, int]:
     """How many messages needed 0, 1, 2, ... re-transmissions."""
-    hist: Dict[int, int] = {}
-    for record in records:
-        hist[record.retries] = hist.get(record.retries, 0) + 1
-    return hist
+    return _tally(_columns(records).retries)
 
 
 def summarize(
     records: Sequence[DeliveryRecord], graph: LabeledGraph
 ) -> RoutingMetrics:
     """Compute metrics; stretch is hops over graph distance per pair."""
-    dist = get_context(graph).distances()
-    stretches = []
-    hops = []
-    latencies = []
-    times_to_delivery = []
-    delivered = 0
-    total_retries = 0
-    stale_deliveries = 0
-    for record in records:
-        total_retries += record.retries
-        if not record.delivered:
-            continue
-        delivered += 1
-        if record.stale:
-            stale_deliveries += 1
-        hops.append(record.hops)
-        latencies.append(record.latency)
-        if not (
-            math.isnan(record.injected_at) or math.isnan(record.completed_at)
-        ):
-            times_to_delivery.append(record.completed_at - record.injected_at)
-        shortest = int(dist[record.source - 1, record.destination - 1])
-        stretches.append(record.hops / shortest if shortest > 0 else 1.0)
-    mean_latency = float(np.mean(latencies)) if latencies else math.nan
-    # Timestamped records measure injection-to-arrival directly; records
-    # without timestamps fall back to the latency alias.
-    mean_ttd = (
-        float(np.mean(times_to_delivery)) if times_to_delivery else mean_latency
-    )
-    registry = get_registry()
-    registry.counter("repro_messages_routed_total").inc(len(records))
-    registry.counter("repro_messages_delivered_total").inc(delivered)
-    registry.counter("repro_retries_total").inc(total_retries)
-    if stale_deliveries:
-        registry.counter("repro_stale_deliveries_total").inc(stale_deliveries)
-    breakdown = drop_breakdown(records)
-    for reason, count in breakdown.items():
-        registry.counter("repro_drops_total", reason=reason.name).inc(count)
-    return RoutingMetrics(
-        messages=len(records),
-        delivered=delivered,
-        mean_hops=float(np.mean(hops)) if hops else math.nan,
-        mean_stretch=float(np.mean(stretches)) if stretches else math.nan,
-        max_stretch=float(np.max(stretches)) if stretches else math.nan,
-        p95_stretch=(
-            float(np.percentile(stretches, 95)) if stretches else math.nan
-        ),
-        mean_latency=mean_latency,
-        drop_reasons=breakdown,
-        total_retries=total_retries,
-        mean_retries=total_retries / len(records) if records else 0.0,
-        mean_time_to_delivery=mean_ttd,
-        stale_deliveries=stale_deliveries,
-    )
+    with profile_section("simulator.summarize"):
+        dist = get_context(graph).distances()
+        columns = _columns(records)
+        messages = len(records)
+        delivered = columns.delivered
+        delivered_count = int(np.count_nonzero(delivered))
+        none_delivered = delivered_count == 0
+        total_retries = int(columns.retries.sum())
+        stale_deliveries = int(np.count_nonzero(columns.stale & delivered))
+        hops = columns.hops[delivered]
+        shortest = dist[
+            columns.source[delivered] - 1, columns.destination[delivered] - 1
+        ]
+        stretches = np.divide(
+            hops, shortest, out=np.ones(len(hops)), where=shortest > 0
+        )
+        mean_latency = (
+            math.nan if none_delivered
+            else float(np.mean(columns.latency[delivered]))
+        )
+        # Timestamped records measure injection-to-arrival directly; records
+        # without timestamps fall back to the latency alias.
+        stamped = (
+            delivered
+            & ~np.isnan(columns.injected)
+            & ~np.isnan(columns.completed)
+        )
+        times_to_delivery = columns.completed[stamped] - columns.injected[stamped]
+        mean_ttd = (
+            float(np.mean(times_to_delivery))
+            if len(times_to_delivery)
+            else mean_latency
+        )
+        registry = get_registry()
+        registry.counter("repro_messages_routed_total").inc(messages)
+        registry.counter("repro_messages_delivered_total").inc(delivered_count)
+        registry.counter("repro_retries_total").inc(total_retries)
+        if stale_deliveries:
+            registry.counter("repro_stale_deliveries_total").inc(stale_deliveries)
+        breakdown = columns.drops()
+        for reason, count in breakdown.items():
+            registry.counter("repro_drops_total", reason=reason.name).inc(count)
+        return RoutingMetrics(
+            messages=messages,
+            delivered=delivered_count,
+            mean_hops=math.nan if none_delivered else float(np.mean(hops)),
+            mean_stretch=(
+                math.nan if none_delivered else float(np.mean(stretches))
+            ),
+            max_stretch=math.nan if none_delivered else float(np.max(stretches)),
+            p95_stretch=(
+                math.nan if none_delivered
+                else float(np.percentile(stretches, 95))
+            ),
+            mean_latency=mean_latency,
+            drop_reasons=breakdown,
+            total_retries=total_retries,
+            mean_retries=total_retries / messages if messages else 0.0,
+            mean_time_to_delivery=mean_ttd,
+            stale_deliveries=stale_deliveries,
+        )

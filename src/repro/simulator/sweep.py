@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core import RoutingScheme, build_scheme, default_model
 from repro.core.detour import DetourWrapper
 from repro.errors import ReproError
@@ -52,7 +54,8 @@ from repro.simulator.failures import (
     sample_node_failures,
 )
 from repro.simulator.kernel import BatchKernel
-from repro.simulator.message import DeliveryRecord
+from repro.simulator.message import DROP_REASON_BY_CODE, NO_DROP, DeliveryRecord
+from repro.simulator.metrics import _columns, _tally
 from repro.simulator.recovery import RetryPolicy
 from repro.simulator.workloads import (
     all_to_one,
@@ -362,20 +365,26 @@ def _record_digest(records: Sequence[DeliveryRecord]) -> str:
 
 
 def run_task(task: SweepTask) -> SweepResult:
-    """Build and run one shard; pure in the task description."""
+    """Build and run one shard; pure in the task description.
+
+    ``stale`` counts every stale record, delivered or not, and
+    ``drop_reasons`` counts every record that carries a reason.
+    """
     records = build_run(task).kernel.run()
-    reasons: Dict[str, int] = {}
-    for r in records:
-        if r.drop_reason is not None:
-            reasons[r.drop_reason.name] = reasons.get(r.drop_reason.name, 0) + 1
+    columns = _columns(records)
+    delivered = int(np.count_nonzero(columns.delivered))
+    codes = columns.drop_code[columns.drop_code != NO_DROP]
     return SweepResult(
         task=task,
         messages=len(records),
-        delivered=sum(1 for r in records if r.delivered),
-        dropped=sum(1 for r in records if not r.delivered),
-        retries=sum(r.retries for r in records),
-        stale=sum(1 for r in records if r.stale),
-        drop_reasons=tuple(sorted(reasons.items())),
+        delivered=delivered,
+        dropped=len(records) - delivered,
+        retries=int(columns.retries.sum()),
+        stale=int(np.count_nonzero(columns.stale)),
+        drop_reasons=tuple(sorted(
+            (DROP_REASON_BY_CODE[code].name, count)
+            for code, count in _tally(codes).items()
+        )),
         record_digest=_record_digest(records),
     )
 

@@ -7,9 +7,10 @@ The batch boundary's contract is *bit identity*: for any fixed seed the
 corruption and churn (instant or rate-staggered installs) enabled, over
 one-row and many-row cohorts, with tracing on or off, and on clean runs
 whose bursts take the quiescent drain.  These tests pin that contract
-with a hypothesis property over all 11 schemes, pin the
-sweep driver's worker-count independence, and regression-test that the
-untraced kernel pays nothing for the (disabled) tracer hooks.
+with a hypothesis property over all 11 schemes (which also requires
+each lane's column aggregation to equal the per-record reference), pin
+the sweep driver's worker-count independence, and regression-test that
+the untraced kernel pays nothing for the (disabled) tracer hooks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.simulator import (
     RetryPolicy,
     SweepTask,
     run_sweep,
+    summarize,
 )
 from repro.simulator.chaos import (
     FaultEvent,
@@ -44,6 +46,7 @@ from repro.simulator.chaos import (
 from repro.simulator.churn import random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
 from repro.simulator.sweep import _pairs, build_run
+from tests import outcome_reference
 
 II_GAMMA = RoutingModel(Knowledge.II, Labeling.GAMMA)
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
@@ -195,6 +198,13 @@ def test_batch_matches_scalar_under_faults(case):
         runs[batch] = (records, spans)
     assert runs[True] == runs[False]
     assert len(runs[True][0]) == messages + burst
+    # The column aggregation of either lane's view, and of the view as a
+    # list, equals the per-record reference.
+    for records, _ in runs.values():
+        expected = outcome_reference.summarize(list(records), graph)
+        for metrics in (summarize(records, graph), summarize(list(records), graph)):
+            assert metrics.to_dict() == expected.to_dict()
+            assert list(metrics.drop_reasons) == list(expected.drop_reasons)
 
 
 @pytest.mark.parametrize("scheme_name", CHURN_SCHEMES)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,20 @@ from repro.bitio import (
     write_subset,
 )
 from repro.errors import BitstreamError
+
+
+def reference_rank_permutation(perm: Sequence[int]) -> int:
+    """The original O(d²) rank (each Lehmer digit times its factorial),
+    kept verbatim as the oracle of ``rank_permutation``."""
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise BitstreamError(f"not a permutation of 0..{n - 1}: {perm!r}")
+    rank = 0
+    items = list(perm)
+    for i in range(n):
+        smaller = sum(1 for later in items[i + 1 :] if later < items[i])
+        rank += smaller * math.factorial(n - 1 - i)
+    return rank
 
 
 @st.composite
@@ -115,6 +131,30 @@ class TestPermutations:
     def test_rejects_non_permutation(self):
         with pytest.raises(BitstreamError):
             rank_permutation((0, 0, 1))
+
+    def test_rank_matches_reference_up_to_600(self):
+        # Every size to 128, then every 8th: the reference is O(d²).
+        rng = random.Random(0)
+        for d in [*range(128), *range(128, 601, 8)]:
+            perm = list(range(d))
+            rng.shuffle(perm)
+            rank = rank_permutation(perm)
+            assert rank == reference_rank_permutation(perm)
+            assert unrank_permutation(rank, d) == tuple(perm)
+
+    @pytest.mark.parametrize(
+        "items",
+        [(0, 0, 1), (1, 2), (-1, 0), (0, 2), (1,), (0, 1, 1, 3), (1.0, 0.0),
+         (True, False), (2, 0, 1)],
+    )
+    def test_rejects_what_the_reference_rejects(self, items):
+        def outcome(rank):
+            try:
+                return ("ok", rank(items))
+            except BitstreamError as exc:
+                return ("raise", str(exc))
+
+        assert outcome(rank_permutation) == outcome(reference_rank_permutation)
 
     @given(st.permutations(list(range(8))))
     def test_rank_unrank_round_trip(self, perm):

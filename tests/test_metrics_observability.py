@@ -2,7 +2,8 @@
 
 Covers the shared :class:`~repro.graphs.context.GraphContext` distance
 cache as the metrics layer sees it (store-level eviction and its
-counters), the registry counters fed by ``summarize``, and the
+counters), the registry counters fed by ``summarize``, the
+``simulator.drain`` and ``simulator.summarize`` phases, and the
 ``mean_time_to_delivery`` computed from record timestamps instead of the
 ``mean_latency`` alias.
 """
@@ -23,7 +24,7 @@ from repro.graphs import (
 from repro.graphs.context import CTX_COUNTER, context_cache_size
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.core import build_scheme
-from repro.observability import MetricsRegistry, set_registry
+from repro.observability import MetricsRegistry, phase_breakdown, set_registry
 from repro.simulator import (
     BatchKernel,
     DeliveryRecord,
@@ -92,6 +93,21 @@ class TestSummarizeCounters:
             registry.counter("repro_drops_total", reason="LINK_DOWN").value
             == 1
         )
+
+
+class TestSimulatorPhases:
+    def test_one_run_and_one_summarize_time_one_call_each(self, registry):
+        graph = path_graph(6)
+        scheme = build_scheme(
+            "full-table", graph, RoutingModel(Knowledge.II, Labeling.ALPHA)
+        )
+        kernel = BatchKernel(scheme)
+        for destination in range(2, 7):
+            kernel.inject(1, destination)
+        summarize(kernel.run(), graph)
+        phases = phase_breakdown(registry)
+        assert phases["simulator.drain"]["calls"] == 1
+        assert phases["simulator.summarize"]["calls"] == 1
 
 
 def _record(delivered, latency, injected_at=math.nan, completed_at=math.nan,

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from typing import FrozenSet, Set
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs import complete_graph, gnp_random_graph, path_graph, star_graph
+from repro.graphs import (
+    LabeledGraph,
+    complete_graph,
+    cycle_graph,
+    gnp_random_graph,
+    path_graph,
+    star_graph,
+)
 from repro.simulator import (
     sample_incident_failures,
     sample_link_failures,
@@ -114,3 +126,89 @@ class TestSampleLinkFailures:
     def test_keep_connected_true_rejects_bridges(self):
         with pytest.raises(GraphError):
             sample_link_failures(path_graph(4), 1, seed=1)
+
+
+def reference_link_failures(
+    graph: LabeledGraph,
+    count: int,
+    seed: int = 0,
+    keep_connected: bool = True,
+) -> Set[FrozenSet[int]]:
+    """The original sampler, which rebuilds the graph for every candidate;
+    kept verbatim as the oracle of ``sample_link_failures``."""
+    edges = list(graph.edges())
+    if count > len(edges):
+        raise GraphError(
+            f"cannot fail {count} of {len(edges)} links"
+        )
+    rng = random.Random(seed)
+    rng.shuffle(edges)
+    failed: Set[FrozenSet[int]] = set()
+    current = graph
+    for u, v in edges:
+        if len(failed) == count:
+            break
+        if keep_connected:
+            candidate = current.without_edge(u, v)
+            if not candidate.is_connected():
+                continue
+            current = candidate
+        failed.add(frozenset((u, v)))
+    if len(failed) < count:
+        raise GraphError(
+            f"only {len(failed)} of {count} links can fail without "
+            f"disconnecting the graph"
+        )
+    return failed
+
+
+def _outcome(sampler, graph, count, seed, keep_connected):
+    try:
+        return ("ok", sampler(graph, count, seed=seed, keep_connected=keep_connected))
+    except GraphError as exc:
+        return ("raise", str(exc))
+
+
+@st.composite
+def failure_graphs(draw):
+    """Sparse G(n, p) (many bridges), paths, cycles, stars, and a
+    disconnected union of two G(n, p) samples."""
+    kind = draw(st.sampled_from(("gnp", "gnp", "path", "cycle", "star", "union")))
+    if kind == "path":
+        return path_graph(draw(st.integers(1, 30)))
+    if kind == "cycle":
+        return cycle_graph(draw(st.integers(3, 30)))
+    if kind == "star":
+        return star_graph(draw(st.integers(2, 30)))
+    p = draw(st.sampled_from((0.05, 0.1, 0.2, 0.4, 0.8)))
+    seed = draw(st.integers(0, 10_000))
+    first = gnp_random_graph(draw(st.integers(1, 30)), p=p, seed=seed)
+    if kind == "gnp":
+        return first
+    second = gnp_random_graph(draw(st.integers(1, 20)), p=p, seed=seed + 1)
+    shifted = [(u + first.n, v + first.n) for u, v in second.edges()]
+    return LabeledGraph(first.n + second.n, list(first.edges()) + shifted)
+
+
+class TestLinkFailuresMatchReference:
+    @given(failure_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_set_or_same_error(self, graph, data):
+        count = data.draw(st.integers(0, graph.edge_count + 2), label="count")
+        seed = data.draw(st.integers(0, 50), label="seed")
+        keep_connected = data.draw(st.booleans(), label="keep_connected")
+        assert _outcome(
+            sample_link_failures, graph, count, seed, keep_connected
+        ) == _outcome(reference_link_failures, graph, count, seed, keep_connected)
+
+    def test_dense_graph_matches_reference(self):
+        graph = gnp_random_graph(64, seed=0)
+        assert sample_link_failures(graph, 120, seed=0) == reference_link_failures(
+            graph, 120, seed=0
+        )
+
+    def test_disconnected_graph_rejects_every_candidate(self):
+        graph = LabeledGraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+        assert sample_link_failures(graph, 0) == set()
+        with pytest.raises(GraphError, match="only 0 of 1 links"):
+            sample_link_failures(graph, 1)
