@@ -298,10 +298,13 @@ class GraphContext:
     def pristine_bits(self, scheme: "RoutingScheme", node: int) -> "BitArray":
         """``node``'s serialised pristine function under ``scheme`` (memoised).
 
-        This is the graph+model knowledge the corruption self-healer
-        rebuilds from (:meth:`~repro.simulator.network.Network.heal_table`):
-        the first corruption of a node pays for the encode, every repeat
-        corruption or heal of that node is a context hit.  Keyed on the
+        This is the graph+model knowledge a node's stored table is
+        corrupted from and re-installed from
+        (:meth:`~repro.simulator.network.Network.corrupt_table`,
+        :meth:`~repro.simulator.network.Network.install_table`, which
+        heals and churn repair installs share): the first corruption of a
+        node pays for the encode, every repeat corruption, heal or
+        install of that node is a context hit.  Keyed on the
         scheme *instance* (two same-named schemes may encode differently,
         e.g. under different port assignments); a strong reference pins the
         instance so its id cannot be recycled while memoised.

@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
+    Any,
     Callable,
     FrozenSet,
+    Generic,
     Iterable,
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from repro.bitio import BitArray
@@ -39,6 +43,7 @@ __all__ = [
     "FaultSchedule",
     "MutationKind",
     "TableMutation",
+    "TimedSchedule",
     "flapping_links",
     "renewal_faults",
     "regional_failures",
@@ -211,66 +216,85 @@ class FaultEvent:
         return self.subject[0]
 
 
-def _sort_key(event: FaultEvent) -> Tuple[float, str, Tuple[int, ...]]:
-    return (event.time, event.kind.value, event.subject)
+class _Timed(Protocol):
+    """What a schedule orders: a time, a kind and the nodes acted on."""
+
+    @property
+    def time(self) -> float: ...
+
+    @property
+    def kind(self) -> enum.Enum: ...
+
+    @property
+    def subject(self) -> Tuple[int, ...]: ...
 
 
-class FaultSchedule:
-    """An immutable, time-ordered sequence of :class:`FaultEvent`s."""
+_T = TypeVar("_T", bound=_Timed)
+_S = TypeVar("_S", bound="TimedSchedule[Any]")
 
-    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
-        self._events: Tuple[FaultEvent, ...] = tuple(
-            sorted(events, key=_sort_key)
+
+class TimedSchedule(Generic[_T]):
+    """An immutable sequence of timed items, ordered by time, kind, subject.
+
+    The container :class:`FaultSchedule` and
+    :class:`~repro.simulator.churn.ChurnSchedule` share; each adds its
+    own validation and replay.
+    """
+
+    _noun = "events"
+
+    def __init__(self, items: Iterable[_T] = ()) -> None:
+        self._items: Tuple[_T, ...] = tuple(
+            sorted(items, key=lambda e: (e.time, e.kind.value, e.subject))
         )
 
-    # -- container protocol ------------------------------------------------
-
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._items)
 
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self._events)
+    def __iter__(self) -> Iterator[_T]:
+        return iter(self._items)
 
     def __bool__(self) -> bool:
-        return bool(self._events)
+        return bool(self._items)
 
     def __repr__(self) -> str:
         return (
-            f"FaultSchedule({len(self._events)} events, "
+            f"{type(self).__name__}({len(self._items)} {self._noun}, "
             f"horizon={self.horizon:.2f})"
         )
 
     @property
-    def events(self) -> Tuple[FaultEvent, ...]:
-        """The events in time order."""
-        return self._events
-
-    @property
     def horizon(self) -> float:
-        """Time of the last scheduled event (0.0 when empty)."""
-        return self._events[-1].time if self._events else 0.0
+        """Time of the last scheduled item (0.0 when empty)."""
+        return self._items[-1].time if self._items else 0.0
 
-    # -- composition -------------------------------------------------------
-
-    def merged(self, other: "FaultSchedule") -> "FaultSchedule":
+    def merged(self: _S, other: _S) -> _S:
         """Interleave two schedules into one time-ordered schedule."""
-        return FaultSchedule(self._events + other.events)
+        return type(self)(self._items + other._items)
 
-    def __add__(self, other: "FaultSchedule") -> "FaultSchedule":
+    def __add__(self: _S, other: _S) -> _S:
         return self.merged(other)
 
-    def shifted(self, delta: float) -> "FaultSchedule":
+    def shifted(self: _S, delta: float) -> _S:
         """The same schedule displaced ``delta`` time units later."""
-        return FaultSchedule(
-            FaultEvent(e.time + delta, e.kind, e.subject, e.mutation)
-            for e in self._events
+        return type(self)(
+            replace(item, time=item.time + delta) for item in self._items
         )
+
+
+class FaultSchedule(TimedSchedule[FaultEvent]):
+    """An immutable, time-ordered sequence of :class:`FaultEvent`s."""
+
+    @property
+    def events(self) -> Tuple[FaultEvent, ...]:
+        """The events in time order."""
+        return self._items
 
     # -- validation and replay ---------------------------------------------
 
     def validate(self, graph: LabeledGraph) -> None:
         """Check every event references a real link/node of ``graph``."""
-        for event in self._events:
+        for event in self._items:
             if event.kind in _LINK_KINDS:
                 u, v = event.subject
                 if not graph.has_edge(u, v):
@@ -296,7 +320,7 @@ class FaultSchedule:
         """
         links: Set[FrozenSet[int]] = set()
         nodes: Set[int] = set()
-        for event in self._events:
+        for event in self._items:
             if event.time > time:
                 break
             if event.kind is FaultKind.LINK_DOWN:
@@ -315,7 +339,7 @@ class FaultSchedule:
     def corrupted_at(self, time: float) -> Set[int]:
         """Replay only the table events: corrupt-table nodes at ``time``."""
         corrupt: Set[int] = set()
-        for event in self._events:
+        for event in self._items:
             if event.time > time:
                 break
             if event.kind is FaultKind.TABLE_CORRUPT:
@@ -448,16 +472,6 @@ def renewal_faults(
     return FaultSchedule(events)
 
 
-def _ball(graph: LabeledGraph, center: int, radius: int) -> Set[int]:
-    """Nodes within hop distance ``radius`` of ``center``.
-
-    Served by the shared :class:`~repro.graphs.context.GraphContext`, so
-    several regions (or repeated schedules on one graph) reuse one BFS
-    per epicentre.
-    """
-    return get_context(graph).ball(center, radius)
-
-
 def regional_failures(
     graph: LabeledGraph,
     regions: int = 1,
@@ -487,7 +501,9 @@ def regional_failures(
     for _ in range(regions):
         epicenter = rng.randrange(1, graph.n + 1)
         start = rng.uniform(0.0, horizon - duration)
-        for node in sorted(_ball(graph, epicenter, radius)):
+        # The shared context's memoised BFS serves every region (and
+        # repeated schedules on one graph) one traversal per epicentre.
+        for node in sorted(get_context(graph).ball(epicenter, radius)):
             if node in protected:
                 continue
             events.append(FaultEvent.node_down(start, node))

@@ -25,10 +25,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs import LabeledGraph
+from repro.simulator.chaos import TimedSchedule
 
 __all__ = [
     "TopologyMutationKind",
@@ -184,68 +185,22 @@ class TopologyMutation:
             return f"node {self.subject[0]} joins via {attachments}"
 
 
-def _sort_key(
-    mutation: TopologyMutation,
-) -> Tuple[float, str, Tuple[int, ...]]:
-    return (mutation.time, mutation.kind.value, mutation.subject)
-
-
-class ChurnSchedule:
+class ChurnSchedule(TimedSchedule[TopologyMutation]):
     """An immutable, time-ordered sequence of :class:`TopologyMutation` s.
 
-    Mirrors :class:`~repro.simulator.chaos.FaultSchedule` so the two can
-    ride through the same timed kernel side by side; additionally offers
+    Shares its container with
+    :class:`~repro.simulator.chaos.FaultSchedule` so the two can ride
+    through the same timed kernel side by side; additionally offers
     *replay* — reconstructing the live graph at any point in time — which
     is what makes schedules checkable before a run starts.
     """
 
-    def __init__(self, mutations: Iterable[TopologyMutation] = ()) -> None:
-        self._mutations: Tuple[TopologyMutation, ...] = tuple(
-            sorted(mutations, key=_sort_key)
-        )
-
-    # -- container protocol ------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._mutations)
-
-    def __iter__(self) -> Iterator[TopologyMutation]:
-        return iter(self._mutations)
-
-    def __bool__(self) -> bool:
-        return bool(self._mutations)
-
-    def __repr__(self) -> str:
-        return (
-            f"ChurnSchedule({len(self._mutations)} mutations, "
-            f"horizon={self.horizon:.2f})"
-        )
+    _noun = "mutations"
 
     @property
     def mutations(self) -> Tuple[TopologyMutation, ...]:
         """The mutations in time order."""
-        return self._mutations
-
-    @property
-    def horizon(self) -> float:
-        """Time of the last scheduled mutation (0.0 when empty)."""
-        return self._mutations[-1].time if self._mutations else 0.0
-
-    # -- composition -------------------------------------------------------
-
-    def merged(self, other: "ChurnSchedule") -> "ChurnSchedule":
-        """Interleave two schedules into one time-ordered schedule."""
-        return ChurnSchedule(self._mutations + other.mutations)
-
-    def __add__(self, other: "ChurnSchedule") -> "ChurnSchedule":
-        return self.merged(other)
-
-    def shifted(self, delta: float) -> "ChurnSchedule":
-        """The same schedule displaced ``delta`` time units later."""
-        return ChurnSchedule(
-            TopologyMutation(m.time + delta, m.kind, m.subject)
-            for m in self._mutations
-        )
+        return self._items
 
     # -- validation and replay ---------------------------------------------
 
@@ -257,7 +212,7 @@ class ChurnSchedule:
         that edge.  A full replay is therefore the only honest check.
         """
         current = graph
-        for mutation in self._mutations:
+        for mutation in self._items:
             try:
                 current = mutation.apply(current)
             except GraphError as exc:
@@ -273,7 +228,7 @@ class ChurnSchedule:
         kernel's mutation-before-message tie-break.
         """
         current = graph
-        for mutation in self._mutations:
+        for mutation in self._items:
             if mutation.time > time:
                 break
             current = mutation.apply(current)

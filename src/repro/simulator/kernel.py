@@ -20,9 +20,10 @@ cohort's lane:
   row in ascending row order: liveness, quarantine, hop-limit and
   routing-loop checks, the forwarding decision via
   :meth:`~repro.simulator.network.Network._choose_hop` and its adjacency
-  check (a forward to a non-neighbour drops ``INVALID_FORWARD``), drop
-  details, spans and counters.  The hop semantics are written here and
-  nowhere else.
+  check (a forward over an edge the live graph lacks drops ``LINK_DOWN``
+  when the graph of the node's stored table has that edge, and
+  ``INVALID_FORWARD`` when it does not), drop details, spans and
+  counters.  The hop semantics are written here and nowhere else.
 * the **quiescent drain** — :meth:`BatchKernel._drain_quiescent`, for a
   cohort of at least :data:`_MIN_BATCH_ROWS` rows that nothing outside
   them can perturb: no tracer, node service time, churn schedule or
@@ -126,6 +127,7 @@ class _TableInstall:
 
     generation: int
     node: int
+    bits: int
     final: bool
     """Last install of the plan — convergence finalises after it."""
 
@@ -264,7 +266,6 @@ class BatchKernel:
         self._control_events = 0
         self._limit = 0
         self._corrupted_at: Dict[int, float] = {}
-        self._reacted: Set[int] = set()
         self._hop_sets: Dict[Tuple[int, int], Set[Tuple[int, Any]]] = {}
         self._addresses: Dict[int, Any] = {}
         self._forward_counts: Dict[int, int] = {}
@@ -278,7 +279,6 @@ class BatchKernel:
         self._churn_delay = churn_repair_delay
         self._churn_rate = churn_repair_rate
         self._incremental = incremental_repair
-        self._base_scheme = self._network.scheme
         self._generation = 0
         self._pending_mutations: List[TopologyMutation] = []
         self._stale_since: Optional[float] = None
@@ -505,8 +505,6 @@ class BatchKernel:
             node = event.subject[0]
             self._network.apply_fault(event)
             self._corrupted_at[node] = now
-            # Fresh damage re-arms detection for this node.
-            self._reacted.discard(node)
             if tracer is not None:
                 detail = (
                     event.mutation.describe()
@@ -521,7 +519,6 @@ class BatchKernel:
             node = event.subject[0]
             healed = self._network.heal_table(node)
             self._corrupted_at.pop(node, None)
-            self._reacted.discard(node)
             if healed and tracer is not None:
                 tracer.heal(
                     node=node, time=now,
@@ -538,10 +535,12 @@ class BatchKernel:
         self._network.apply_fault(event)
 
     def _on_detection(self, node: int, now: float) -> None:
-        """React once per corruption episode: record latency, plan the heal."""
-        if node in self._reacted:
-            return
-        self._reacted.add(node)
+        """Record the detection latency and plan the heal.
+
+        Runs once per corruption episode: the detection quarantines the
+        node, and a quarantined node never reaches the forwarding
+        decision again until fresh damage, a heal or an install.
+        """
         tracer = self._tracer
         if tracer is not None:
             tracer.quarantine(
@@ -626,7 +625,7 @@ class BatchKernel:
         if tick.generation != self._generation or self._active_plan is not None:
             return  # superseded by a newer mutation
         plan = plan_repair(
-            self._base_scheme,
+            self._network.scheme,
             self._network.live_graph,
             full=not self._incremental,
             extra_dirty=self._aborted_installs,
@@ -641,8 +640,8 @@ class BatchKernel:
         stats["bits_reused"] += plan.bits_reused
         get_registry().counter("repro_churn_repairs_total").inc()
         if not plan.table_bits or self._churn_rate is None:
-            for node, _bits in plan.table_bits:
-                self._install_node(plan, node, now)
+            for node, bits in plan.table_bits:
+                self._install_node(plan.new_scheme, node, bits, now)
             self._finalize_convergence(now)
             return
         elapsed = 0.0
@@ -651,27 +650,21 @@ class BatchKernel:
             # Deliberate ratio: bits over a bits-per-time rate is a time.
             elapsed += bits / self._churn_rate  # repro-lint: disable=R001
             self._push_control(
-                _TableInstall(tick.generation, node, index == last),
+                _TableInstall(tick.generation, node, bits, index == last),
                 now + elapsed,
             )
 
-    def _install_node(self, plan: RepairPlan, node: int, now: float) -> None:
-        """Install one repaired table, decoded from its pristine bits.
-
-        Going through ``decode_function`` on the memoised pristine
-        encoding — the heal machinery's re-install path — rather than the
-        scheme's in-memory function keeps repaired tables on the same
-        serialised-knowledge footing as corruption heals.
-        """
-        scheme = plan.new_scheme
-        bits = scheme.ctx.pristine_bits(scheme, node)
-        self._network.install_table(node, scheme.decode_function(node, bits))
+    def _install_node(
+        self, scheme: RoutingScheme, node: int, bits: int, now: float
+    ) -> None:
+        """Install one repaired table of ``bits`` encoded bits."""
+        self._network.install_table(node, scheme)
         self._plan_installed.add(node)
         tracer = self._tracer
         if tracer is not None:
             tracer.repair(
                 node=node, time=now,
-                detail=f"{len(bits)} bits reinstalled",
+                detail=f"{bits} bits reinstalled",
                 cause=self._mutate_span,
             )
 
@@ -679,7 +672,9 @@ class BatchKernel:
         """Apply one staggered install; the final one converges."""
         if install.generation != self._generation or self._active_plan is None:
             return  # superseded by a newer mutation
-        self._install_node(self._active_plan, install.node, now)
+        self._install_node(
+            self._active_plan.new_scheme, install.node, install.bits, now
+        )
         if install.final:
             self._finalize_convergence(now)
 
@@ -688,7 +683,6 @@ class BatchKernel:
         plan = self._active_plan
         assert plan is not None
         self._network.install_scheme(plan.new_scheme)
-        self._base_scheme = plan.new_scheme
         histogram = get_registry().histogram("repro_churn_convergence_time")
         for mutation in self._pending_mutations:
             histogram.observe(now - mutation.time)
@@ -976,8 +970,8 @@ class BatchKernel:
             next_node != current
             and next_node not in nw.live_graph.neighbor_set(current)
         ):
-            if next_node in nw.scheme.graph.neighbor_set(current):
-                # Stale table forwarding over a mutated-away edge.
+            if next_node in nw.holder(current).graph.neighbor_set(current):
+                # A stored table forwarding over a mutated-away edge.
                 self._finish(
                     batch, i, now,
                     DropReason.LINK_DOWN,

@@ -1,12 +1,19 @@
 """The network's routing state and its one forwarding decision.
 
 :class:`Network` holds everything a forwarding decision depends on: the
-installed scheme, failed links and crashed nodes, the table-corruption
-overlay (corrupted, quarantined and healed tables), repaired tables
-installed during churn convergence, and the live topology after
-mutations.  :meth:`Network._choose_hop` asks a node's live function for
-its next hop: full-information functions route *around* failed incident
-links (the exact capability the paper defines them for); detour-wrapped
+installed scheme, failed links and crashed nodes, quarantined nodes, the
+live topology after mutations, and one stored-table record per node
+whose table is not the installed scheme's pristine one.  A record names
+the scheme whose pristine table the node holds (a repaired table
+installed during churn convergence, a healed one, or a superseded one)
+plus, while the table is corrupted, the mutated bits and their lazily
+decoded function.  Corruption mutates the holder's pristine bits, heals
+and churn installs decode the holder's memoised pristine bits, and a
+node's forwards are judged against the holder's graph.
+
+:meth:`Network._choose_hop` asks a node's stored function for its next
+hop: full-information functions route *around* failed incident links
+(the exact capability the paper defines them for); detour-wrapped
 functions bounce once to a live neighbour; plain single-path functions
 answer from their table alone.
 
@@ -18,6 +25,7 @@ drives this state.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -50,8 +58,20 @@ def _as_links(edges: Iterable[Tuple[int, int]]) -> Set[Link]:
     return {frozenset(edge) for edge in edges}
 
 
+@dataclass
+class _StoredTable:
+    """A node's table storage where it is not the installed scheme's own."""
+
+    scheme: RoutingScheme
+    """The holder: the scheme whose pristine table the node stores."""
+    bits: Optional[BitArray] = None
+    """The mutated copy of the holder's pristine bits while corrupted."""
+    function: Optional[LocalRoutingFunction] = None
+    """The decoded function (for corrupted bits, on first use)."""
+
+
 class Network:
-    """One network's routing state: its scheme, failures and overlays."""
+    """One network's routing state: its scheme, failures and stored tables."""
 
     def __init__(
         self,
@@ -62,21 +82,13 @@ class Network:
         self._scheme = scheme
         self._failed: Set[Link] = _as_links(failed_links)
         self._failed_nodes: Set[int] = set(failed_nodes)
-        # The graph's shared context is the healer's knowledge source: it
-        # memoises each node's pristine serialised function, so repeat
-        # corruptions and heals of one node encode it exactly once.
-        self._ctx = scheme.ctx
-        # Table-corruption overlay: the scheme object itself stays pristine.
-        self._corrupt_tables: Dict[int, BitArray] = {}
-        self._corrupt_functions: Dict[int, LocalRoutingFunction] = {}
-        self._healed_functions: Dict[int, LocalRoutingFunction] = {}
+        # Every node absent here stores the installed scheme's own table.
+        self._tables: Dict[int, _StoredTable] = {}
         self._quarantined: Set[int] = set()
-        # Live-topology churn: the graph as it currently exists (the
-        # scheme's graph until the first mutation) plus repaired-table
-        # overlays installed before the converged scheme swap.
+        # The graph as it currently exists (the scheme's graph until the
+        # first mutation).
         self._live_graph: LabeledGraph = scheme.graph
         self._churned = False
-        self._updated_functions: Dict[int, LocalRoutingFunction] = {}
         self._corruption_stats: Dict[str, int] = {
             "injected": 0,
             "detected": 0,
@@ -93,20 +105,24 @@ class Network:
     def quiescent(self) -> bool:
         """Whether every forwarding decision is the installed scheme's own.
 
-        True while no link or node is down, no table is corrupted,
-        quarantined, healed or repaired in place, and no topology
-        mutation has been applied: the only state in which the kernel's
-        quiescent drain may answer hops from the next-hop matrix.
+        True while no link or node is down, no node is quarantined or
+        stores a table record (corrupted, healed or repaired in place),
+        and no topology mutation has been applied: the only state in
+        which the kernel's quiescent drain may answer hops from the
+        next-hop matrix.
         """
         return not (
             self._failed
             or self._failed_nodes
             or self._quarantined
-            or self._corrupt_tables
-            or self._healed_functions
-            or self._updated_functions
+            or self._tables
             or self._churned
         )
+
+    def holder(self, node: int) -> RoutingScheme:
+        """The scheme whose pristine table ``node`` stores."""
+        table = self._tables.get(node)
+        return self._scheme if table is None else table.scheme
 
     @property
     def failed_links(self) -> Set[Link]:
@@ -185,40 +201,49 @@ class Network:
             "repro_topology_mutations_total", kind=mutation.kind.name
         ).inc()
 
-    def install_table(self, node: int, function: LocalRoutingFunction) -> None:
-        """Install one repaired routing function ahead of convergence.
+    def install_table(self, node: int, scheme: RoutingScheme) -> None:
+        """Rewrite ``node``'s storage with ``scheme``'s pristine table.
 
-        The node's storage was just rewritten, so any corruption, heal or
-        quarantine state it carried is superseded by the fresh table.
+        The function is decoded from the context's memoised pristine bits
+        (the serialised knowledge, never the scheme's in-memory cache);
+        any corruption or quarantine the node carried is superseded.
+        Heals and churn repair installs both come through here.
         """
-        self._corrupt_tables.pop(node, None)
-        self._corrupt_functions.pop(node, None)
-        self._healed_functions.pop(node, None)
+        function = scheme.decode_function(
+            node, scheme.ctx.pristine_bits(scheme, node)
+        )
+        self._tables[node] = _StoredTable(scheme, function=function)
         self._quarantined.discard(node)
-        self._updated_functions[node] = function
 
     def install_scheme(self, scheme: RoutingScheme) -> None:
         """Swap in the converged scheme built over the live graph.
 
-        Per-node overlays installed during the repair window collapse into
-        the scheme itself; corruption overlays on *clean* nodes survive
-        (their storage is still bad, and their encodings are bit-identical
-        across the swap).
+        Nodes that store the converged scheme's own table drop their
+        records; a corrupted node keeps its damage, and a node holding
+        an older scheme's table keeps it (repair left it clean, so its
+        bits equal the converged scheme's).
         """
         if scheme.graph is not self._live_graph:
             raise RoutingError(
                 "converged scheme must be built over the live graph"
             )
         self._scheme = scheme
-        self._ctx = scheme.ctx
-        self._updated_functions.clear()
+        self._tables = {
+            node: table
+            for node, table in self._tables.items()
+            if table.scheme is not scheme or table.bits is not None
+        }
 
     # -- table corruption ----------------------------------------------------
 
     @property
     def corrupted_nodes(self) -> Set[int]:
-        """Nodes whose packed function bits are currently mutated."""
-        return set(self._corrupt_tables)
+        """Nodes whose stored function bits are currently mutated."""
+        return {
+            node
+            for node, table in self._tables.items()
+            if table.bits is not None
+        }
 
     @property
     def quarantined_nodes(self) -> Set[int]:
@@ -230,17 +255,16 @@ class Network:
         return dict(self._corruption_stats)
 
     def corrupt_table(self, node: int, mutation: TableMutation) -> None:
-        """Overwrite ``node``'s packed function bits with a mutated copy.
+        """Overwrite ``node``'s stored bits with a mutated copy.
 
-        The damage lives in an overlay; the scheme object itself stays
-        pristine, modelling the node's *storage* going bad while the
-        network's graph+model knowledge (the shared context, the healer's
-        source) survives.
+        The mutation applies to the holder's memoised pristine bits; the
+        scheme objects stay pristine, modelling the node's *storage*
+        going bad while the network's graph+model knowledge (the shared
+        context, the healer's source) survives.
         """
-        pristine = self._ctx.pristine_bits(self._scheme, node)
-        self._corrupt_tables[node] = mutation.apply(pristine)
-        self._corrupt_functions.pop(node, None)
-        self._healed_functions.pop(node, None)
+        holder = self.holder(node)
+        pristine = holder.ctx.pristine_bits(holder, node)
+        self._tables[node] = _StoredTable(holder, mutation.apply(pristine))
         # Fresh damage supersedes any earlier detection verdict.
         self._quarantined.discard(node)
         self._corruption_stats["injected"] += 1
@@ -249,25 +273,17 @@ class Network:
         ).inc()
 
     def heal_table(self, node: int) -> bool:
-        """Rebuild ``node``'s function pristine from graph+model knowledge.
+        """Re-install ``node``'s holder's pristine table.
 
-        The replacement function is decoded from the context's memoised
-        pristine bits — the same serialised knowledge the corruption step
-        snapshotted — so healing is an explicit re-install, not a silent
-        fallback onto the scheme's in-memory cache.  Returns whether there
-        was anything to heal (corruption or quarantine state cleared).
+        An explicit re-install through :meth:`install_table`, not a
+        silent fallback onto a scheme's in-memory cache.  Returns whether
+        there was anything to heal (only a corrupted table is ever
+        quarantined, so clearing the corruption clears the quarantine).
         """
-        was_broken = (
-            node in self._corrupt_tables or node in self._quarantined
-        )
-        if not was_broken:
+        table = self._tables.get(node)
+        if table is None or table.bits is None:
             return False
-        self._corrupt_tables.pop(node, None)
-        self._corrupt_functions.pop(node, None)
-        self._quarantined.discard(node)
-        self._healed_functions[node] = self._scheme.decode_function(
-            node, self._ctx.pristine_bits(self._scheme, node)
-        )
+        self.install_table(node, table.scheme)
         self._corruption_stats["healed"] += 1
         get_registry().counter("repro_table_heals_total").inc()
         return True
@@ -283,7 +299,7 @@ class Network:
         return IntegrityError(f"node {node}: {why}")
 
     def _function_for(self, node: int) -> LocalRoutingFunction:
-        """The live function at ``node`` — the corrupted overlay wins.
+        """The function ``node`` stores — decoded from corrupted bits.
 
         Decoding the mutated bits is the detection point: framed schemes
         raise :class:`IntegrityError` on the checksum, and even unframed
@@ -293,64 +309,51 @@ class Network:
         and silently misroutes, exactly the failure mode integrity framing
         exists to close.
         """
-        if node in self._corrupt_tables:
-            overlay = self._corrupt_functions.get(node)
-            if overlay is None:
-                try:
-                    overlay = self._scheme.decode_function(
-                        node, self._corrupt_tables[node]
-                    )
-                except IntegrityError as exc:
-                    raise self._detected(node, str(exc)) from exc
-                except (ReproError, KeyError, IndexError, TypeError,
-                        ValueError) as exc:
-                    raise self._detected(
-                        node,
-                        f"corrupted table failed to decode "
-                        f"({type(exc).__name__}: {exc})",
-                    ) from exc
-                self._corrupt_functions[node] = overlay
-                self._corruption_stats["undetected"] += 1
-                get_registry().counter(
-                    "repro_table_corruption_undetected_total"
-                ).inc()
-            return overlay
-        updated = self._updated_functions.get(node)
-        if updated is not None:
-            return updated
-        healed = self._healed_functions.get(node)
-        if healed is not None:
-            return healed
-        return self._scheme.function(node)
+        table = self._tables.get(node)
+        if table is None:
+            return self._scheme.function(node)
+        function = table.function
+        if function is None:
+            assert table.bits is not None  # only corrupted bits decode late
+            try:
+                function = table.scheme.decode_function(node, table.bits)
+            except IntegrityError as exc:
+                raise self._detected(node, str(exc)) from exc
+            except (ReproError, KeyError, IndexError, TypeError,
+                    ValueError) as exc:
+                raise self._detected(
+                    node,
+                    f"corrupted table failed to decode "
+                    f"({type(exc).__name__}: {exc})",
+                ) from exc
+            table.function = function
+            self._corruption_stats["undetected"] += 1
+            get_registry().counter(
+                "repro_table_corruption_undetected_total"
+            ).inc()
+        return function
 
     def _valid_forward(self, node: int, next_node: object) -> bool:
         """Whether a forwarding decision names the node itself or a
-        neighbour — the runtime port check a real router performs."""
+        neighbour in the stored table's own graph — the runtime port
+        check a real router performs."""
         if not isinstance(next_node, int) or isinstance(next_node, bool):
             return False
         if next_node == node:
             return True
-        if not 1 <= next_node <= self._scheme.graph.n:
-            return False
-        # Under churn a repaired table may legitimately name a neighbour
-        # that exists only in the live graph (an added edge).
-        return self._scheme.graph.has_edge(node, next_node) or (
-            self._churned and self._live_graph.has_edge(node, next_node)
-        )
+        graph = self.holder(node).graph
+        return 1 <= next_node <= graph.n and graph.has_edge(node, next_node)
 
     def _blocked_neighbors(
         self, node: int, destination: Optional[int] = None
     ) -> List[int]:
         # Quarantined nodes refuse to forward but can still *receive*:
         # the destination itself is never routed around.  Under churn an
-        # edge absent from the live graph is as unusable as a failed one,
-        # and repaired tables may know neighbours the scheme graph lacks.
-        neighbors = self._scheme.graph.neighbor_set(node)
-        if self._churned:
-            neighbors = neighbors | self._live_graph.neighbor_set(node)
+        # edge of the stored table's graph that the live graph lacks is
+        # as unusable as a failed one.
         return [
             nb
-            for nb in neighbors
+            for nb in self.holder(node).graph.neighbor_set(node)
             if frozenset((node, nb)) in self._failed
             or nb in self._failed_nodes
             or (nb in self._quarantined and nb != destination)
@@ -373,7 +376,8 @@ class Network:
         of surfacing a garbage answer.
         """
         function = self._function_for(node)
-        corrupted = node in self._corrupt_tables
+        table = self._tables.get(node)
+        corrupted = table is not None and table.bits is not None
         degraded = bool(
             self._failed
             or self._failed_nodes
