@@ -71,6 +71,12 @@ class DetourFunction(LocalRoutingFunction):
             decision.next_node, DetourState(decision.state, bounces)
         )
 
+    def next_hop_row(
+        self, addresses: Sequence[Hashable], graph: LabeledGraph
+    ) -> None:
+        """Never derivable: every decision carries a :class:`DetourState`."""
+        return None
+
     def next_hop_avoiding(
         self,
         destination: Hashable,

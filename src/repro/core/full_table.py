@@ -44,6 +44,7 @@ class PortTableFunction(LocalRoutingFunction):
         self, node: int, ports: np.ndarray, assignment: PortAssignment
     ) -> None:
         super().__init__(node)
+        self._row = ports
         self._ports: List[int] = ports.tolist()
         self._assignment = assignment
 
@@ -60,6 +61,29 @@ class PortTableFunction(LocalRoutingFunction):
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
         port = self.port_for(int(destination))
         return HopDecision(self._assignment.neighbor(self.node, port))
+
+    def fast_next_hop_row(self, graph: LabeledGraph) -> Optional[np.ndarray]:
+        """The port row gathered through the assignment's port → neighbour
+        array; ``None`` unless the table and the assignment span
+        ``graph``'s nodes and every other destination's port is 0 or one
+        of this node's ports."""
+        u, own = self.node, self._assignment.graph
+        if len(self._ports) != graph.n or own.n != graph.n:
+            return None
+        ports = self._row.astype(np.intp)
+        ports[u - 1] = 0
+        if ports.min() < 0 or ports.max() > own.degree(u):
+            return None
+        neighbor_at = self._assignment.neighbor_array()[u - 1]
+        row = np.where(ports == 0, -1, neighbor_at[ports])
+        if own is not graph:
+            # A neighbour under another graph's ports is a next hop only
+            # over an edge of ``graph``, as the loop's edge check has it.
+            hop = row > 0
+            adjacent = graph.adjacency_matrix()[u - 1, row[hop] - 1]
+            row[hop] = np.where(adjacent, row[hop], -2)
+        row[u - 1] = -2
+        return row.astype(np.int32, copy=False)
 
 
 class FullTableScheme(RoutingScheme):

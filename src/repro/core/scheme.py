@@ -5,20 +5,37 @@ node: given a destination (and, for the stateful Theorem 5 scheme, the
 message's header state) it names the neighbour to forward to.  Schemes also
 serialise every local function to a real bit string — the paper's space
 requirement is the measured length of those strings, never a formula.
+
+The functions a scheme installs also give the batched kernel its dense
+next-hop matrix: :meth:`RoutingScheme.next_hop_rows` stacks one row per
+installed function, read off the function's own table by its fast form
+where it has one, else by the per-destination loop
+:meth:`LocalRoutingFunction.next_hop_row` that defines every row.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.bitio import BitArray
-from repro.errors import RoutingError
+from repro.errors import ReproError, RoutingError
 from repro.graphs import GraphContext, LabeledGraph, get_context
 from repro.models import NodeSpace, RoutingModel, SpaceReport
+from repro.observability import get_registry, profile_section
 
-__all__ = ["HopDecision", "LocalRoutingFunction", "RoutingScheme"]
+__all__ = ["NEXT_HOP_ROWS", "HopDecision", "LocalRoutingFunction", "RoutingScheme"]
+
+NEXT_HOP_ROWS = "repro_next_hop_rows_total"
+"""Counter of next-hop rows derived (labels: ``scheme``, and ``form``:
+``fast`` for a function's own vectorised row, ``loop`` for the
+per-destination loop)."""
+
+_ROW_ERRORS = (ReproError, KeyError, IndexError, TypeError, ValueError)
+"""What a function may raise that makes its next-hop row underivable."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,48 @@ class LocalRoutingFunction(abc.ABC):
         addresses; the paper's model γ explicitly assumes only valid labels
         are presented).
         """
+
+    def next_hop_row(
+        self, addresses: Sequence[Hashable], graph: LabeledGraph
+    ) -> Optional[np.ndarray]:
+        """This node's row of the next-hop matrix, one ``next_hop`` per
+        destination — the definition every fast form must reproduce.
+
+        ``addresses[d - 1]`` is destination ``d``'s address and ``graph``
+        the scheme's graph.  Entry ``d - 1`` is the neighbour the function
+        names for ``d`` when it answers with a stateless single-neighbour
+        decision; ``-1`` marks a :class:`~repro.errors.RoutingError` ("no
+        route"), ``-2`` the node's own entry and every decision a
+        vectorised consumer must resolve through the scalar path
+        (self-routing, non-neighbour or non-integer next nodes).  The
+        whole row is ``None`` when a decision carries header state or
+        evaluation fails in a scheme-specific way.
+        """
+        u = self.node
+        row = np.full(graph.n, -2, dtype=np.int32)
+        for d in graph.nodes:
+            if d == u:
+                continue
+            try:
+                decision = self.next_hop(addresses[d - 1])
+            except RoutingError:
+                row[d - 1] = -1
+                continue
+            except _ROW_ERRORS:
+                return None
+            if decision.state is not None:
+                return None
+            nxt = decision.next_node
+            if isinstance(nxt, int) and nxt != u and graph.has_edge(u, nxt):
+                row[d - 1] = nxt
+        return row
+
+    def fast_next_hop_row(self, graph: LabeledGraph) -> Optional[np.ndarray]:
+        """:meth:`next_hop_row` over the plain labels ``1..n``, read off
+        the function's own table; called only when those are the scheme's
+        addresses.  ``None`` where this function has no such form or its
+        precondition fails: the caller then runs the loop."""
+        return None
 
 
 class RoutingScheme(abc.ABC):
@@ -147,6 +206,40 @@ class RoutingScheme(abc.ABC):
     def _build_function(self, u: int) -> LocalRoutingFunction:
         """Construct the local function for one node."""
 
+    def next_hop_rows(self) -> Optional[np.ndarray]:
+        """The dense next-hop lookup of the installed functions, or None.
+
+        Row ``u - 1`` is the row of ``self.function(u)`` over this
+        scheme's addresses (see :meth:`LocalRoutingFunction.next_hop_row`
+        for the entry codes): the function's fast form where the addresses
+        are the plain labels and it has one, else the per-destination
+        loop.  ``None`` when any row is, or when a function cannot be
+        built.  Each row is counted in :data:`NEXT_HOP_ROWS` under the form
+        that produced it.
+        """
+        graph = self._graph
+        addresses = [self.address_of(d) for d in graph.nodes]
+        plain = addresses == list(graph.nodes)  # fast forms index by label
+        matrix = np.empty((graph.n, graph.n), dtype=np.int32)
+        registry = get_registry()
+        fast = registry.counter(NEXT_HOP_ROWS, scheme=self.scheme_name, form="fast")
+        loop = registry.counter(NEXT_HOP_ROWS, scheme=self.scheme_name, form="loop")
+        for u in graph.nodes:
+            try:
+                function = self.function(u)
+            except _ROW_ERRORS:
+                return None
+            row = function.fast_next_hop_row(graph) if plain else None
+            if row is not None:
+                fast.inc()
+            else:
+                row = function.next_hop_row(addresses, graph)
+                if row is None:
+                    return None
+                loop.inc()
+            matrix[u - 1] = row
+        return matrix
+
     # -- serialisation -----------------------------------------------------------
 
     @abc.abstractmethod
@@ -189,8 +282,6 @@ class RoutingScheme(abc.ABC):
         build run ends with per-scheme table sizes scrapable next to the
         phase timings.
         """
-        from repro.observability import get_registry, profile_section
-
         report = SpaceReport(
             model=self._model, scheme_name=self.scheme_name, n=self._graph.n
         )

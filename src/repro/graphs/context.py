@@ -103,7 +103,8 @@ class GraphContext:
     * :meth:`pristine_bits` — a scheme's serialised local functions (the
       corruption self-healer's knowledge source);
     * :meth:`next_hop_matrix` — a scheme's dense next-hop lookup (the
-      batched kernel's fast lane).
+      kernel's quiescent drain): the installed functions' stacked rows,
+      each read off the function's own table where it has a fast form.
 
     The context never observes graph mutation (graphs are immutable); the
     explicit :meth:`invalidate` exists for the corruption/heal path and for
@@ -319,18 +320,17 @@ class GraphContext:
         return bits
 
     def next_hop_matrix(self, scheme: "RoutingScheme") -> Optional[np.ndarray]:
-        """A dense next-hop lookup for ``scheme``, or None if not derivable.
+        """``scheme``'s dense next-hop lookup, or None if not derivable.
 
-        ``matrix[u - 1, d - 1]`` is the next node on ``scheme``'s route
-        from ``u`` towards destination ``d`` whenever the scheme's local
-        function at ``u`` answers with a stateless single-neighbour
-        decision; ``-1`` marks a :class:`~repro.errors.RoutingError`
-        ("no route"), ``-2`` marks entries a vectorised consumer must
-        resolve through the scalar path (self-routing, non-neighbour or
-        non-integer decisions).  The whole matrix degrades to ``None``
-        when any decision carries header state, the scheme wraps detour
-        functions, or evaluation fails in a scheme-specific way — batch
-        consumers then fall back to scalar routing wholesale.
+        The matrix is :meth:`~repro.core.scheme.RoutingScheme.next_hop_rows`:
+        one row per installed function, ``matrix[u - 1, d - 1]`` the next
+        node on the route from ``u`` towards ``d``, ``-1`` for no route and
+        ``-2`` for entries a vectorised consumer must resolve through the
+        scalar path.  Each function derives its row from its own table
+        where it has a fast form, else by the per-destination loop the
+        fast forms are checked against.  ``None`` (header state, detour
+        functions, a scheme-specific failure) sends batch consumers to
+        scalar routing wholesale.
 
         Keyed on the scheme *instance* (like :meth:`pristine_bits`) with a
         strong reference pinning it against id recycling; the array is
@@ -338,43 +338,9 @@ class GraphContext:
         """
 
         def _compute() -> Tuple["RoutingScheme", Optional[np.ndarray]]:
-            # Imported lazily: core imports graphs, so graphs cannot import
-            # core at module scope.
-            from repro.core.detour import DetourFunction
-            from repro.errors import ReproError, RoutingError
-
-            graph = self._graph
-            n = graph.n
-            matrix = np.full((n, n), -2, dtype=np.int32)
-            for u in graph.nodes:
-                try:
-                    function = scheme.function(u)
-                except (ReproError, KeyError, IndexError, TypeError, ValueError):
-                    return (scheme, None)
-                if isinstance(function, DetourFunction):
-                    return (scheme, None)
-                for d in graph.nodes:
-                    if d == u:
-                        continue
-                    address = scheme.address_of(d)
-                    try:
-                        decision = function.next_hop(address)
-                    except RoutingError:
-                        matrix[u - 1, d - 1] = -1
-                        continue
-                    except (ReproError, KeyError, IndexError, TypeError, ValueError):
-                        return (scheme, None)
-                    if decision.state is not None:
-                        return (scheme, None)
-                    nxt = decision.next_node
-                    if (
-                        isinstance(nxt, int)
-                        and nxt != u
-                        and scheme.graph.has_edge(u, nxt)
-                    ):
-                        matrix[u - 1, d - 1] = nxt
-            matrix = np.ascontiguousarray(matrix)
-            matrix.setflags(write=False)
+            matrix = scheme.next_hop_rows()
+            if matrix is not None:
+                matrix.setflags(write=False)
             return (scheme, matrix)
 
         held, matrix = self._memo("next_hop_matrix", id(scheme), _compute)

@@ -13,7 +13,9 @@ shortest-path routing function must reproduce it.
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.errors import PortAssignmentError
 from repro.graphs.graph import LabeledGraph
@@ -24,7 +26,7 @@ __all__ = ["PortAssignment"]
 class PortAssignment:
     """A per-node bijection from neighbours to ports ``1..d(v)``."""
 
-    __slots__ = ("_graph", "_port_of", "_neighbor_at")
+    __slots__ = ("_graph", "_port_of", "_neighbor_at", "_neighbor_array")
 
     def __init__(
         self, graph: LabeledGraph, port_of: Mapping[int, Mapping[int, int]]
@@ -48,6 +50,7 @@ class PortAssignment:
             frozen_neighbors[u] = {port: nb for nb, port in local.items()}
         self._port_of = frozen_ports
         self._neighbor_at = frozen_neighbors
+        self._neighbor_array: Optional[np.ndarray] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -102,6 +105,23 @@ class PortAssignment:
             raise PortAssignmentError(
                 f"node {u} has no port {port}"
             ) from exc
+
+    def neighbor_array(self) -> np.ndarray:
+        """Every port's neighbour as one read-only ``int32`` array (memoised).
+
+        Entry ``[u - 1, p]`` is :meth:`neighbor` ``(u, p)`` for each port
+        ``p`` in ``1..d(u)`` and 0 elsewhere (column 0, and the ports past
+        ``d(u)`` up to the maximum degree), so a row of ports maps to its
+        row of next nodes in one gather.
+        """
+        if self._neighbor_array is None:
+            width = max((len(m) for m in self._neighbor_at.values()), default=0)
+            array = np.zeros((self._graph.n, width + 1), dtype=np.int32)
+            for u, by_port in self._neighbor_at.items():
+                array[u - 1, list(by_port)] = list(by_port.values())
+            array.setflags(write=False)
+            self._neighbor_array = array
+        return self._neighbor_array
 
     def permutation_at(self, u: int) -> tuple[int, ...]:
         """Ports as a permutation relative to the sorted neighbour order.

@@ -106,10 +106,10 @@ class Network:
         """Whether every forwarding decision is the installed scheme's own.
 
         True while no link or node is down, no node is quarantined or
-        stores a table record (corrupted, healed or repaired in place),
-        and no topology mutation has been applied: the only state in
-        which the kernel's quiescent drain may answer hops from the
-        next-hop matrix.
+        stores a table record (corrupted, or holding another scheme's
+        table), and no topology mutation has been applied: the only
+        state in which the kernel's quiescent drain may answer hops from
+        the next-hop matrix.
         """
         return not (
             self._failed
@@ -204,15 +204,21 @@ class Network:
     def install_table(self, node: int, scheme: RoutingScheme) -> None:
         """Rewrite ``node``'s storage with ``scheme``'s pristine table.
 
-        The function is decoded from the context's memoised pristine bits
-        (the serialised knowledge, never the scheme's in-memory cache);
-        any corruption or quarantine the node carried is superseded.
-        Heals and churn repair installs both come through here.
+        The table is the context's memoised pristine bits; any corruption
+        or quarantine the node carried is superseded.  Heals and churn
+        repair installs both come through here.  The installed scheme's
+        own table leaves no record: its pristine bits decode to the
+        installed scheme's function, which the node then routes with (as
+        after :meth:`install_scheme`), so healing the installed scheme's
+        corrupted tables returns the network to :attr:`quiescent`.
+        Another scheme's table is decoded from those bits and stored.
         """
-        function = scheme.decode_function(
-            node, scheme.ctx.pristine_bits(scheme, node)
-        )
-        self._tables[node] = _StoredTable(scheme, function=function)
+        bits = scheme.ctx.pristine_bits(scheme, node)
+        if scheme is self._scheme:
+            self._tables.pop(node, None)
+        else:
+            function = scheme.decode_function(node, bits)
+            self._tables[node] = _StoredTable(scheme, function=function)
         self._quarantined.discard(node)
 
     def install_scheme(self, scheme: RoutingScheme) -> None:
@@ -275,10 +281,12 @@ class Network:
     def heal_table(self, node: int) -> bool:
         """Re-install ``node``'s holder's pristine table.
 
-        An explicit re-install through :meth:`install_table`, not a
-        silent fallback onto a scheme's in-memory cache.  Returns whether
-        there was anything to heal (only a corrupted table is ever
-        quarantined, so clearing the corruption clears the quarantine).
+        An explicit re-install through :meth:`install_table`: a heal of
+        the installed scheme's own table returns the node to that
+        scheme's function, and any other holder's table is decoded afresh
+        from its pristine bits.  Returns whether there was anything to
+        heal (only a corrupted table is ever quarantined, so clearing the
+        corruption clears the quarantine).
         """
         table = self._tables.get(node)
         if table is None or table.bits is None:

@@ -14,9 +14,8 @@ A (scheme, model) pair that `build_scheme` refuses records the error
 class instead, so a pair that starts (or stops) building fails the test
 too.  The grid:
 
-* n=64 and n=128, seeds 0 and 1: every scheme under every one of the
-  nine models;
-* n=256, seeds 0 and 1: the seven Table 1 (scheme, model) pairs.
+* n=64, n=128 and n=256, seeds 0 and 1: every scheme under every one
+  of the nine models.
 
 The graph is ``gnp_random_graph(n, seed)``, except that
 ``chain-comparison`` (which builds only on a chain) gets ``path_graph(n)``.
@@ -44,25 +43,13 @@ from repro.core import available_schemes, build_scheme, pack_scheme
 from repro.errors import ReproError
 from repro.graphs import LabeledGraph, gnp_random_graph, path_graph
 from repro.integrity import FramingPolicy, IntegrityWrapper
-from repro.models import Knowledge, Labeling, RoutingModel, all_models
+from repro.models import RoutingModel, all_models
 from repro.simulator import BatchKernel, DeliveryRecord
 
 GOLDENS_PATH = pathlib.Path(__file__).resolve().parent / "data" / "scheme_goldens.json"
 
 SEEDS = (0, 1)
 BATCH_MESSAGES = 256
-
-II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
-TABLE1_PAIRS: Tuple[Tuple[str, RoutingModel], ...] = (
-    ("full-table", II_ALPHA),
-    ("thm1-two-level", II_ALPHA),
-    ("thm2-neighbor-labels", RoutingModel(Knowledge.II, Labeling.GAMMA)),
-    ("thm3-centers", II_ALPHA),
-    ("thm4-hub", II_ALPHA),
-    ("thm5-probe", II_ALPHA),
-    ("interval", RoutingModel(Knowledge.II, Labeling.BETA)),
-)
-"""The Table 1 schemes, each under the model the paper charges it in."""
 
 Cell = Tuple[str, RoutingModel, int, int]
 """(scheme name, model, n, seed): one entry of the grid."""
@@ -81,14 +68,11 @@ def entry_key(cell: Cell) -> str:
 
 def grid() -> Iterator[Cell]:
     """Every cell, in file order."""
-    for n in (64, 128):
+    for n in (64, 128, 256):
         for seed in SEEDS:
             for name in available_schemes():
                 for model in all_models():
                     yield name, model, n, seed
-    for seed in SEEDS:
-        for name, model in TABLE1_PAIRS:
-            yield name, model, 256, seed
 
 
 def graph_for(name: str, n: int, seed: int) -> LabeledGraph:

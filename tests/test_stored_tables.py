@@ -3,7 +3,8 @@ the table the node actually holds.
 
 Two staggered-repair regressions on G(32, 1/2) seed 4 (a heal inside the
 repair window, and a forward from a table whose plan a newer mutation
-superseded), a hypothesis property of
+superseded), the heal of an installed scheme's table leaving no record
+(so the network is quiescent again), a hypothesis property of
 :class:`~repro.simulator.network.Network` on its own, and the record
 digests of composed runs with instantaneous repair, recorded before the
 per-node storage became one record.
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core import RoutingScheme, build_scheme, plan_repair
 from repro.core.repair import RepairPlan
-from repro.graphs import gnp_random_graph
+from repro.graphs import gnp_random_graph, path_graph
+from repro.integrity import FramingPolicy, IntegrityWrapper
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
     BatchKernel,
@@ -37,6 +39,7 @@ from repro.simulator import (
 from repro.simulator.sweep import SweepTask, run_task
 
 IA_ALPHA = RoutingModel(Knowledge.IA, Labeling.ALPHA)
+II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
 
 _RATE = 50.0
 _TICK = 6.0
@@ -120,6 +123,51 @@ def test_superseded_table_forward_drops_link_down(retries):
         assert record.path == (1,)
 
 
+def _framed_path(n):
+    return IntegrityWrapper(
+        build_scheme("full-table", path_graph(n), II_ALPHA), FramingPolicy.CRC8
+    )
+
+
+def test_heal_of_the_installed_table_leaves_the_network_quiescent():
+    scheme = _framed_path(5)
+    network = Network(scheme)
+    network.corrupt_table(3, TableMutation(MutationKind.BIT_FLIP, offsets=(0,)))
+    assert not network.quiescent
+    assert network.heal_table(3)
+    assert network.quiescent
+    assert network.holder(3) is scheme
+    assert not network.corrupted_nodes
+    assert network.corruption_summary() == {
+        "injected": 1, "detected": 0, "undetected": 0, "healed": 1,
+    }
+
+
+def test_traffic_after_a_heal_takes_the_quiescent_drain():
+    """A burst after the last heal drains off the next-hop matrix and
+    routes exactly as the all-scalar reference."""
+    scheme = _framed_path(8)
+    flip = TableMutation(MutationKind.BIT_FLIP, offsets=(0,))
+    runs = {}
+    for batch in (True, False):
+        kernel = BatchKernel(
+            scheme,
+            batch=batch,
+            fault_schedule=FaultSchedule([
+                FaultEvent.table_corrupt(1.0, 4, flip),
+                FaultEvent.table_repair(2.0, 4),
+            ]),
+        )
+        for _ in range(16):  # a cohort large enough for the drain
+            kernel.inject(1, 8, at_time=5.0)
+        runs[batch] = list(kernel.run())
+        assert kernel.network.quiescent
+        # The drain derived its matrix, so it ran after the heal.
+        assert (kernel._matrix_scheme is scheme) == batch
+    assert runs[True] == runs[False]
+    assert all(r.delivered and r.hops == 7 for r in runs[True])
+
+
 _TABLE_MUTATIONS = st.one_of(
     st.builds(
         TableMutation,
@@ -184,10 +232,15 @@ def test_network_acts_on_the_table_each_node_holds(
             damage[node] = mutation
         elif op == "heal":
             assert network.heal_table(node) == (node in damage)
-            damage.pop(node, None)
+            if damage.pop(node, None) is not None and holder is installed:
+                # The installed scheme's own table leaves no record.
+                del holders[node]
         elif op == "install":
             network.install_table(node, successor)
-            holders[node] = successor
+            if successor is installed:
+                holders.pop(node, None)
+            else:
+                holders[node] = successor
             damage.pop(node, None)
         else:
             # Nodes that held the successor's table drop their records
