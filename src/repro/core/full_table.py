@@ -100,10 +100,11 @@ class FullTableScheme(RoutingScheme):
         allow_unreachable: bool = False,
     ) -> None:
         super().__init__(graph, model, ctx=ctx)
-        if ports is None:
-            ports = self._ctx.port_table()
-        if model.ports_reassignable and not ports.is_identity():
-            # A model-IB strategy would always normalise its ports first.
+        # A model-IB strategy would always normalise its ports first.
+        canonical = ports is None or (
+            model.ports_reassignable and not ports.is_identity()
+        )
+        if canonical:
             ports = self._ctx.port_table()
         self._ports = ports
         with profile_section("build.full-table.distances"):
@@ -114,14 +115,18 @@ class FullTableScheme(RoutingScheme):
             # [u - 1, w - 1]: the port of u's least neighbour on a shortest
             # path to w; 0 (no entry) when w is u or unreachable, possible
             # only under ``allow_unreachable`` (e.g. a churn node-leave).
-            self._port_table = np.zeros((graph.n, graph.n), dtype=np.int32)
-            for u in graph.nodes:
-                mask = shortest_hop_mask(graph, self._dist, u)
-                if len(mask):  # an isolated node keeps an empty row
-                    port_of = np.array(ports.permutation_at(u), dtype=np.int32) + 1
-                    self._port_table[u - 1] = np.where(
-                        mask.any(axis=0), port_of[mask.argmax(axis=0)], 0
-                    )
+            ranks = self._ctx.least_hop_ranks()
+            if canonical:  # u's i-th least neighbour sits on port i + 1
+                self._port_table = ranks + 1
+            else:
+                neighbor_at = ports.neighbor_array()
+                # port_of_rank[u - 1, i]: the port of u's i-th least
+                # neighbour; the last column is never a rank and stays 0,
+                # the entry of rank -1.
+                port_of_rank = np.zeros(neighbor_at.shape, dtype=np.int32)
+                us, port = np.nonzero(neighbor_at)
+                port_of_rank[us, ranks[us, neighbor_at[us, port] - 1]] = port
+                self._port_table = np.take_along_axis(port_of_rank, ranks, axis=1)
 
     @property
     def port_assignment(self) -> PortAssignment:

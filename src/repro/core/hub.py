@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import RoutingError, SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph
@@ -71,26 +73,21 @@ class HubScheme(RoutingScheme):
         model.require(neighbors_known=True)
         self._hub = hub
         self._inner = TwoLevelScheme(graph, model, ctx=self._ctx)
-        hub_adjacent = graph.neighbor_set(hub)
-        self._hub_index: Dict[int, int] = {}
+        self._hub_adjacent = graph.neighbor_set(hub)  # checks 1 <= hub <= n
         with profile_section("build.thm4-hub.hub-index"):
-            for v in graph.nodes:
-                if v == hub or v in hub_adjacent:
-                    continue
-                neighbors = graph.neighbors(v)
-                index = next(
-                    (
-                        i
-                        for i, nb in enumerate(neighbors)
-                        if nb in hub_adjacent
-                    ),
-                    None,
+            # A node at distance 2 climbs through its least neighbour that
+            # is adjacent to the hub: its least shortest-path neighbour.
+            to_hub = self._ctx.distances()[:, hub - 1]
+            far = np.flatnonzero((to_hub > 2) | (to_hub < 0))
+            if far.size:
+                raise SchemeBuildError(
+                    f"node {far[0] + 1} is farther than 2 hops from hub {hub}"
                 )
-                if index is None:
-                    raise SchemeBuildError(
-                        f"node {v} is farther than 2 hops from hub {hub}"
-                    )
-                self._hub_index[v] = index
+            two = np.flatnonzero(to_hub == 2)
+            ranks = self._ctx.least_hop_ranks()[two, hub - 1]
+            self._hub_index: Dict[int, int] = dict(
+                zip((two + 1).tolist(), ranks.tolist())
+            )
 
     @property
     def hub(self) -> int:
@@ -103,7 +100,7 @@ class HubScheme(RoutingScheme):
         if u == self._hub:
             return self._inner.function(u)
         neighbors = self._graph.neighbors(u)
-        if u in self._graph.neighbor_set(self._hub):
+        if u in self._hub_adjacent:
             return TowardHubFunction(u, neighbors, self._hub)
         return TowardHubFunction(
             u, neighbors, neighbors[self._hub_index[u]]
@@ -113,7 +110,7 @@ class HubScheme(RoutingScheme):
         if u == self._hub:
             return self._inner.encode_function(u)
         writer = BitWriter()
-        if u in self._graph.neighbor_set(self._hub):
+        if u in self._hub_adjacent:
             writer.write_bit(1)  # adjacent: route straight to the hub
         else:
             writer.write_bit(0)

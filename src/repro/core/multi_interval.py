@@ -176,9 +176,8 @@ class MultiIntervalScheme(RoutingScheme):
         for port in range(1, self._graph.degree(u) + 1):
             intervals = self._port_intervals[u].get(port, [])
             writer.write_gamma(len(intervals))
-            for lo, hi in intervals:
-                writer.write_uint(lo, width)
-                writer.write_uint(hi, width)
+            ends = [end for interval in intervals for end in interval]
+            writer.write_uints(ends, width)
         return writer.getvalue()
 
     def decode_function(self, u: int, bits: BitArray) -> MultiIntervalFunction:
@@ -188,10 +187,8 @@ class MultiIntervalScheme(RoutingScheme):
         for port in range(1, self._graph.degree(u) + 1):
             count = reader.read_gamma()
             if count:
-                port_intervals[port] = [
-                    (reader.read_uint(width), reader.read_uint(width))
-                    for _ in range(count)
-                ]
+                ends = reader.read_uints(2 * count, width)
+                port_intervals[port] = list(zip(ends[::2], ends[1::2]))
         return MultiIntervalFunction(u, port_intervals, self._ports)
 
     def stretch_bound(self) -> float:

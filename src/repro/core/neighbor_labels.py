@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.bitio import BitArray, BitReader, BitWriter
-from repro.errors import GraphError, RoutingError, SchemeBuildError
-from repro.graphs import GraphContext, LabeledGraph, covering_sequence
+from repro.errors import CoverError, RoutingError, SchemeBuildError
+from repro.graphs import GraphContext, LabeledGraph, least_cover_prefixes
 from repro.models import RoutingModel, minimal_label_bits
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
 
@@ -81,15 +81,18 @@ class NeighborLabelScheme(RoutingScheme):
             raise SchemeBuildError(
                 f"Theorem 2 needs arbitrary (charged) labels: model γ, got {model}"
             )
-        self._addresses = {}
-        for v in graph.nodes:
-            try:
-                sequence, _ = covering_sequence(graph, v, "least")
-            except GraphError as exc:
-                raise SchemeBuildError(
-                    f"Theorem 2 construction failed at node {v}: {exc}"
-                ) from exc
-            self._addresses[v] = NodeAddress(v, tuple(sequence))
+        try:
+            prefixes = least_cover_prefixes(
+                self._ctx.distances(), self._ctx.least_hop_ranks()
+            ).tolist()
+        except CoverError as exc:
+            raise SchemeBuildError(
+                f"Theorem 2 construction failed at node {exc.node}: {exc}"
+            ) from exc
+        self._addresses = {
+            v: NodeAddress(v, graph.neighbors(v)[:m])
+            for v, m in zip(graph.nodes, prefixes)
+        }
 
     # -- addressing -------------------------------------------------------------
 

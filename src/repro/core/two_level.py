@@ -25,9 +25,16 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
-from repro.errors import GraphError, RoutingError, SchemeBuildError
-from repro.graphs import GraphContext, LabeledGraph, covering_sequence
+from repro.errors import CoverError, RoutingError, SchemeBuildError
+from repro.graphs import (
+    GraphContext,
+    LabeledGraph,
+    covering_sequence,
+    least_cover_prefixes,
+)
 from repro.models import RoutingModel
 from repro.observability import profile_section
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
@@ -108,54 +115,67 @@ class TwoLevelScheme(RoutingScheme):
         self._threshold = split_threshold(graph.n, split_rule)
         self._plans: Dict[int, _NodePlan] = {}
         with profile_section("build.thm1-two-level.plan"):
-            for u in graph.nodes:
-                self._plans[u] = self._plan_node(u)
+            # Lemma 3 for every node at once: covers exist under either
+            # strategy iff every non-neighbour is at distance 2.  A node's
+            # plan is built on first use.
+            self._dist = self._ctx.distances()
+            self._ranks = self._ctx.least_hop_ranks()
+            try:
+                least_cover_prefixes(self._dist, self._ranks)
+            except CoverError as exc:
+                raise SchemeBuildError(
+                    f"Theorem 1 construction failed at node {exc.node}: {exc}"
+                ) from exc
 
     # -- construction ---------------------------------------------------------
 
+    def _plan(self, u: int) -> "_NodePlan":
+        plan = self._plans.get(u)
+        if plan is None:
+            plan = self._plans[u] = self._plan_node(u)
+        return plan
+
     def _plan_node(self, u: int) -> "_NodePlan":
-        graph = self._graph
-        try:
-            sequence, newly_covered = covering_sequence(graph, u, self._strategy)
-        except GraphError as exc:
-            raise SchemeBuildError(
-                f"Theorem 1 construction failed at node {u}: {exc}"
-            ) from exc
-        first_cover: Dict[int, int] = {}
-        for t, covered in enumerate(newly_covered, start=1):
-            for w in covered:
-                first_cover[w] = t
+        if self._strategy == "least":
+            # Every non-neighbour is at distance 2 and first covered at
+            # the step after its rank.
+            far = np.flatnonzero(self._dist[u - 1] == 2)
+            steps = self._ranks[u - 1, far] + 1
+            counts = np.bincount(steps)[1:].tolist()
+            sequence = self._graph.neighbors(u)[: len(counts)]
+            first_cover = dict(zip((far + 1).tolist(), steps.tolist()))
+        else:
+            greedy, newly_covered = covering_sequence(self._graph, u, "greedy")
+            sequence = tuple(greedy)
+            step_of = {w: t for t, ws in enumerate(newly_covered, start=1) for w in ws}
+            first_cover = {w: step_of[w] for w in sorted(step_of)}
+            counts = [len(covered) for covered in newly_covered]
         # l = number of steps taken while the remainder was still above the
         # threshold; entries first covered at t <= l go to the unary table.
-        remainder = len(graph.non_neighbors(u))
+        remainder = len(first_cover)
         cutoff = 0
-        for t, covered in enumerate(newly_covered, start=1):
+        for t, covered in enumerate(counts, start=1):
             if remainder <= self._threshold:
                 break
             cutoff = t
-            remainder -= len(covered)
-        return _NodePlan(
-            sequence=tuple(sequence),
-            first_cover=first_cover,
-            cutoff=cutoff,
-        )
+            remainder -= covered
+        return _NodePlan(sequence=sequence, first_cover=first_cover, cutoff=cutoff)
 
     def covering_sequence_of(self, u: int) -> Tuple[int, ...]:
         """The covering neighbours ``v₁..v_m`` chosen for ``u``."""
-        return self._plans[u].sequence
+        return self._plan(u).sequence
 
     # -- RoutingScheme interface ------------------------------------------------
 
     def _build_function(self, u: int) -> TwoLevelFunction:
-        plan = self._plans[u]
+        plan = self._plan(u)
         intermediate = {
             w: plan.sequence[t - 1] for w, t in plan.first_cover.items()
         }
         return TwoLevelFunction(u, self._graph.neighbors(u), intermediate)
 
     def encode_function(self, u: int) -> BitArray:
-        plan = self._plans[u]
-        graph = self._graph
+        plan = self._plan(u)
         writer = BitWriter()
         writer.write_bit(0 if self._strategy == "least" else 1)
         m = len(plan.sequence)
@@ -163,13 +183,13 @@ class TwoLevelScheme(RoutingScheme):
         if self._strategy == "greedy":
             # Greedy sequences are not derivable from the neighbour order,
             # so their identities are stored as neighbour-list indices.
-            position = {nb: i for i, nb in enumerate(graph.neighbors(u))}
+            position = {nb: i for i, nb in enumerate(self._graph.neighbors(u))}
             for v in plan.sequence:
                 writer.write_gamma(position[v])
-        # Table 1: unary first-cover indices (0 marks a table-2 entry).
+        # Table 1, over A₀ in increasing order: unary first-cover indices
+        # (0 marks a table-2 entry).
         overflow: List[int] = []
-        for w in graph.non_neighbors(u):
-            t = plan.first_cover[w]
+        for t in plan.first_cover.values():
             if t <= plan.cutoff:
                 writer.write_unary(t)
             else:
@@ -177,8 +197,7 @@ class TwoLevelScheme(RoutingScheme):
                 overflow.append(t)
         # Table 2: fixed-width binary indices for the late-covered nodes.
         width = max(m - 1, 0).bit_length()
-        for t in overflow:
-            writer.write_uint(t - 1, width)
+        writer.write_uints([t - 1 for t in overflow], width)
         return writer.getvalue()
 
     def decode_function(self, u: int, bits: BitArray) -> TwoLevelFunction:
@@ -233,7 +252,9 @@ def decode_two_level_function(
 
 
 class _NodePlan:
-    """Per-node construction artefacts (internal)."""
+    """Per-node construction artefacts (internal): the covering sequence,
+    each node of ``A₀`` (in increasing order) mapped to the step ``t``
+    that first covers it, and the unary-table cutoff ``l``."""
 
     __slots__ = ("sequence", "first_cover", "cutoff")
 

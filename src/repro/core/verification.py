@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.core.scheme import RoutingScheme
@@ -167,13 +167,18 @@ def verify_scheme(
     graph = scheme.graph
     dist = scheme.ctx.distances()
     bound = scheme.stretch_bound()
-    pairs = [
-        (s, t)
-        for s, t in itertools.permutations(graph.nodes, 2)
-    ]
-    if sample_pairs is not None and sample_pairs < len(pairs):
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, sample_pairs)
+    nodes = list(graph.nodes)
+    total = len(nodes) * (len(nodes) - 1)
+    pairs: Iterable[Tuple[int, int]] = itertools.permutations(nodes, 2)
+    if sample_pairs is not None and sample_pairs < total:
+        # ``random.sample`` picks indices from the population's length
+        # alone, so sampling indices into the ``permutations`` order
+        # draws the same pairs, in the same order, as sampling the list.
+        sampled = []
+        for index in random.Random(seed).sample(range(total), sample_pairs):
+            s, t = divmod(index, len(nodes) - 1)
+            sampled.append((nodes[s], nodes[t + (t >= s)]))
+        pairs = sampled
     report = VerificationReport()
     for source, destination in pairs:
         report.pairs_checked += 1

@@ -19,6 +19,19 @@ class GraphError(ReproError):
     """Raised for structurally invalid graphs or node/edge lookups."""
 
 
+class CoverError(GraphError):
+    """Raised when some non-neighbour of ``node`` is not at distance 2, so
+    no neighbour covers it (the graph is not Lemma 3-like there)."""
+
+    def __init__(self, node: int, count: int) -> None:
+        super().__init__(
+            f"node {node}: {count} non-neighbours not coverable at "
+            f"distance 2 (graph is not Lemma 3-like)"
+        )
+        self.node = node
+        self.count = count
+
+
 class PortAssignmentError(GraphError):
     """Raised when a port assignment is not a valid local bijection."""
 

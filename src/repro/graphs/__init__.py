@@ -61,6 +61,8 @@ from repro.graphs.properties import (
     eccentricity,
     min_common_neighbors,
     is_diameter_two,
+    least_cover_prefixes,
+    least_hop_ranks,
     lemma3_bound,
 )
 from repro.graphs.randomness import (
@@ -97,6 +99,8 @@ __all__ = [
     "grid_graph",
     "index_to_edge",
     "is_diameter_two",
+    "least_cover_prefixes",
+    "least_hop_ranks",
     "lemma3_bound",
     "lower_bound_graph",
     "lower_bound_graph_variant",

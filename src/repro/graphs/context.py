@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.ports import PortAssignment
-from repro.graphs.properties import distance_matrix
+from repro.graphs.properties import distance_matrix, least_hop_ranks
 from repro.observability.profiling import profile_section
 from repro.observability.registry import get_registry
 
@@ -74,6 +74,11 @@ all-or-nothing flush.
 """
 CTX_STORE_COUNTER = "repro_graph_ctx_store_total"
 """Counter name for the process-wide context store (label: ``op``)."""
+LEAST_HOP_PASSES = "repro_least_hop_passes"
+"""Gauge name (label: ``n``): the passes the last
+:meth:`GraphContext.least_hop_ranks` derivation took — its largest rank
+over pairs at distance ≥ 2, plus one.  On a ``c log n``-random graph
+Lemma 3 bounds it by ``(c+3) log n``."""
 
 
 def structural_fingerprint(graph: LabeledGraph) -> Fingerprint:
@@ -98,6 +103,13 @@ class GraphContext:
 
     * :meth:`distances` — all-pairs hop distances (optionally truncated);
     * :meth:`bfs_tree` / :meth:`ball` — per-root BFS parents and hop-balls;
+    * :meth:`least_hop_ranks` — Lemma 3 for every node at once: the rank
+      of each node's least shortest-path neighbour towards every
+      destination.  Full-table's port table (and so multi-interval,
+      Claim 3 and the Theorem 7/8 tables) is read off it through the
+      port assignment;
+      Theorem 1's least plans, Theorem 2's covers, Theorem 4's hub
+      indices and certification's cover prefixes read it;
     * :meth:`port_table` — the canonical identity
       :class:`~repro.graphs.ports.PortAssignment` of model IB;
     * :meth:`pristine_bits` — a scheme's serialised local functions (the
@@ -238,6 +250,30 @@ class GraphContext:
             max_distance,
             lambda: _freeze(distance_matrix(self._graph, max_distance=max_distance)),
         )
+
+    def least_hop_ranks(self) -> np.ndarray:
+        """:func:`~repro.graphs.properties.least_hop_ranks` over the
+        memoised distances, frozen read-only.
+
+        Entry ``[u - 1, w - 1]`` is the index, in ``u``'s sorted neighbour
+        list, of ``u``'s least neighbour on a shortest path to ``w``; ``-1``
+        where ``w = u`` or ``w`` is unreachable.  The distances are derived
+        first, in their own ``ctx.distances`` section, so that section
+        never nests inside this one.  Each derivation sets the
+        :data:`LEAST_HOP_PASSES` gauge.
+        """
+        if ("least_hop_ranks", None) not in self._cache:
+            self.distances()
+
+        def _compute() -> np.ndarray:
+            dist = self._cache[("distances", None)]
+            ranks = least_hop_ranks(self._graph, dist)
+            passes = int(np.max(ranks, where=dist >= 2, initial=-1)) + 1
+            get_registry().gauge(LEAST_HOP_PASSES, n=self._graph.n).set(passes)
+            ranks.setflags(write=False)
+            return ranks
+
+        return self._memo("least_hop_ranks", None, _compute)
 
     def _bfs(self, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Parents and depths of the BFS tree rooted at ``root`` (memoised).

@@ -7,7 +7,9 @@
 * **Lemma 3 / Claim 1** — from every node ``u`` all non-neighbours are
   reachable through the least ``(c+3) log n`` neighbours of ``u``, and each
   successive least neighbour covers ≥ 1/3 of what remains:
-  :func:`covering_sequence` and :func:`claim1_remainders`.
+  :func:`covering_sequence` and :func:`claim1_remainders` per node, and
+  :func:`least_hop_ranks` and :func:`least_cover_prefixes` for all nodes
+  at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError
+from repro.errors import CoverError, GraphError
 from repro.graphs.graph import LabeledGraph
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
     "eccentricity",
     "covering_sequence",
     "cover_prefix_length",
+    "least_hop_ranks",
+    "least_cover_prefixes",
     "claim1_remainders",
     "common_neighbors",
     "min_common_neighbors",
@@ -197,10 +201,7 @@ def covering_sequence(
     else:
         raise GraphError(f"unknown covering strategy {strategy!r}")
     if remaining:
-        raise GraphError(
-            f"node {u}: {len(remaining)} non-neighbours not coverable at "
-            f"distance 2 (graph is not Lemma 3-like)"
-        )
+        raise CoverError(u, len(remaining))
     return sequence, newly_covered
 
 
@@ -208,6 +209,69 @@ def cover_prefix_length(graph: LabeledGraph, u: int) -> int:
     """Length of the least-neighbour prefix needed to cover ``A₀`` (Lemma 3)."""
     sequence, _ = covering_sequence(graph, u, strategy="least")
     return len(sequence)
+
+
+def least_hop_ranks(graph: LabeledGraph, dist: np.ndarray) -> np.ndarray:
+    """Every node's least shortest-path neighbour, as a rank, for all
+    destinations at once.
+
+    An ``(n, n)`` ``int32`` array over the all-pairs distances ``dist``:
+    entry ``[u - 1, w - 1]`` is the index, in ``u``'s sorted neighbour
+    list, of ``u``'s least neighbour one hop closer to ``w`` (the first
+    True of :func:`~repro.core.full_table.shortest_hop_mask`'s column
+    ``w``), and ``-1`` where ``w = u`` or ``w`` is unreachable.  On a
+    distance-2 pair it is the step at which :func:`covering_sequence`
+    (``'least'``) first covers ``w``, less one.
+
+    An adjacent destination is its own next hop.  The rest are resolved
+    in passes ``t = 0, 1, …``: every row with unresolved destinations
+    tests its ``t``-th least neighbour's distance row against its own
+    less one, and leaves the passes once resolved.  The result is exact
+    on every graph and the work never exceeds ``Σ d(u)·n``; on a
+    ``c log n``-random graph Lemma 3 stops the passes after about
+    ``(c+3) log n`` neighbours.
+    """
+    adjacency = graph.adjacency_matrix()
+    ranks = np.where(
+        adjacency, np.cumsum(adjacency, axis=1, dtype=np.int32) - 1, np.int32(-1)
+    )
+    neighbors = [graph.neighbors(u) for u in graph.nodes]
+    pending = dist >= 2
+    rows = np.flatnonzero(pending.any(axis=1))
+    pending, goal = pending[rows], dist[rows] - 1
+    # A pending entry starts at -1 + 1 and gains 1 per pass that leaves
+    # it pending, so it holds the pass that resolved it.
+    found = ranks[rows] + pending
+    t = 0
+    while rows.size:
+        step = np.array([neighbors[u][t] for u in rows.tolist()]) - 1
+        pending &= dist[step] != goal
+        found += pending
+        open_rows = pending.any(axis=1)
+        if not open_rows.all():
+            done = ~open_rows
+            ranks[rows[done]] = found[done]
+            rows, pending = rows[open_rows], pending[open_rows]
+            goal, found = goal[open_rows], found[open_rows]
+        t += 1
+    return ranks
+
+
+def least_cover_prefixes(dist: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Every node's least-neighbour cover prefix (Lemma 3), from
+    :func:`least_hop_ranks`.
+
+    Entry ``u - 1`` is ``cover_prefix_length(graph, u)``: one more than
+    the largest rank over ``u``'s distance-2 destinations, 0 when ``u``
+    has none.  Raises the :class:`~repro.errors.CoverError` that
+    :func:`covering_sequence` raises at the least node with a
+    non-neighbour at a distance other than 2.
+    """
+    uncovered = ((dist > 2) | (dist < 0)).sum(axis=1)
+    stuck = np.flatnonzero(uncovered)
+    if stuck.size:
+        raise CoverError(int(stuck[0]) + 1, int(uncovered[stuck[0]]))
+    return np.max(ranks, axis=1, where=dist == 2, initial=-1) + 1
 
 
 def claim1_remainders(graph: LabeledGraph, u: int, strategy: str = "least") -> List[int]:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.graphs.context import get_context
 from repro.graphs.encoding import edge_code_length, encode_graph
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.properties import (
-    cover_prefix_length,
     degree_statistics,
     is_diameter_two,
+    least_cover_prefixes,
     lemma3_bound,
 )
 from repro.kolmogorov import best_estimate
@@ -79,8 +80,9 @@ def certify_random_graph(
     stats = degree_statistics(graph, deficiency=c * max(n, 2).bit_length())
     diameter_ok = is_diameter_two(graph)
     if diameter_ok:
-        prefixes = [cover_prefix_length(graph, u) for u in graph.nodes]
-        max_prefix = max(prefixes)
+        ctx = get_context(graph)
+        prefixes = least_cover_prefixes(ctx.distances(), ctx.least_hop_ranks())
+        max_prefix = int(prefixes.max())
     else:
         max_prefix = n
     scale3 = lemma3_bound(n, c)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import HubScheme, route_message, verify_scheme
 from repro.core.hub import TowardHubFunction
-from repro.errors import RoutingError, SchemeBuildError
+from repro.errors import GraphError, RoutingError, SchemeBuildError
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 
@@ -27,6 +27,13 @@ class TestStructure:
     def test_far_hub_rejected(self, model_ii_alpha):
         with pytest.raises(SchemeBuildError):
             HubScheme(path_graph(8), model_ii_alpha)
+
+    @pytest.mark.parametrize("hub", [0, -1, 33])
+    def test_hub_outside_node_range_rejected(
+        self, random_graph_32, model_ii_alpha, hub
+    ):
+        with pytest.raises(GraphError, match=f"node {hub} outside range 1..32"):
+            HubScheme(random_graph_32, model_ii_alpha, hub=hub)
 
 
 class TestCorrectness:

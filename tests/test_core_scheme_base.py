@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.core import (
@@ -11,9 +14,10 @@ from repro.core import (
     route_message,
     verify_scheme,
 )
+from repro.core import verification
 from repro.core.scheme import HopDecision
 from repro.errors import RoutingError, SchemeBuildError
-from repro.graphs import gnp_random_graph, path_graph
+from repro.graphs import complete_graph, gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 
 
@@ -86,6 +90,35 @@ class TestVerification:
         scheme = build_scheme("thm1-two-level", graph, model_ii_alpha)
         report = verify_scheme(scheme, sample_pairs=50, seed=1)
         assert report.pairs_checked == 50
+
+    def test_sampled_pairs_match_sampling_the_pair_list(
+        self, model_ii_alpha, monkeypatch
+    ):
+        """Sampled pair indices give the pairs, in order, that sampling the
+        list of every ordered pair gives; a sample as large as that list
+        routes every pair in ``permutations`` order."""
+        routed = []
+        walk = verification.route_message
+
+        def spy(scheme, source, destination):
+            routed.append((source, destination))
+            return walk(scheme, source, destination)
+
+        monkeypatch.setattr(verification, "route_message", spy)
+        for n in range(2, 10):
+            scheme = build_scheme("full-table", complete_graph(n), model_ii_alpha)
+            every = list(itertools.permutations(scheme.graph.nodes, 2))
+            total = len(every)
+            for k in (1, total - 1, total, None):
+                for seed in (0, 3):
+                    routed.clear()
+                    report = verify_scheme(scheme, sample_pairs=k, seed=seed)
+                    expected = (
+                        every if k is None or k == total
+                        else random.Random(seed).sample(every, k)
+                    )
+                    assert routed == expected, (n, k, seed)
+                    assert report.pairs_checked == len(expected)
 
     def test_violations_reported(self, model_ii_alpha):
         """A scheme advertising an impossible stretch gets flagged."""

@@ -182,3 +182,38 @@ class TestFormatting:
         json.dumps(payload)
         assert payload["ok"] is True
         assert payload["deltas"][0]["direction"] == "higher"
+
+
+class TestThroughputBenchFlags:
+    """``bench_throughput.py`` parses its flags: ``--help`` and an unknown
+    flag exit without measuring or rewriting the committed artifact."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).parents[1] / "benchmarks" / "bench_throughput.py"
+        spec = importlib.util.spec_from_file_location("bench_throughput", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bench measured")
+
+        monkeypatch.setattr(module, "measure", refuse)
+        before = module.DEFAULT_OUTPUT.read_bytes()
+        yield module
+        assert module.DEFAULT_OUTPUT.read_bytes() == before
+
+    def test_help_prints_usage_and_exits_zero(self, bench, capsys):
+        with pytest.raises(SystemExit) as exited:
+            bench.main(["--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_unknown_flag_exits_two(self, bench, capsys):
+        with pytest.raises(SystemExit) as exited:
+            bench.main(["--smoke", "--no-such-flag"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
