@@ -25,6 +25,7 @@ Run ``python benchmarks/bench_chaos_resilience.py --smoke`` for a quick
 
 from __future__ import annotations
 
+import argparse
 import random
 import sys
 
@@ -174,8 +175,17 @@ def test_chaos_resilience(benchmark, write_result):
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
+    parser = argparse.ArgumentParser(
+        description=(
+            "Sweep flapping-link churn over single-path, detour and "
+            "full-information routing."
+        )
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="small graph and fewer churn levels",
+    )
+    smoke = parser.parse_args(argv).smoke
     n = SMOKE_N if smoke else N
     messages = SMOKE_MESSAGES if smoke else MESSAGES
     levels = SMOKE_CHURN_LEVELS if smoke else CHURN_LEVELS

@@ -28,6 +28,7 @@ self-checking pass; ``--output PATH`` overrides the JSON location.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import random
 import sys
@@ -307,11 +308,20 @@ def test_churn_convergence(benchmark, write_result):
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
-    output = DEFAULT_OUTPUT
-    if "--output" in args:
-        output = pathlib.Path(args[args.index("--output") + 1])
+    parser = argparse.ArgumentParser(
+        description="Measure convergence and repair cost under live topology churn."
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="small graph, fewer churn levels and probes",
+    )
+    parser.add_argument(
+        "--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
+        help=f"where to write the BenchResult JSON (default: {DEFAULT_OUTPUT.name} "
+        "at the repository root)",
+    )
+    args = parser.parse_args(argv)
+    smoke, output = args.smoke, args.output
     n = SMOKE_N if smoke else N
     messages = SMOKE_MESSAGES if smoke else MESSAGES
     levels = SMOKE_CHURN_EVENTS if smoke else CHURN_EVENTS

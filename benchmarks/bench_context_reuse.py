@@ -31,6 +31,7 @@ delta in noise); ``--output PATH`` overrides the JSON location.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import random
 import sys
@@ -233,11 +234,23 @@ def test_context_reuse(benchmark, write_result):
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
-    output = DEFAULT_OUTPUT
-    if "--output" in args:
-        output = pathlib.Path(args[args.index("--output") + 1])
+    parser = argparse.ArgumentParser(
+        description=(
+            "Time a build, verify and simulate pipeline with and without the shared"
+            " GraphContext."
+        )
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="small graph; gates on derivation counts, not the wall-time speedup",
+    )
+    parser.add_argument(
+        "--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
+        help=f"where to write the BenchResult JSON (default: {DEFAULT_OUTPUT.name} "
+        "at the repository root)",
+    )
+    args = parser.parse_args(argv)
+    smoke, output = args.smoke, args.output
     started = time.perf_counter()
     if smoke:
         result = measure(SMOKE_N, SMOKE_VERIFY_PAIRS, SMOKE_MESSAGES, SMOKE_REPS)

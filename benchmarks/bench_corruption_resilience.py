@@ -32,6 +32,7 @@ quick self-checking pass; ``--output PATH`` overrides the JSON location.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import random
 import sys
@@ -321,11 +322,20 @@ def test_corruption_resilience(benchmark, write_result):
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
-    output = DEFAULT_OUTPUT
-    if "--output" in args:
-        output = pathlib.Path(args[args.index("--output") + 1])
+    parser = argparse.ArgumentParser(
+        description="Sweep table corruption over the integrity framing policies."
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="small graph and fewer corruption levels",
+    )
+    parser.add_argument(
+        "--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
+        help=f"where to write the BenchResult JSON (default: {DEFAULT_OUTPUT.name} "
+        "at the repository root)",
+    )
+    args = parser.parse_args(argv)
+    smoke, output = args.smoke, args.output
     n = SMOKE_N if smoke else N
     messages = SMOKE_MESSAGES if smoke else MESSAGES
     levels = SMOKE_CORRUPTION_LEVELS if smoke else CORRUPTION_LEVELS

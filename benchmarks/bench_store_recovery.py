@@ -33,6 +33,7 @@ self-checking pass; ``--output PATH`` overrides the JSON location.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import random
 import sys
@@ -40,7 +41,7 @@ import time
 
 from repro.core import build_scheme, route_message
 from repro.core.persistence import pack_scheme, restore_scheme
-from repro.errors import StoreError
+from repro.errors import CodecError, StoreError
 from repro.graphs import gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import (
@@ -106,8 +107,12 @@ def _populate(fs, schemes):
 
 
 def _routes_bit_exact(blob, graph, scheme, pairs):
-    """The recovered blob routes the same path as the pristine scheme."""
-    restored = restore_scheme(blob, graph, II_ALPHA)
+    """The recovered blob restores and routes the same path as the
+    pristine scheme."""
+    try:
+        restored = restore_scheme(blob, graph, II_ALPHA)
+    except CodecError:
+        return False
     for source, destination in pairs:
         if (
             route_message(restored, source, destination).path
@@ -403,11 +408,23 @@ def test_store_recovery(benchmark, write_result):
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    smoke = "--smoke" in args
-    output = DEFAULT_OUTPUT
-    if "--output" in args:
-        output = pathlib.Path(args[args.index("--output") + 1])
+    parser = argparse.ArgumentParser(
+        description=(
+            "Sweep journal bit flips, crash points and injected faults through the "
+            "durable store."
+        )
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="small graph, fewer generations, crash points and fault seeds",
+    )
+    parser.add_argument(
+        "--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
+        help=f"where to write the BenchResult JSON (default: {DEFAULT_OUTPUT.name} "
+        "at the repository root)",
+    )
+    args = parser.parse_args(argv)
+    smoke, output = args.smoke, args.output
     started = time.perf_counter()
     result = measure(
         n=SMOKE_N if smoke else N,

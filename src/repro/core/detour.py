@@ -24,6 +24,7 @@ from typing import Any, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.bitio import BitArray
 from repro.errors import RoutingError, SchemeBuildError
+from repro.core.full_information import FullInformationFunction
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
 from repro.graphs import GraphContext, LabeledGraph
 
@@ -85,15 +86,22 @@ class DetourFunction(LocalRoutingFunction):
     ) -> HopDecision:
         """Prefer the stored hop; bounce to a live neighbour if it is dead.
 
-        Raises :class:`~repro.errors.RoutingError` when the bounce budget is
-        spent or no live neighbour remains.
+        A fault-aware inner function (full-information) is asked for a live
+        shortest-path edge first, so the bounce comes only once it has none
+        left.  Raises :class:`~repro.errors.RoutingError` when the bounce
+        budget is spent or no live neighbour remains.
         """
         blocked_set = set(blocked)
         inner_state, bounces = _split_state(state)
         primary: Optional[int] = None
         decision: Optional[HopDecision] = None
         try:
-            decision = self._inner.next_hop(destination, inner_state)
+            if isinstance(self._inner, FullInformationFunction):
+                decision = self._inner.next_hop_avoiding(
+                    int(destination), blocked_set
+                )
+            else:
+                decision = self._inner.next_hop(destination, inner_state)
             primary = decision.next_node
         except RoutingError:
             pass  # fall through to a detour attempt

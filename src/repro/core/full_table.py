@@ -47,6 +47,7 @@ class PortTableFunction(LocalRoutingFunction):
         self._row = ports
         self._ports: List[int] = ports.tolist()
         self._assignment = assignment
+        self._neighbors: List[int] = assignment.neighbor_array()[node - 1].tolist()
 
     def port_for(self, destination: int) -> int:
         """The stored port for a destination (1-based)."""
@@ -60,6 +61,9 @@ class PortTableFunction(LocalRoutingFunction):
 
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
         port = self.port_for(int(destination))
+        if 0 < port < len(self._neighbors) and self._neighbors[port]:
+            return HopDecision(self._neighbors[port])
+        # A port outside 1..d(u), as corrupted tables decode, raises there.
         return HopDecision(self._assignment.neighbor(self.node, port))
 
     def fast_next_hop_row(self, graph: LabeledGraph) -> Optional[np.ndarray]:
@@ -101,10 +105,7 @@ class FullTableScheme(RoutingScheme):
     ) -> None:
         super().__init__(graph, model, ctx=ctx)
         # A model-IB strategy would always normalise its ports first.
-        canonical = ports is None or (
-            model.ports_reassignable and not ports.is_identity()
-        )
-        if canonical:
+        if ports is None or model.ports_reassignable:
             ports = self._ctx.port_table()
         self._ports = ports
         with profile_section("build.full-table.distances"):
@@ -114,19 +115,11 @@ class FullTableScheme(RoutingScheme):
         with profile_section("build.full-table.tables"):
             # [u - 1, w - 1]: the port of u's least neighbour on a shortest
             # path to w; 0 (no entry) when w is u or unreachable, possible
-            # only under ``allow_unreachable`` (e.g. a churn node-leave).
-            ranks = self._ctx.least_hop_ranks()
-            if canonical:  # u's i-th least neighbour sits on port i + 1
-                self._port_table = ranks + 1
-            else:
-                neighbor_at = ports.neighbor_array()
-                # port_of_rank[u - 1, i]: the port of u's i-th least
-                # neighbour; the last column is never a rank and stays 0,
-                # the entry of rank -1.
-                port_of_rank = np.zeros(neighbor_at.shape, dtype=np.int32)
-                us, port = np.nonzero(neighbor_at)
-                port_of_rank[us, ranks[us, neighbor_at[us, port] - 1]] = port
-                self._port_table = np.take_along_axis(port_of_rank, ranks, axis=1)
+            # only under ``allow_unreachable`` (e.g. a churn node-leave):
+            # rank -1 reads the port array's last column, always 0.
+            self._port_table = np.take_along_axis(
+                ports.port_array(), self._ctx.least_hop_ranks(), axis=1
+            )
 
     @property
     def port_assignment(self) -> PortAssignment:

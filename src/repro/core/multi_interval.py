@@ -84,6 +84,7 @@ class MultiIntervalFunction(LocalRoutingFunction):
             port: list(ivs) for port, ivs in port_intervals.items()
         }
         self._assignment = assignment
+        self._neighbors: List[int] = assignment.neighbor_array()[node - 1].tolist()
 
     def intervals_at(self, port: int) -> List[Interval]:
         """This port's interval list (empty when it routes nothing)."""
@@ -100,6 +101,9 @@ class MultiIntervalFunction(LocalRoutingFunction):
 
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
         port = self.port_for(int(destination))
+        if 0 < port < len(self._neighbors) and self._neighbors[port]:
+            return HopDecision(self._neighbors[port])
+        # A port outside 1..d(u), as corrupted tables decode, raises there.
         return HopDecision(self._assignment.neighbor(self.node, port))
 
 

@@ -11,7 +11,8 @@ where ``x'`` is the paper's self-delimiting prime code.  Loading restores
 the per-node bit strings exactly; rebuilding live functions additionally
 needs the graph and model (the knowledge the paper's models grant for
 free), which the caller supplies — the blob never smuggles uncharged
-information.
+information, and a rebuild that does not encode to the blob's bits is
+refused.
 """
 
 from __future__ import annotations
@@ -134,11 +135,14 @@ def unpack_blob(data: bytes) -> SchemeBlob:
 def restore_scheme(
     data: bytes, graph: LabeledGraph, model: RoutingModel, **params: Any
 ) -> RoutingScheme:
-    """Rebuild a live scheme whose functions come from a packed blob.
+    """Rebuild the live scheme a packed blob holds.
 
-    The scheme object is rebuilt from the graph/model (free knowledge) and
-    every local function is then replaced by its decoded twin from the
-    blob, so the restored scheme routes exactly as the packed one did.
+    The scheme is rebuilt from the graph/model (free knowledge) and the
+    caller's parameters, and every node's function must encode to the
+    blob's bits, so the restored scheme routes exactly as the packed one
+    did.  Raises :class:`CodecError` at the first node whose bits differ:
+    the blob was packed under other ports or parameters, or for another
+    graph.
     """
     blob = unpack_blob(data)
     if blob.n != graph.n:
@@ -147,7 +151,10 @@ def restore_scheme(
         )
     scheme = build_scheme(blob.scheme_name, graph, model, **params)
     for u in graph.nodes:
-        scheme._function_cache[u] = scheme.decode_function(
-            u, blob.functions[u]
-        )
+        if scheme.encode_function(u) != blob.functions[u]:
+            raise CodecError(
+                f"node {u}: the blob's function differs from the rebuilt "
+                f"{blob.scheme_name} scheme's; was it packed under other "
+                "ports or parameters, or for another graph?"
+            )
     return scheme

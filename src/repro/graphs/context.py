@@ -111,7 +111,8 @@ class GraphContext:
       Theorem 1's least plans, Theorem 2's covers, Theorem 4's hub
       indices and certification's cover prefixes read it;
     * :meth:`port_table` — the canonical identity
-      :class:`~repro.graphs.ports.PortAssignment` of model IB;
+      :class:`~repro.graphs.ports.PortAssignment` of model IB, whose port
+      array full-table gathers through when given no other ports;
     * :meth:`pristine_bits` — a scheme's serialised local functions (the
       corruption self-healer's knowledge source);
     * :meth:`next_hop_matrix` — a scheme's dense next-hop lookup (the
@@ -325,8 +326,10 @@ class GraphContext:
     def port_table(self) -> PortAssignment:
         """The canonical identity port assignment of model IB (memoised).
 
-        Every scheme that normalises its ports builds this same object;
-        sharing it collapses ``O(Σ d(v))`` of per-scheme setup into one.
+        Every scheme that normalises its ports, and every full-table build
+        given no ports, reads this one object: its ``(n, Δ+1)`` port array
+        and the port → neighbour array derived from it, each built once
+        per graph in a few numpy passes.
         """
         return self._memo(
             "port_table", None, lambda: PortAssignment.identity(self._graph)

@@ -7,13 +7,16 @@ neighbours are known (model II) is what separates the knowledge models.
 
 Theorem 8's adversary exploits exactly this object: a random port
 assignment is a random permutation of each node's neighbours, and any
-shortest-path routing function must reproduce it.
+shortest-path routing function must reproduce it.  That permutation is
+what is stored (:meth:`PortAssignment.port_array`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping, Optional
+from bisect import bisect_left
+from operator import index
+from typing import List, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -24,33 +27,57 @@ __all__ = ["PortAssignment"]
 
 
 class PortAssignment:
-    """A per-node bijection from neighbours to ports ``1..d(v)``."""
+    """A per-node bijection from neighbours to ports ``1..d(v)``, stored as
+    each node's permutation of its sorted neighbours."""
 
-    __slots__ = ("_graph", "_port_of", "_neighbor_at", "_neighbor_array")
+    __slots__ = ("_graph", "_ports", "_neighbor_at")
 
     def __init__(
         self, graph: LabeledGraph, port_of: Mapping[int, Mapping[int, int]]
     ) -> None:
-        self._graph = graph
-        frozen_ports: Dict[int, Dict[int, int]] = {}
-        frozen_neighbors: Dict[int, Dict[int, int]] = {}
+        ports: List[int] = []
         for u in graph.nodes:
-            local = dict(port_of.get(u, {}))
+            local = port_of.get(u, {})
             neighbors = graph.neighbors(u)
-            if sorted(local) != sorted(neighbors):
+            if local.keys() != set(neighbors):
                 raise PortAssignmentError(
                     f"node {u}: ports must be assigned to exactly the "
                     f"neighbours {neighbors}"
                 )
-            if sorted(local.values()) != list(range(1, len(neighbors) + 1)):
-                raise PortAssignmentError(
-                    f"node {u}: ports must be a bijection onto 1..{len(neighbors)}"
-                )
-            frozen_ports[u] = local
-            frozen_neighbors[u] = {port: nb for nb, port in local.items()}
-        self._port_of = frozen_ports
-        self._neighbor_at = frozen_neighbors
-        self._neighbor_array: Optional[np.ndarray] = None
+            ports.extend(index(local[nb]) for nb in neighbors)
+        self._store(graph, ports)
+
+    def _store(
+        self, graph: LabeledGraph, ports: Union[Sequence[int], np.ndarray]
+    ) -> None:
+        """Check and hold ``ports``, every node's in sorted-neighbour order,
+        node after node, as the port array; derive the neighbour array."""
+        adjacency = graph.adjacency_matrix()
+        degrees = np.count_nonzero(adjacency, axis=1)
+        width = int(degrees.max(initial=0)) + 1
+        held = np.arange(width) < degrees[:, None]
+        array = np.zeros(held.shape, dtype=np.int64)
+        array[held] = ports
+        # Sorted, with free entries read as the width, a bijection onto
+        # 1..d(u) reads 1, 2, …, d(u) and then the width.
+        sorted_rows = np.sort(np.where(held, array, width), axis=1)
+        expected = np.where(held, np.arange(1, width + 1), width)
+        broken = (sorted_rows != expected).any(axis=1)
+        if broken.any():
+            u = int(broken.argmax()) + 1
+            raise PortAssignmentError(
+                f"node {u}: ports must be a bijection onto 1..{degrees[u - 1]}"
+            )
+        self._graph = graph
+        self._ports = array.astype(np.int32)
+        # Row-major, the held entries and the adjacency matrix's True
+        # entries both list every node's neighbours in sorted order.
+        self._neighbor_at = np.zeros(held.shape, dtype=np.int32)
+        self._neighbor_at[np.flatnonzero(held) // width, self._ports[held]] = (
+            np.flatnonzero(adjacency) % graph.n + 1
+        )
+        self._ports.setflags(write=False)
+        self._neighbor_at.setflags(write=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -63,23 +90,24 @@ class PortAssignment:
         the interconnection vector (``n - 1`` bits) suffices to route to any
         neighbour.
         """
-        return cls(
-            graph,
-            {
-                u: {nb: i + 1 for i, nb in enumerate(graph.neighbors(u))}
-                for u in graph.nodes
-            },
+        adjacency = graph.adjacency_matrix()
+        assignment = cls.__new__(cls)
+        assignment._store(
+            graph, np.cumsum(adjacency, axis=1, dtype=np.int32)[adjacency]
         )
+        return assignment
 
     @classmethod
     def shuffled(cls, graph: LabeledGraph, rng: random.Random) -> "PortAssignment":
         """A uniformly random assignment (the Theorem 8 adversary)."""
-        port_of = {}
+        ports: List[int] = []
         for u in graph.nodes:
-            ports = list(range(1, graph.degree(u) + 1))
-            rng.shuffle(ports)
-            port_of[u] = dict(zip(graph.neighbors(u), ports))
-        return cls(graph, port_of)
+            local = list(range(1, graph.degree(u) + 1))
+            rng.shuffle(local)
+            ports.extend(local)
+        assignment = cls.__new__(cls)
+        assignment._store(graph, ports)
+        return assignment
 
     # -- accessors -------------------------------------------------------------
 
@@ -90,38 +118,39 @@ class PortAssignment:
 
     def port(self, u: int, neighbor: int) -> int:
         """Port at ``u`` leading to ``neighbor``."""
-        try:
-            return self._port_of[u][neighbor]
-        except KeyError as exc:
-            raise PortAssignmentError(
-                f"{neighbor} is not a neighbour of {u}"
-            ) from exc
+        if 0 < u <= self._graph.n:
+            neighbors = self._graph.neighbors(u)
+            rank = bisect_left(neighbors, neighbor)
+            if rank < len(neighbors) and neighbors[rank] == neighbor:
+                return int(self._ports[u - 1, rank])
+        raise PortAssignmentError(f"{neighbor} is not a neighbour of {u}")
 
     def neighbor(self, u: int, port: int) -> int:
         """Neighbour of ``u`` reached through ``port``."""
-        try:
-            return self._neighbor_at[u][port]
-        except KeyError as exc:
-            raise PortAssignmentError(
-                f"node {u} has no port {port}"
-            ) from exc
+        if 0 < u <= self._graph.n and 0 < port < self._neighbor_at.shape[1]:
+            neighbor = int(self._neighbor_at[u - 1, port])
+            if neighbor:
+                return neighbor
+        raise PortAssignmentError(f"node {u} has no port {port}")
+
+    def port_array(self) -> np.ndarray:
+        """Every node's ports as one read-only ``int32`` array.
+
+        Entry ``[u - 1, i]`` is the port of ``u``'s ``i``-th least neighbour
+        and 0 past ``d(u)``, up to one column past the maximum degree, so a
+        rank of ``-1`` reads port 0.
+        """
+        return self._ports
 
     def neighbor_array(self) -> np.ndarray:
-        """Every port's neighbour as one read-only ``int32`` array (memoised).
+        """Every port's neighbour as one read-only ``int32`` array.
 
         Entry ``[u - 1, p]`` is :meth:`neighbor` ``(u, p)`` for each port
         ``p`` in ``1..d(u)`` and 0 elsewhere (column 0, and the ports past
         ``d(u)`` up to the maximum degree), so a row of ports maps to its
         row of next nodes in one gather.
         """
-        if self._neighbor_array is None:
-            width = max((len(m) for m in self._neighbor_at.values()), default=0)
-            array = np.zeros((self._graph.n, width + 1), dtype=np.int32)
-            for u, by_port in self._neighbor_at.items():
-                array[u - 1, list(by_port)] = list(by_port.values())
-            array.setflags(write=False)
-            self._neighbor_array = array
-        return self._neighbor_array
+        return self._neighbor_at
 
     def permutation_at(self, u: int) -> tuple[int, ...]:
         """Ports as a permutation relative to the sorted neighbour order.
@@ -130,13 +159,9 @@ class PortAssignment:
         of ``0..d(u)-1``.  Its Lehmer rank is the minimal description of the
         assignment, which is the quantity Theorem 8 charges for.
         """
-        return tuple(
-            self._port_of[u][nb] - 1 for nb in self._graph.neighbors(u)
-        )
+        return tuple((self._ports[u - 1, : self._graph.degree(u)] - 1).tolist())
 
     def is_identity(self) -> bool:
         """True when every node's i-th least neighbour sits on port i."""
-        return all(
-            self.permutation_at(u) == tuple(range(self._graph.degree(u)))
-            for u in self._graph.nodes
-        )
+        columns = np.arange(1, self._ports.shape[1] + 1)
+        return bool(((self._ports == 0) | (self._ports == columns)).all())

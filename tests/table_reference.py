@@ -5,7 +5,9 @@ and the two destination-by-port grouping loops, kept verbatim as an
 oracle and rewritten as functions over ``(graph, dist, ports)``: the
 array tables in ``repro.core.full_table``, ``repro.core.full_information``,
 ``repro.core.multi_interval`` and ``repro.lowerbounds.claim23`` must agree
-with them on every input (``tests/test_table_reference.py``).  They are
+with them on every input (``tests/test_table_reference.py``).  Ports are
+read through the dict-of-dicts reference assignment of
+``tests/port_reference.py``, not the array one under test.  They are
 deliberately slow and must not be optimised.
 """
 
@@ -19,7 +21,8 @@ from repro.bitio import BitArray, BitReader, BitWriter
 from repro.core.multi_interval import Interval, cyclic_intervals
 from repro.core.scheme import HopDecision, LocalRoutingFunction
 from repro.errors import RoutingError, SchemeBuildError
-from repro.graphs import LabeledGraph, PortAssignment
+from repro.graphs import LabeledGraph
+from tests.port_reference import PortAssignment
 
 __all__ = [
     "PortTableFunction",

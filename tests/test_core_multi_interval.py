@@ -14,14 +14,15 @@ from repro.core import (
     cyclic_intervals,
     verify_scheme,
 )
-from repro.core.multi_interval import _interval_contains
-from repro.errors import RoutingError
+from repro.core.multi_interval import MultiIntervalFunction, _interval_contains
+from repro.errors import PortAssignmentError, RoutingError
 from repro.graphs import (
     PortAssignment,
     cycle_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
+    star_graph,
 )
 from repro.models import Knowledge, Labeling, RoutingModel
 
@@ -131,6 +132,15 @@ class TestScheme:
         scheme = MultiIntervalScheme(path_graph(4), model_ia_alpha)
         with pytest.raises(RoutingError):
             scheme.function(2).port_for(2)
+
+    @pytest.mark.parametrize("port", [0, 2, 5, 6])
+    def test_port_outside_the_node_raises(self, port):
+        """A leaf of star(6) has port 1 only; ports up to the hub's degree
+        (5) and past it name no neighbour."""
+        ports = PortAssignment.identity(star_graph(6))
+        function = MultiIntervalFunction(2, {port: [(1, 6)]}, ports)
+        with pytest.raises(PortAssignmentError, match="^node 2 has no port"):
+            function.next_hop(4)
 
     def test_encode_decode_round_trip(self, model_ia_alpha):
         graph = gnp_random_graph(24, seed=9)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -12,7 +14,7 @@ from repro.core import (
     verify_scheme,
 )
 from repro.errors import CodecError
-from repro.graphs import gnp_random_graph
+from repro.graphs import PortAssignment, gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 
 
@@ -51,6 +53,18 @@ class TestRoundTrip:
         scheme = build_scheme("thm1-two-level", graph, model_ii_alpha)
         blob = unpack_blob(pack_scheme(scheme))
         assert blob.total_function_bits == scheme.space_report().routing_bits
+
+    def test_restore_needs_the_packed_ports(self, graph, model_ia_alpha):
+        """A shuffled-port full-table restores exactly under its ports and
+        is refused over the identity ports its bits were not written for."""
+        ports = PortAssignment.shuffled(graph, random.Random(5))
+        scheme = build_scheme("full-table", graph, model_ia_alpha, ports=ports)
+        blob = pack_scheme(scheme)
+        with pytest.raises(CodecError, match="other ports or parameters"):
+            restore_scheme(blob, graph, model_ia_alpha)
+        restored = restore_scheme(blob, graph, model_ia_alpha, ports=ports)
+        assert pack_scheme(restored) == blob
+        assert restored.port_assignment is ports
 
     def test_pack_is_deterministic(self, graph, model_ii_alpha):
         scheme = build_scheme("thm4-hub", graph, model_ii_alpha)

@@ -11,8 +11,9 @@ stacked rows in values, ``int32`` dtype, shape and read-only flag, and be
 
 * every scheme × model of the golden grid at n=64, bare, CRC-8 framed
   and detour-wrapped;
-* full-table with shuffled IA ports, and a full-table that
-  ``restore_scheme`` rebuilt from a blob written with shuffled ports;
+* full-table with shuffled IA ports, and an identity-port full-table
+  whose installed functions are decoded from a shuffled-port table's bits
+  (``restore_scheme`` refuses that blob);
 * full-table with an isolated node (``allow_unreachable``), on
   G(1024, 1/2), and under addresses that are not the plain labels.
 
@@ -44,7 +45,7 @@ from repro.core import (
     restore_scheme,
 )
 from repro.core.scheme import NEXT_HOP_ROWS, LocalRoutingFunction
-from repro.errors import ReproError
+from repro.errors import CodecError, ReproError
 from repro.graphs import LabeledGraph, PortAssignment, gnp_random_graph
 from repro.integrity import FramingPolicy, IntegrityWrapper
 from repro.models import Knowledge, Labeling, RoutingModel
@@ -138,17 +139,25 @@ def test_shuffled_ports():
 def test_restored_scheme_rows_come_from_its_decoded_functions():
     shuffled = _shuffled_full_table(256)
     graph = shuffled.graph
-    restored = restore_scheme(pack_scheme(shuffled), graph, IA_ALPHA)
-    matrix = assert_matrix_is_the_loop(restored)
-    # The blob's port numbers read under the restored scheme's identity
-    # ports name other neighbours than the table it built for itself.
+    # The blob holds no port assignment: rebuilt over the identity ports,
+    # its functions do not encode to the blob's bits, and it is refused.
+    with pytest.raises(CodecError, match="^node 1: "):
+        restore_scheme(pack_scheme(shuffled), graph, IA_ALPHA)
+    # Installed by hand over the identity ports, the blob's port numbers
+    # name other neighbours than the table that scheme built for itself.
+    installed = FullTableScheme(graph, IA_ALPHA)
+    for u in graph.nodes:
+        installed._function_cache[u] = installed.decode_function(
+            u, shuffled.encode_function(u)
+        )
+    matrix = assert_matrix_is_the_loop(installed)
     own = assert_matrix_is_the_loop(FullTableScheme(graph, IA_ALPHA))
     assert matrix is not None and not np.array_equal(matrix, own)
     rng = np.random.default_rng(3)
     pairs = rng.choice(np.arange(1, graph.n + 1), size=(64, 2))
     runs = []
     for batch in (True, False):
-        kernel = BatchKernel(restored, batch=batch)
+        kernel = BatchKernel(installed, batch=batch)
         for source, target in pairs.tolist():
             if source != target:
                 kernel.inject(source, target)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -184,17 +187,24 @@ class TestFormatting:
         assert payload["deltas"][0]["direction"] == "higher"
 
 
-class TestThroughputBenchFlags:
-    """``bench_throughput.py`` parses its flags: ``--help`` and an unknown
-    flag exit without measuring or rewriting the committed artifact."""
+BENCH_MAINS = sorted(
+    path
+    for path in (pathlib.Path(__file__).parents[1] / "benchmarks").glob("bench_*.py")
+    if re.search(r"^def main\(", path.read_text(), re.MULTILINE)
+)
+"""Every bench script with a command-line ``main``."""
 
-    @pytest.fixture
-    def bench(self, monkeypatch):
-        import importlib.util
-        import pathlib
 
-        path = pathlib.Path(__file__).parents[1] / "benchmarks" / "bench_throughput.py"
-        spec = importlib.util.spec_from_file_location("bench_throughput", path)
+class TestBenchFlags:
+    """Every bench with a ``main`` parses its flags: ``--help`` and an
+    unknown flag exit without measuring or rewriting the committed
+    artifact (where the bench writes one)."""
+
+    @pytest.fixture(params=BENCH_MAINS, ids=lambda path: path.stem)
+    def bench(self, request, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            request.param.stem, request.param
+        )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
 
@@ -202,9 +212,11 @@ class TestThroughputBenchFlags:
             raise AssertionError("the bench measured")
 
         monkeypatch.setattr(module, "measure", refuse)
-        before = module.DEFAULT_OUTPUT.read_bytes()
+        output = getattr(module, "DEFAULT_OUTPUT", None)
+        before = output.read_bytes() if output else None
         yield module
-        assert module.DEFAULT_OUTPUT.read_bytes() == before
+        if output:
+            assert output.read_bytes() == before
 
     def test_help_prints_usage_and_exits_zero(self, bench, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.core import DetourWrapper, build_scheme
+from repro.core import DetourState, DetourWrapper, build_scheme
 from repro.errors import ReproError, RoutingError, SchemeBuildError
-from repro.graphs import cycle_graph, gnp_random_graph, path_graph
+from repro.graphs import LabeledGraph, cycle_graph, gnp_random_graph, path_graph
 from repro.simulator import (
     BatchKernel,
     DropReason,
@@ -162,6 +162,19 @@ class TestDetourWrapper:
         )
         assert record.delivered
         assert record.path == (1, 3, 2)
+
+    def test_full_information_takes_its_live_alternative(self, model_ia_alpha):
+        """With the least shortest-path edge down, a detoured
+        full-information function forwards over its other shortest-path
+        edge, spending no bounce, rather than to the least live neighbour
+        (3, a leaf off every shortest path)."""
+        graph = LabeledGraph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (4, 5)])
+        wrapped = DetourWrapper(
+            build_scheme("full-information", graph, model_ia_alpha)
+        )
+        decision = wrapped.function(1).next_hop_avoiding(5, [2])
+        assert decision.next_node == 4
+        assert decision.state == DetourState(None, 0)
 
     def test_bounce_budget_is_enforced(self, model_ia_alpha):
         """A path graph has no alternative route: the bounce cannot save

@@ -5,9 +5,11 @@ full-information builders, their codecs and the two destination-by-port
 grouping loops.  These properties build both on G(n, p) graphs from empty
 to complete (n = 1..60) and on paths, cycles and stars, with identity
 ports and with shuffled ports under IA, and with ``allow_unreachable`` on
-disconnected graphs.  They require the same port for every (node,
-destination) pair, the same option tuples, the same encodings, the same
-destinations-by-port groups and the same decoded lookups.  On bit-flipped,
+disconnected graphs; the reference reads the same ports through the
+dict-of-dicts assignment of ``tests/port_reference.py``.  They require
+the same port for every (node, destination) pair, the same option tuples,
+the same encodings, the same destinations-by-port groups and the same
+decoded lookups.  On bit-flipped,
 burst-flipped or truncated bits, and on destinations 0, -1 and n+1, both
 must return the same answer or raise the same exception class with the
 same message.
@@ -33,6 +35,7 @@ from repro.graphs import (
 )
 from repro.lowerbounds import port_destination_lists
 from repro.models import Knowledge, Labeling, RoutingModel, all_models
+from tests import port_reference
 from tests import table_reference as ref
 
 IA_ALPHA = RoutingModel(Knowledge.IA, Labeling.ALPHA)
@@ -73,14 +76,24 @@ def graphs(draw: Any) -> LabeledGraph:
 
 
 @st.composite
-def configurations(draw: Any) -> Tuple[LabeledGraph, RoutingModel, Any]:
-    """A graph, a model and a port argument: identity (None) or shuffled
-    ports under IA."""
+def configurations(draw: Any) -> Tuple[LabeledGraph, RoutingModel, Any, Any]:
+    """A graph, a model, a port argument (identity, as None, or shuffled
+    ports under IA) and the same ports as the reference assignment."""
     graph = draw(graphs())
     if draw(st.booleans()):
-        rng = random.Random(draw(st.integers(0, 2**32)))
-        return graph, IA_ALPHA, PortAssignment.shuffled(graph, rng)
-    return graph, draw(st.sampled_from(list(all_models()))), None
+        seed = draw(st.integers(0, 2**32))
+        return (
+            graph,
+            IA_ALPHA,
+            PortAssignment.shuffled(graph, random.Random(seed)),
+            port_reference.PortAssignment.shuffled(graph, random.Random(seed)),
+        )
+    return (
+        graph,
+        draw(st.sampled_from(list(all_models()))),
+        None,
+        port_reference.PortAssignment.identity(graph),
+    )
 
 
 @st.composite
@@ -172,12 +185,11 @@ def assert_decodes_agree(
 @settings(max_examples=60)
 @given(configurations(), damage_lists)
 def test_full_table_matches_reference(config, damages):
-    graph, model, ports = config
+    graph, model, ports, assignment = config
     scheme = FullTableScheme(
         graph, model, ports=ports, allow_unreachable=not graph.is_connected()
     )
     dist = scheme.ctx.distances()
-    assignment = scheme.port_assignment
     for u in graph.nodes:
         table = ref.build_table(graph, dist, assignment, u)
         expected = ref.PortTableFunction(u, table, assignment)
@@ -226,11 +238,10 @@ def test_full_information_matches_reference(graph, damages):
 @settings(max_examples=40)
 @given(configurations())
 def test_multi_interval_groups_match_reference(config):
-    graph, model, ports = config
+    graph, model, ports, assignment = config
     assume(graph.is_connected())
     scheme = MultiIntervalScheme(graph, model, ports=ports)
     dist = scheme.ctx.distances()
-    assignment = scheme.port_assignment
     for u in graph.nodes:
         table = ref.build_table(graph, dist, assignment, u)
         expected = ref.multi_interval_groups(
