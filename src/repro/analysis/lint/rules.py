@@ -1026,7 +1026,8 @@ class NoMutableDefaultRule(LintRule):
 
 _RAW_DERIVATIONS = frozenset({"distance_matrix", "_bfs_tree"})
 _ADJ_PREFIX = "_adj"
-"""The adjacency family of ``LabeledGraph`` (``_adj_sets``, ``_adj_sorted``)."""
+"""The adjacency family of ``LabeledGraph`` (``_adj_edges``, ``_adj_sets``,
+``_adj_sorted``)."""
 _MUTATOR_METHODS = frozenset(
     {
         "add", "append", "appendleft", "clear", "discard", "extend",

@@ -51,15 +51,8 @@ def gnp_random_graph(n: int, p: float = 0.5, seed: int | None = None) -> Labeled
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    upper = rng.random((n, n)) < p
-    rows, cols = np.triu_indices(n, k=1)
-    present = upper[rows, cols]
-    edges = [
-        (int(u) + 1, int(v) + 1)
-        for u, v, keep in zip(rows, cols, present)
-        if keep
-    ]
-    return LabeledGraph(n, edges)
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    return LabeledGraph(n, np.argwhere(upper) + 1)
 
 
 def random_graph_stream(

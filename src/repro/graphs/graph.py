@@ -5,6 +5,11 @@ minimal label set ``1..n`` (model assumptions α/β) unless a scheme buys
 larger labels and is charged for them (model γ).  :class:`LabeledGraph` is
 immutable after construction: the routing schemes, codecs and simulator all
 treat the topology as static, matching the paper's static-network setting.
+
+A graph holds its edges as one sorted integer array, built once at
+construction: the sorted neighbour tuples, the neighbour sets and the
+adjacency matrix are all read off it, and the transformations below hand
+the constructor an array derived from it.
 """
 
 from __future__ import annotations
@@ -21,26 +26,52 @@ __all__ = ["LabeledGraph"]
 class LabeledGraph:
     """An immutable simple undirected graph on nodes ``1..n``."""
 
-    __slots__ = ("_n", "_adj_sets", "_adj_sorted", "_edge_count", "_matrix")
+    __slots__ = ("_n", "_adj_edges", "_adj_sets", "_adj_sorted", "_matrix")
 
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
+    def __init__(
+        self, n: int, edges: Iterable[Tuple[int, int]] | np.ndarray = ()
+    ) -> None:
+        """``edges`` is any iterable of ``(u, v)`` pairs or an ``(m, 2)``
+        integer array; duplicates and both orientations of an edge collapse
+        into one edge."""
         if n < 1:
             raise GraphError(f"graph needs at least one node, got n={n}")
         self._n = n
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
-        count = 0
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2).astype(np.int64)
+        if pairs.ndim != 2:
+            raise TypeError("edges must be (u, v) pairs of integer labels")
+        if pairs.shape[1] != 2:
+            raise ValueError(
+                f"edges must be (u, v) pairs, got {pairs.shape[1]} labels per edge"
+            )
+        if pairs.dtype.kind not in "biu":
+            raise TypeError(f"edge labels must be integers, got {pairs.dtype}")
+        outside = ((pairs < 1) | (pairs > n)).any(axis=1)
+        bad = outside | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            first = int(bad.argmax())
+            u, v = pairs[first].tolist()
+            if outside[first]:
                 raise GraphError(f"edge ({u}, {v}) outside node range 1..{n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                count += 1
-        self._adj_sets = tuple(frozenset(s) for s in adj)
-        self._adj_sorted = tuple(tuple(sorted(s)) for s in adj)
-        self._edge_count = count
+            raise GraphError(f"self-loop at node {u} is not allowed")
+        # Both orientations keyed row-major, (u-1)·n + (v-1): one sort puts
+        # every node's neighbours in a contiguous increasing run and the
+        # duplicates next to each other.
+        a, b = (pairs.astype(np.int64) - 1).T
+        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        src, dst = np.divmod(keys, n)
+        upper = src < dst
+        self._adj_edges = np.stack((src[upper], dst[upper]), axis=1) + 1
+        self._adj_edges.setflags(write=False)
+        starts = np.searchsorted(src, np.arange(n + 1)).tolist()
+        labels = (dst + 1).tolist()
+        self._adj_sorted: Tuple[Tuple[int, ...], ...] = ((),) + tuple(
+            tuple(labels[lo:hi]) for lo, hi in zip(starts, starts[1:])
+        )
+        self._adj_sets = tuple(frozenset(s) for s in self._adj_sorted)
         self._matrix: np.ndarray | None = None
 
     # -- basic accessors ---------------------------------------------------
@@ -53,7 +84,7 @@ class LabeledGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges."""
-        return self._edge_count
+        return len(self._adj_edges)
 
     @property
     def nodes(self) -> range:
@@ -62,10 +93,7 @@ class LabeledGraph:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All edges ``(u, v)`` with ``u < v`` in lexicographic order."""
-        for u in self.nodes:
-            for v in self._adj_sorted[u]:
-                if u < v:
-                    yield (u, v)
+        return zip(self._adj_edges[:, 0].tolist(), self._adj_edges[:, 1].tolist())
 
     def degree(self, u: int) -> int:
         """Degree of node ``u``."""
@@ -115,9 +143,9 @@ class LabeledGraph:
         """
         if self._matrix is None:
             matrix = np.zeros((self._n, self._n), dtype=bool)
-            for u, v in self.edges():
-                matrix[u - 1, v - 1] = True
-                matrix[v - 1, u - 1] = True
+            u, v = (self._adj_edges - 1).T
+            matrix[u, v] = True
+            matrix[v, u] = True
             self._matrix = matrix
         return self._matrix
 
@@ -134,19 +162,16 @@ class LabeledGraph:
             mapping.values()
         ) != list(self.nodes):
             raise GraphError("mapping must be a permutation of the node set")
-        return LabeledGraph(
-            self._n, ((mapping[u], mapping[v]) for u, v in self.edges())
-        )
+        renamed = np.zeros(self._n + 1, dtype=np.int64)
+        renamed[list(mapping)] = list(mapping.values())
+        return LabeledGraph(self._n, renamed[self._adj_edges])
 
     def without_edge(self, u: int, v: int) -> "LabeledGraph":
         """Return a copy with one edge removed (used for failure injection)."""
         if not self.has_edge(u, v):
             raise GraphError(f"({u}, {v}) is not an edge")
-        drop = frozenset((u, v))
-        return LabeledGraph(
-            self._n,
-            (e for e in self.edges() if frozenset(e) != drop),
-        )
+        keep = (self._adj_edges != sorted((u, v))).any(axis=1)
+        return LabeledGraph(self._n, self._adj_edges[keep])
 
     def with_edge(self, u: int, v: int) -> "LabeledGraph":
         """Return a copy with one edge added (used for live topology churn).
@@ -161,7 +186,7 @@ class LabeledGraph:
             raise GraphError(f"self-loop at node {u} is not allowed")
         if self.has_edge(u, v):
             raise GraphError(f"({u}, {v}) is already an edge")
-        return LabeledGraph(self._n, list(self.edges()) + [(u, v)])
+        return LabeledGraph(self._n, np.vstack((self._adj_edges, [(u, v)])))
 
     def without_node_edges(self, u: int) -> "LabeledGraph":
         """Return a copy with every edge incident to ``u`` removed.
@@ -170,9 +195,8 @@ class LabeledGraph:
         (the node set is fixed ``1..n``) but the node becomes isolated.
         """
         self._check_node(u)
-        return LabeledGraph(
-            self._n, (e for e in self.edges() if u not in e)
-        )
+        keep = (self._adj_edges != u).all(axis=1)
+        return LabeledGraph(self._n, self._adj_edges[keep])
 
     def complement(self) -> "LabeledGraph":
         """The complement graph — every bit of ``E(G)`` flipped.
@@ -180,15 +204,8 @@ class LabeledGraph:
         ``G(n, 1/2)`` is closed under complement, and so is the Lemma 1
         degree band; handy for symmetry checks in tests and experiments.
         """
-        return LabeledGraph(
-            self._n,
-            (
-                (u, v)
-                for u in self.nodes
-                for v in range(u + 1, self._n + 1)
-                if v not in self._adj_sets[u]
-            ),
-        )
+        missing = np.triu(~self.adjacency_matrix(), k=1)
+        return LabeledGraph(self._n, np.argwhere(missing) + 1)
 
     # -- connectivity --------------------------------------------------------
 
@@ -222,4 +239,4 @@ class LabeledGraph:
         return hash((self._n, self._adj_sets))
 
     def __repr__(self) -> str:
-        return f"LabeledGraph(n={self._n}, edges={self._edge_count})"
+        return f"LabeledGraph(n={self._n}, edges={self.edge_count})"

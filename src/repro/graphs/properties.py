@@ -93,23 +93,28 @@ def degree_statistics(
 def distance_matrix(graph: LabeledGraph, max_distance: int | None = None) -> np.ndarray:
     """All-pairs hop distances via repeated boolean matrix products.
 
-    Unreached pairs get ``-1``.  For the diameter-2 graphs dominating this
-    library the loop runs exactly twice, so the cost is two dense products —
-    far faster than ``n`` BFS traversals in pure Python.
+    Unreached pairs get ``-1``; with ``max_distance`` so do pairs farther
+    apart.  The adjacency matrix gives every distance-1 pair for free, and
+    each product then settles one more hop, until every pair is reached, a
+    product reaches no new pair, or ``max_distance`` hops are settled.  On
+    the diameter-2 graphs dominating this library that is one dense
+    product — far faster than ``n`` BFS traversals in pure Python.
     """
     n = graph.n
-    adjacency = graph.adjacency_matrix()
+    limit = max_distance if max_distance is not None else n
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    reach = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    hops = 0
-    limit = max_distance if max_distance is not None else n
+    if limit < 1:
+        return dist
+    adjacency = graph.adjacency_matrix()
+    dist[adjacency] = 1
+    reach = dist >= 0
+    frontier = adjacency
+    hops = 1
     work = adjacency.astype(np.float32)
-    while frontier.any() and hops < limit:
+    while hops < limit and frontier.any() and not reach.all():
         hops += 1
-        expanded = (frontier.astype(np.float32) @ work) > 0
-        frontier = expanded & ~reach
+        frontier = ((frontier.astype(np.float32) @ work) > 0) & ~reach
         dist[frontier] = hops
         reach |= frontier
     return dist

@@ -10,8 +10,10 @@ the consequences on each instance:
 3. from every node, the least-neighbour cover prefix is ``O(log n)``
    (Lemma 3).
 
-The certificate also reports a compression-based randomness-deficiency
-estimate of ``E(G)`` for the experiments that visualise incompressibility.
+The certificate holds those three checks and nothing else.  The
+compression-based randomness-deficiency estimate of ``E(G)`` is
+:func:`randomness_deficiency`, a separate call for the experiments that
+visualise incompressibility: none of the lemmas reads it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class RandomnessCertificate:
     max_cover_prefix: int
     lemma3_scale: float
     cover_within_bound: bool
-    estimated_deficiency: int
-    """``n(n-1)/2`` minus the best compressed size of ``E(G)`` (clamped ≥ 0)."""
 
     @property
     def certified(self) -> bool:
@@ -95,5 +95,4 @@ def certify_random_graph(
         max_cover_prefix=max_prefix,
         lemma3_scale=scale3,
         cover_within_bound=max_prefix <= slack * scale3,
-        estimated_deficiency=randomness_deficiency(graph),
     )

@@ -46,11 +46,28 @@ class TestCommands:
         assert "certified" in out
         assert "True" in out
 
+    def test_certify_prints_every_check(self, capsys):
+        assert main(["certify", "128", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "G(128, 1/2) seed 7: 4087 edges\n"
+            "  degrees within Lemma 1 band : True (max deviation 17, scale 63.0)\n"
+            "  diameter 2 (Lemma 2)        : True\n"
+            "  cover prefix (Lemma 3)      : 16 <= 42.0: True\n"
+            "  estimated deficiency        : 0 bits\n"
+            "  certified                   : True\n"
+        )
+
     def test_certify_flags_structured_failure(self, capsys):
         # Seed picked so the small sample has diameter 3 → not certified.
-        code = main(["certify", "10", "--seed", "1"])
-        out = capsys.readouterr().out
-        assert ("False" in out) == (code == 1)
+        assert main(["certify", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "G(10, 1/2) seed 1: 20 edges\n"
+            "  degrees within Lemma 1 band : True (max deviation 3, scale 12.4)\n"
+            "  diameter 2 (Lemma 2)        : False\n"
+            "  cover prefix (Lemma 3)      : 10 <= 19.9: True\n"
+            "  estimated deficiency        : 0 bits\n"
+            "  certified                   : False\n"
+        )
 
     def test_build_prints_report(self, capsys):
         assert main(["build", "thm1-two-level", "48", "--seed", "0"]) == 0
