@@ -25,6 +25,11 @@ The two lanes are the *same* kernel:
 Every timed pass asserts the two lanes' record streams are
 bit-identical before any throughput number is reported.
 
+Beside the ratio, the batched lane's own cost is gated as
+``ns_per_hop_batched`` (its best drain over the workload's hops): the
+ratio alone reads a faster scalar step as a loss and cannot tell a
+slower drain from a faster scalar lane.
+
 The run writes ``BENCH_throughput.json`` — a schema-versioned
 ``BenchResult`` with direction-annotated metrics and the embedded run
 manifest — for CI to validate, regression-gate, and archive.
@@ -149,6 +154,7 @@ def measure(n=N, messages=MESSAGES, reps=REPS, scalar_reps=SCALAR_REPS):
         "messages_per_sec_batched": messages / best["batched"],
         "messages_per_sec_scalar": messages / best["scalar"],
         "hops_per_sec_batched": hops / best["batched"],
+        "ns_per_hop_batched": best["batched"] / hops * 1e9,
         "speedup_ratio": speedup,
         "end_to_end_speedup": (best["scalar"] + materialize)
         / (best["batched"] + materialize),
@@ -194,6 +200,10 @@ def _bench_result(result) -> BenchResult:
         "speedup_ratio": BenchMetric(
             result["speedup_ratio"], higher, tolerance=0.30
         ),
+        "ns_per_hop_batched": BenchMetric(
+            result["ns_per_hop_batched"], BetterDirection.LOWER,
+            tolerance=0.30,
+        ),
         "end_to_end_speedup": BenchMetric(
             result["end_to_end_speedup"], higher, tolerance=0.30
         ),
@@ -225,7 +235,8 @@ def _format(result) -> str:
         f"   ({result['messages_per_sec_scalar']:12,.0f} msg/s)",
         f"  batched lane (drain)       {best['batched']:9.3f} s"
         f"   ({result['messages_per_sec_batched']:12,.0f} msg/s, "
-        f"{result['hops_per_sec_batched']:,.0f} hops/s)",
+        f"{result['hops_per_sec_batched']:,.0f} hops/s, "
+        f"{result['ns_per_hop_batched']:.1f} ns/hop)",
         f"  record materialisation     {mat:9.3f} s   (shared epilogue)",
         "",
         f"  speedup at the batch boundary   {result['speedup_ratio']:7.1f}x",

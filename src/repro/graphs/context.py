@@ -224,6 +224,10 @@ class GraphContext:
         A bounded request (``max_distance=k``) is derived from the full
         matrix for free whenever the full matrix is already cached — the
         common case in a pipeline that builds a shortest-path scheme first.
+        Conversely, a full request adopts a cached bounded matrix that
+        reached every pair (no ``-1``): it already is the full matrix, so
+        certification's ``max_distance=2`` product on a diameter-2 graph
+        serves every later consumer (counted as ``op="adopt"``).
         The returned array is marked read-only: it is shared by every
         consumer of this graph.
         """
@@ -233,6 +237,14 @@ class GraphContext:
             return matrix
 
         if max_distance is None:
+            if not self.has_cached_distances:
+                for (kind, _), bounded in list(self._cache.items()):
+                    if kind == "distances" and not (bounded < 0).any():
+                        self._cache[("distances", None)] = bounded
+                        get_registry().counter(
+                            CTX_COUNTER, kind="distances", op="adopt"
+                        ).inc()
+                        return bounded
             return self._memo(
                 "distances", None, lambda: _freeze(distance_matrix(self._graph))
             )

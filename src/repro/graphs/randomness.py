@@ -25,7 +25,6 @@ from repro.graphs.encoding import edge_code_length, encode_graph
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.properties import (
     degree_statistics,
-    is_diameter_two,
     least_cover_prefixes,
     lemma3_bound,
 )
@@ -78,9 +77,14 @@ def certify_random_graph(
     """
     n = graph.n
     stats = degree_statistics(graph, deficiency=c * max(n, 2).bit_length())
-    diameter_ok = is_diameter_two(graph)
+    # Lemma 2 off the distances within two hops: every pair reached and
+    # some pair two hops apart.  On a diameter-2 graph that matrix is the
+    # full one, which the context adopts, so certification pays one
+    # product; a graph failing Lemma 2 never derives its full matrix.
+    ctx = get_context(graph)
+    near = ctx.distances(max_distance=2)
+    diameter_ok = n > 1 and not (near < 0).any() and bool((near == 2).any())
     if diameter_ok:
-        ctx = get_context(graph)
         prefixes = least_cover_prefixes(ctx.distances(), ctx.least_hop_ranks())
         max_prefix = int(prefixes.max())
     else:

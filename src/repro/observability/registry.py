@@ -237,6 +237,10 @@ _WELL_KNOWN_HELP: Dict[str, str] = {
     "repro_drops_total": "Messages dropped, labelled by DropReason.",
     "repro_retries_total": "Source re-injections after a retryable drop.",
     "repro_routing_loops_total": "Walks aborted after revisiting a node.",
+    "repro_kernel_rows_total":
+        "Rows a kernel drain handed to each lane, once per cohort holding them.",
+    "repro_kernel_drain_skips_total":
+        "Cohorts that skipped the quiescent drain, by the first reason.",
     "repro_stale_deliveries_total":
         "Deliveries that routed on out-of-date topology knowledge.",
     "repro_scheme_table_bits": "Total routing-table bits of the built scheme.",

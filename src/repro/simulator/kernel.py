@@ -34,6 +34,11 @@ cohort's lane:
   with header state, at the hop limit or without a matrix entry leaves
   it through the scalar step.  Every other cohort takes the scalar lane.
 
+Each :meth:`BatchKernel.drain` tallies the rows it hands to each lane
+and the cohorts that skipped the drain, by the first reason, in plain
+ints, and publishes them once at its end as :data:`KERNEL_ROWS` and
+:data:`DRAIN_SKIPS`.
+
 Under those conditions a matrix gather is exactly the scalar step's
 decision, so the default lane choice and ``batch=False`` (every cohort
 through the scalar lane) produce **bit-identical**
@@ -83,7 +88,17 @@ from repro.simulator.message import DeliveryRecords, DropReason, MessageBatch
 from repro.simulator.network import Network
 from repro.simulator.recovery import RetryPolicy
 
-__all__ = ["BatchKernel"]
+__all__ = ["BatchKernel", "DRAIN_SKIPS", "KERNEL_ROWS"]
+
+KERNEL_ROWS = "repro_kernel_rows_total"
+"""Counter of the rows each :meth:`BatchKernel.drain` handed to each lane
+(``lane=drain|scalar``), a row once per cohort that holds it."""
+
+DRAIN_SKIPS = "repro_kernel_drain_skips_total"
+"""Counter of the cohorts that took the scalar lane, by the first reason
+the quiescent drain could not take them: ``small_cohort``, ``batch_off``,
+``service_time``, ``tracer``, ``churn``, ``events_queued``,
+``not_quiescent`` or ``no_matrix``."""
 
 _MIN_BATCH_ROWS = 8
 """Smallest cohort the quiescent drain takes; smaller ones step row by row.
@@ -259,8 +274,13 @@ class BatchKernel:
         self._retry_rngs: Dict[int, random.Random] = {}
         self._repair_delay = repair_delay
         self._tracer = _live_tracer(tracer)
-        self._msg_ids = itertools.count()
-        self._pending: List[Tuple[int, int, int, float, bool]] = []
+        # Pending injections as columns; their message ids are the
+        # contiguous range starting at _next_id.
+        self._next_id = 0
+        self._sources: List[int] = []
+        self._destinations: List[int] = []
+        self._times: List[float] = []
+        self._pending_traced: List[bool] = []
         self._events: List[_EventEntry] = []
         self._sequence = itertools.count()
         self._control_events = 0
@@ -305,6 +325,10 @@ class BatchKernel:
         self._matrix: Optional[np.ndarray] = None
         self._matrix_complete = False
         self._fwd_pending: List[np.ndarray] = []
+        # Lane tallies of the current drain(), published once at its end.
+        self._drain_rows = 0
+        self._scalar_rows = 0
+        self._drain_skips: Dict[str, int] = {}
         # Per-row kernel bookkeeping (sized at run()).
         self._has_state = np.zeros(0, dtype=bool)
         # Per-row trace verdicts (filled only under a tracer), a list so
@@ -354,15 +378,21 @@ class BatchKernel:
         }
 
     def inject(self, source: int, destination: int, at_time: float = 0.0) -> None:
-        """Schedule one message (call before :meth:`run`)."""
-        msg_id = next(self._msg_ids)
-        traced = False
+        """Schedule one message (call before :meth:`run`).
+
+        Message ids count up across the kernel's lifetime: the next
+        :meth:`drain` numbers its rows from where the previous one stopped.
+        """
         tracer = self._tracer
         if tracer is not None:
-            if tracer.wants(msg_id):
+            msg_id = self._next_id + len(self._sources)
+            traced = tracer.wants(msg_id)
+            if traced:
                 tracer.inject(msg_id, source, destination, time=at_time)
-                traced = True
-        self._pending.append((msg_id, source, destination, at_time, traced))
+            self._pending_traced.append(traced)
+        self._sources.append(source)
+        self._destinations.append(destination)
+        self._times.append(at_time)
 
     def run(self) -> DeliveryRecords:
         """Drain every injected message; one record per row, row order.
@@ -380,7 +410,8 @@ class BatchKernel:
         Returns the finished :class:`MessageBatch` with every row
         inactive; its :meth:`~MessageBatch.records` view is what
         :meth:`run` returns.  The registry phase ``simulator.drain``
-        times each call.
+        times each call, and each call adds its lane tallies to
+        :data:`KERNEL_ROWS` and :data:`DRAIN_SKIPS`.
         """
         nw = self._network
         self._limit = nw.scheme.hop_limit()
@@ -389,16 +420,21 @@ class BatchKernel:
         self._forward_counts = {}
         self._busy_until = {}
         self._fwd_pending = []
-        msg_ids = [p[0] for p in self._pending]
-        sources = [p[1] for p in self._pending]
-        destinations = [p[2] for p in self._pending]
-        times = [p[3] for p in self._pending]
-        batch = MessageBatch(msg_ids, sources, destinations, times, self._limit)
-        if self._tracer is None:
-            self._traced = []
-        else:
-            self._traced = [p[4] for p in self._pending]
-        self._pending = []
+        self._drain_rows = self._scalar_rows = 0
+        self._drain_skips = {}
+        first = self._next_id
+        size = len(self._sources)
+        batch = MessageBatch(
+            np.arange(first, first + size, dtype=np.int64),
+            self._sources,
+            self._destinations,
+            self._times,
+            self._limit,
+        )
+        self._next_id = first + size
+        self._traced = self._pending_traced
+        self._sources, self._destinations, self._times = [], [], []
+        self._pending_traced = []
         self._has_state = np.zeros(batch.size, dtype=bool)
         self.batch = batch
         self._index_injections(batch)
@@ -430,6 +466,11 @@ class BatchKernel:
                 break
         self._events = []
         self._control_events = 0
+        registry = get_registry()
+        registry.counter(KERNEL_ROWS, lane="drain").inc(self._drain_rows)
+        registry.counter(KERNEL_ROWS, lane="scalar").inc(self._scalar_rows)
+        for reason, cohorts in self._drain_skips.items():
+            registry.counter(DRAIN_SKIPS, reason=reason).inc(cohorts)
         return batch
 
     # -- ready index ----------------------------------------------------------
@@ -710,46 +751,60 @@ class BatchKernel:
     ) -> None:
         """Step the cohort due at ``now``: drain it, or step it row by row.
 
-        Both lanes visit the cohort's rows in ascending row order.
+        Both lanes visit the cohort's rows in ascending row order.  The
+        cohort's rows are tallied under the lane that takes them, and a
+        cohort the drain cannot take under the first reason why.
         """
         singles, arrays = bucket
         if not arrays and len(singles) < _MIN_BATCH_ROWS:
-            for i in sorted(singles):
-                self._step_one(batch, i, now)
-            return
-        if singles:
-            arrays.append(np.array(sorted(singles), dtype=np.intp))
-        if len(arrays) == 1:
-            rows = arrays[0]
+            reason: Optional[str] = "small_cohort"
+            order = sorted(singles)
         else:
-            rows = np.sort(np.concatenate(arrays))
-        matrix = (
-            self._drain_matrix() if rows.size >= _MIN_BATCH_ROWS else None
-        )
-        if matrix is None:
-            for i in rows.tolist():
-                self._step_one(batch, i, now)
-        else:
-            self._drain_quiescent(batch, rows, now, matrix)
+            if singles:
+                arrays.append(np.array(sorted(singles), dtype=np.intp))
+            if len(arrays) == 1:
+                rows = arrays[0]
+            else:
+                rows = np.sort(np.concatenate(arrays))
+            reason = (
+                "small_cohort"
+                if rows.size < _MIN_BATCH_ROWS
+                else self._drain_skip()
+            )
+            if reason is None:
+                self._drain_rows += rows.size
+                self._drain_quiescent(batch, rows, now)
+                return
+            order = rows.tolist()
+        skips = self._drain_skips
+        skips[reason] = skips.get(reason, 0) + 1
+        self._scalar_rows += len(order)
+        for i in order:
+            self._step_one(batch, i, now)
 
-    def _drain_matrix(self) -> Optional[np.ndarray]:
-        """The next-hop matrix if the quiescent drain may run, else ``None``.
+    def _drain_skip(self) -> Optional[str]:
+        """Why a cohort may not take the quiescent drain now, or ``None``.
 
         The drain needs rows that nothing outside them can perturb:
         ``batch`` on, and no node service time, tracer, churn schedule,
-        queued event or network fault state.  The matrix is derived once
-        per installed scheme, and only when it is needed.
+        queued event or network fault state; the first check that fails
+        names the reason.  The next-hop matrix is derived once per
+        installed scheme, and only when it is needed (``no_matrix`` when
+        the scheme has none).
         """
         nw = self._network
-        if (
-            not self._batch
-            or self._service > 0
-            or self._tracer is not None
-            or self._churn is not None
-            or self._events
-            or not nw.quiescent
-        ):
-            return None
+        if not self._batch:
+            return "batch_off"
+        if self._service > 0:
+            return "service_time"
+        if self._tracer is not None:
+            return "tracer"
+        if self._churn is not None:
+            return "churn"
+        if self._events:
+            return "events_queued"
+        if not nw.quiescent:
+            return "not_quiescent"
         scheme = nw.scheme
         if scheme is not self._matrix_scheme:
             self._matrix_scheme = scheme
@@ -762,38 +817,46 @@ class BatchKernel:
                 self._matrix_complete = bool((off_diag >= 1).all())
             else:
                 self._matrix_complete = False
-        return self._matrix
+        return "no_matrix" if self._matrix is None else None
 
     def _drain_quiescent(
-        self,
-        batch: MessageBatch,
-        rows: np.ndarray,
-        now: float,
-        matrix: np.ndarray,
+        self, batch: MessageBatch, rows: np.ndarray, now: float
     ) -> None:
         """Advance lockstep cohorts with pure gather/scatter steps.
 
         Entered only when nothing outside a row can perturb it (see
-        :meth:`_drain_matrix`), so rows are mutually independent and the
+        :meth:`_drain_skip`), so rows are mutually independent and the
         whole cohort can be walked to completion without returning to
         the drain loop.  Rows that arrive deliver unconditionally; rows
         that carry header state, hit the hop limit or lack a matrix entry
         leave the lockstep set through the exact scalar step (and, after
         a retry backoff, re-enter via the ready index at their own ready
-        time).  Each surviving step is one arrival compare plus one
-        matrix gather — the untraced hot path the throughput bench
-        measures.
+        time).  Each surviving step is one arrival compare, one 1-D
+        ``take`` from the flattened next-hop matrix at the flat index
+        ``cur * n + dst``, and one write of the step's hops into a single
+        column of the column-major path buffer, at flat positions
+        ``plen * size + row`` kept in ``pkey`` — the untraced hot path the
+        throughput bench measures.  Both flat indices are ``intp``, so
+        neither can overflow on a large graph or batch.
         """
+        matrix = self._matrix
+        assert matrix is not None  # _drain_skip derived it
         nw = self._network
         limit = self._limit
         latency = self._latency
+        next_flat = matrix.ravel()
+        n = matrix.shape[1]
+        size = batch.size
         idx = rows
         # Row position is kept in compacted local copies; the shared
         # arrays are scattered to only when a row delivers, leaves for
-        # the scalar lane, or the drain hands control back.
+        # the scalar lane, or the drain hands control back.  A row's
+        # path length is pkey // size (0 <= row < size).
         cur0 = batch.current[idx] - 1
         dst0 = batch.destination[idx] - 1
         plen = batch.plen[idx]
+        pkey = np.multiply(plen, size, dtype=np.intp)
+        pkey += idx
         state_any = bool(self._has_state[idx].any())
         # Steps every row can take before any could trip the hop limit
         # (hops = plen - 1 grows by one per step); until then the limit
@@ -804,13 +867,13 @@ class BatchKernel:
         # Deliveries and forward counts are deferred and flushed in one
         # shot after the loop; nothing inside the drain reads them back.
         done_idx: List[np.ndarray] = []
-        done_plen: List[np.ndarray] = []
+        done_key: List[np.ndarray] = []
         done_time: List[float] = []
         while True:
             arrived = cur0 == dst0
             if arrived.any():
                 done_idx.append(idx[arrived])
-                done_plen.append(plen[arrived])
+                done_key.append(pkey[arrived])
                 done_time.append(now)
                 keep = ~arrived
                 idx = idx[keep]
@@ -818,33 +881,35 @@ class BatchKernel:
                     break
                 cur0 = cur0[keep]
                 dst0 = dst0[keep]
-                plen = plen[keep]
-            nxt = matrix[cur0, dst0]
+                pkey = pkey[keep]
+            key = np.multiply(cur0, n, dtype=np.intp)
+            key += dst0
+            nxt = next_flat.take(key)
             if state_any or safe_steps <= 0 or not complete:
                 ok = nxt >= 1
                 if state_any:
                     ok &= ~self._has_state[idx]
                 if safe_steps <= 0:
-                    ok &= (plen - 1) < limit
+                    ok &= pkey < (limit + 1) * size
                 if not ok.all():
                     leave = ~ok
                     out = idx[leave]
                     batch.current[out] = cur0[leave] + 1
-                    batch.plen[out] = plen[leave]
+                    batch.plen[out] = pkey[leave] // size
                     batch.ready[out] = now
-                    for i in out:
-                        self._step_one(batch, int(i), now)
+                    for i in out.tolist():
+                        self._step_one(batch, i, now)
                     idx = idx[ok]
                     cur0 = cur0[ok]
                     dst0 = dst0[ok]
-                    plen = plen[ok]
+                    pkey = pkey[ok]
                     nxt = nxt[ok]
                     if not nw.quiescent:
                         # A slow row touched shared network state; hand
                         # the rest back to the ready index, whose next
                         # pop steps them row by row.
                         batch.current[idx] = cur0 + 1
-                        batch.plen[idx] = plen
+                        batch.plen[idx] = pkey // size
                         batch.ready[idx] = now
                         if idx.size:
                             self._bucket(now)[1].append(idx)
@@ -855,8 +920,8 @@ class BatchKernel:
                         state_any = bool(self._has_state[idx].any())
             self._fwd_pending.append(cur0)
             batch.ensure_path_capacity(needed)
-            batch.path[idx, plen] = nxt
-            plen = plen + 1
+            batch.path.ravel(order="F")[pkey] = nxt
+            pkey += size
             cur0 = nxt - 1
             now += latency
             safe_steps -= 1
@@ -866,7 +931,7 @@ class BatchKernel:
             batch.delivered[done] = True
             batch.active[done] = False
             batch.current[done] = batch.destination[done]
-            batch.plen[done] = np.concatenate(done_plen)
+            batch.plen[done] = np.concatenate(done_key) // size
             times = np.repeat(
                 np.asarray(done_time), [d.size for d in done_idx]
             )

@@ -135,8 +135,16 @@ class MessageBatch:
     interleave freely without conversion.  Outcomes scatter back out as
     ordinary :class:`DeliveryRecord` objects via :meth:`records`.
 
-    Per-attempt path prefixes live in a shared ``[size, capacity]`` buffer
-    that doubles on demand (:meth:`ensure_path_capacity`) instead of being
+    Per-attempt path prefixes live in one shared ``[size, capacity]``
+    buffer, stored column-major (``order="F"``): column ``j`` holds every
+    row's ``j``-th node contiguously.  The quiescent drain moves a whole
+    cohort one hop per step and writes that hop into one column, so the
+    writes of a step land side by side instead of one cache line per row
+    (a row-major buffer of 256 columns puts consecutive rows' entries
+    1 KB apart).  Reading one record's path walks a row with a stride of
+    ``size`` entries, which :meth:`DeliveryRecords.__iter__` pays once per
+    record read.  The buffer starts at ``min(limit + 2, 64)`` columns and
+    quadruples on demand (:meth:`ensure_path_capacity`) instead of being
     pre-sized to the hop limit — a 16k-message batch at ``n=256`` would
     otherwise allocate tens of megabytes it never touches.
     """
@@ -150,10 +158,10 @@ class MessageBatch:
 
     def __init__(
         self,
-        msg_ids: List[int],
-        sources: List[int],
-        destinations: List[int],
-        inject_times: List[float],
+        msg_ids: Union[Sequence[int], np.ndarray],
+        sources: Sequence[int],
+        destinations: Sequence[int],
+        inject_times: Sequence[float],
         limit: int,
     ) -> None:
         size = len(sources)
@@ -176,15 +184,18 @@ class MessageBatch:
         self.drop_detail: List[Optional[str]] = [None] * size
         self.state: List[Any] = [None] * size
         self._path_capacity = max(2, min(int(limit) + 2, 64))
-        self.path = np.zeros((size, self._path_capacity), dtype=np.int32)
+        self.path = np.zeros(
+            (size, self._path_capacity), dtype=np.int32, order="F"
+        )
         self.path[:, 0] = self.source
 
     def ensure_path_capacity(self, needed: int) -> None:
         """Grow the shared path buffer so every row can hold ``needed`` nodes.
 
+        The buffer stays column-major, so the copy moves whole columns.
         The grown columns are left uninitialised: every reader slices row
         ``i`` to ``plen[i]`` nodes, so columns past the prefix are never
-        observed (zeroing tens of megabytes per doubling would dominate
+        observed (zeroing tens of megabytes per growth would dominate
         the drain loop on large batches).
         """
         if needed <= self._path_capacity:
@@ -194,7 +205,7 @@ class MessageBatch:
             # Quadrupling halves the copy generations a long drain pays
             # versus doubling; the slack columns are transient per run.
             capacity *= 4
-        grown = np.empty((self.size, capacity), dtype=np.int32)
+        grown = np.empty((self.size, capacity), dtype=np.int32, order="F")
         grown[:, : self._path_capacity] = self.path
         self.path = grown
         self._path_capacity = capacity

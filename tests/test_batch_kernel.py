@@ -9,8 +9,10 @@ one-row and many-row cohorts, with tracing on or off, and on clean runs
 whose bursts take the quiescent drain.  These tests pin that contract
 with a hypothesis property over all 11 schemes (which also requires
 each lane's column aggregation to equal the per-record reference), pin
-the sweep driver's worker-count independence, and regression-test that
-the untraced kernel pays nothing for the (disabled) tracer hooks.
+it on paths long enough to grow the column-major path buffer, pin the
+lane telemetry and the message numbering across drains, pin the sweep
+driver's worker-count independence, and regression-test that the
+untraced kernel pays nothing for the (disabled) tracer hooks.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ from hypothesis import strategies as st
 
 from repro.core import HopDecision, available_schemes, build_scheme
 from repro.core.scheme import LocalRoutingFunction
+from repro.errors import RoutingError
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
-from repro.observability import NULL_TRACER, RecordingTracer, SamplingTracer
+from repro.observability import (
+    NULL_TRACER,
+    MetricsRegistry,
+    RecordingTracer,
+    SamplingTracer,
+    set_registry,
+)
 from repro.simulator import (
     BatchKernel,
     DropReason,
@@ -45,6 +54,7 @@ from repro.simulator.chaos import (
 )
 from repro.simulator.churn import random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
+from repro.simulator.kernel import DRAIN_SKIPS, KERNEL_ROWS
 from repro.simulator.sweep import _pairs, build_run
 from tests import outcome_reference
 
@@ -258,6 +268,188 @@ def test_drained_forward_counts_match_scalar():
         assert kernel.forward_counts == counts[batch]
     assert counts[True] == counts[False]
     assert sum(counts[True].values()) >= 40
+
+
+class _NoRouteTo(LocalRoutingFunction):
+    """A node's own function, except that it has no entry for one
+    destination: the next-hop matrix reads -1 there, so a drained row
+    asking for it leaves for the scalar step and drops ``NO_ROUTE``."""
+
+    def __init__(self, inner, blocked):
+        super().__init__(inner.node)
+        self._inner = inner
+        self._blocked = blocked
+
+    def next_hop(self, destination, state=None):
+        if destination == self._blocked:
+            raise RoutingError(f"no entry for {destination}")
+        return self._inner.next_hop(destination, state)
+
+
+def test_lanes_agree_on_paths_that_grow_the_path_buffer():
+    """Hops of up to 299 grow the column-major path buffer 64 → 256 →
+    1024 columns, and the lanes still agree on every record and every
+    forward count.
+
+    Node 150 has no entry for node 300, so each row bound there leaves
+    the drain for the scalar step at node 150, drops ``NO_ROUTE`` and is
+    retried from its source, which rewrites column 0 of its path.
+    """
+    graph = path_graph(300)
+    clock = random.Random(11)
+    pairs = [tuple(clock.sample(graph.nodes, 2)) for _ in range(40)]
+    pairs += [(300, 1), (1, 299), (299, 2), (1, 300), (60, 300), (200, 300)]
+    retry = RetryPolicy(max_attempts=2, base_delay=0.5, jitter=0.0)
+    runs = {}
+    for batch in (True, False):
+        scheme = build_scheme("full-table", graph, II_ALPHA)
+        scheme._function_cache[150] = _NoRouteTo(scheme.function(150), 300)
+        kernel = BatchKernel(scheme, batch=batch, retry_policy=retry)
+        for source, destination in pairs:
+            kernel.inject(source, destination)
+        runs[batch] = (kernel.run(), kernel.forward_counts)
+        assert kernel.batch.path.shape[1] == 1024
+        assert kernel.batch.path.flags.f_contiguous
+    assert runs[True] == runs[False]
+    records = runs[True][0]
+    assert max(r.hops for r in records) == 299
+    retried = [r for r in records if r.destination == 300 and r.source < 150]
+    assert len(retried) == 2
+    for record in retried:
+        assert record.drop_reason is DropReason.NO_ROUTE
+        assert record.retries == 1
+        assert record.path == tuple(range(record.source, 151))
+
+
+class _AskedTracer(SamplingTracer):
+    """A sampling tracer that logs the ids it is asked about at inject."""
+
+    def __init__(self, sink):
+        super().__init__(sink, rate=0.3, seed=5)
+        self.asked = []
+
+    def wants(self, msg_id):
+        self.asked.append(msg_id)
+        return super().wants(msg_id)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "sampled"])
+def test_second_drain_numbers_from_where_the_first_stopped(traced):
+    """Message ids count up across drains of one kernel, and a tracer is
+    asked about exactly the ids the records carry."""
+    scheme, graph = _scheme("full-table")
+    tracer = _AskedTracer(RecordingTracer()) if traced else None
+    kernel = BatchKernel(scheme, tracer=tracer)
+    batches = (_injections(graph, 3, seed=1), _injections(graph, 0, seed=2, burst=12))
+    ids = []
+    for injections in batches:
+        for source, destination, at_time in injections:
+            kernel.inject(source, destination, at_time)
+        ids.append([r.msg_id for r in kernel.run()])
+    assert ids == [[0, 1, 2], list(range(3, 15))]
+    if traced:
+        assert tracer.asked == list(range(15))
+        injected = [e.msg_id for e in tracer._sink.events if e.event == "inject"]
+        assert injected and set(injected) <= set(range(15))
+
+
+# -- lane telemetry -----------------------------------------------------------
+
+
+@pytest.fixture
+def registry():
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    yield fresh
+    set_registry(previous)
+
+
+def _lane_tallies(registry):
+    """Rows per lane and drain skips per reason, as the registry holds them."""
+    rows = {
+        lane: registry.counter(KERNEL_ROWS, lane=lane).value
+        for lane in ("drain", "scalar")
+    }
+    skips = {
+        dict(metric.labels)["reason"]: metric.value
+        for metric in registry.metrics()
+        if metric.name == DRAIN_SKIPS
+    }
+    return rows, skips
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["default", "scalar"])
+def test_fault_free_batch_lane_tallies(registry, batch):
+    """A fault-free t=0 burst is one cohort: the drain takes every row;
+    ``batch=False`` steps every row of every cohort instead, the cohorts
+    of eight rows or more skipping the drain as ``batch_off``."""
+    scheme, graph = _scheme("full-table")
+    records = _run(scheme, _injections(graph, 0, seed=3, burst=40), batch)
+    rows, skips = _lane_tallies(registry)
+    if batch:
+        assert rows == {"drain": 40, "scalar": 0}
+        assert skips == {}
+    else:
+        # A delivered row sits in one cohort per hop, plus its arrival.
+        assert rows == {"drain": 0, "scalar": sum(r.hops + 1 for r in records)}
+        assert skips["batch_off"] >= 1
+        assert set(skips) <= {"batch_off", "small_cohort"}
+
+
+def _skip_case(reason):
+    """The scheme name and kernel options under which a t=0 burst skips
+    the drain for ``reason``."""
+    graph = _scheme("full-table")[1]
+    edge = next(iter(graph.edges()))
+    return {
+        "service_time": ("full-table", {"node_service_time": 0.2}),
+        "tracer": ("full-table", {"tracer": RecordingTracer()}),
+        "churn": ("full-table", {
+            "churn_schedule": random_churn(graph, 2, horizon=20.0, seed=1),
+        }),
+        "events_queued": ("full-table", {
+            "fault_schedule": FaultSchedule(
+                [FaultEvent.node_down(50.0, 2), FaultEvent.node_up(60.0, 2)]
+            ),
+        }),
+        "not_quiescent": ("full-table", {"failed_links": [edge]}),
+        "no_matrix": ("tree-cover", {}),
+    }[reason]
+
+
+@pytest.mark.parametrize(
+    "reason",
+    ["service_time", "tracer", "churn", "events_queued", "not_quiescent",
+     "no_matrix"],
+)
+def test_skipped_cohorts_name_their_reason(registry, reason):
+    """The burst's cohort skips the drain for the first check that fails,
+    and every row goes to the scalar step."""
+    name, options = _skip_case(reason)
+    scheme, graph = _scheme(name)
+    if reason == "no_matrix":
+        assert scheme.ctx.next_hop_matrix(scheme) is None
+    _run(scheme, _injections(graph, 0, seed=4, burst=24), True, **options)
+    rows, skips = _lane_tallies(registry)
+    assert rows["drain"] == 0 and rows["scalar"] >= 24
+    assert skips[reason] >= 1
+    assert set(skips) <= {reason, "small_cohort"}
+
+
+def test_chaos_episode_tallies_every_cohort(registry):
+    """Under a fault schedule the burst skips the drain while events are
+    queued, and the single-row cohorts count as ``small_cohort``."""
+    scheme, graph = _scheme("full-table")
+    schedule = renewal_faults(
+        graph, horizon=40.0, seed=2, link_count=6, node_count=1
+    )
+    _run(
+        scheme, _injections(graph, 30, seed=2, burst=24), True,
+        fault_schedule=schedule,
+    )
+    rows, skips = _lane_tallies(registry)
+    assert rows["scalar"] >= 54 and rows["drain"] == 0
+    assert skips["events_queued"] >= 1 and skips["small_cohort"] >= 1
 
 
 class _SkipsAhead(LocalRoutingFunction):

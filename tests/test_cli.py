@@ -235,6 +235,37 @@ class TestObservabilityFlags:
         assert manifest.n == 24
         assert manifest.wall_time_s is not None
 
+    def test_simulate_metrics_out_carries_lane_tallies(self, tmp_path, capsys):
+        """A fault-free run drains its t=0 burst; static failures keep
+        every cohort on the scalar step as ``not_quiescent``."""
+        import json
+
+        from repro.observability import MetricsRegistry, set_registry
+
+        tallies = {}
+        for flags in ((), ("--failures", "2")):
+            target = tmp_path / "metrics.json"
+            previous = set_registry(MetricsRegistry())
+            try:
+                assert main(
+                    ["simulate", "full-table", "24", "--messages", "40",
+                     *flags, "--metrics-out", str(target)]
+                ) == 0
+            finally:
+                set_registry(previous)
+            metrics = json.loads(target.read_text())["metrics"]
+            tallies[flags] = (
+                {e["labels"]["lane"]: e["value"]
+                 for e in metrics["repro_kernel_rows_total"]},
+                {e["labels"]["reason"]: e["value"]
+                 for e in metrics.get("repro_kernel_drain_skips_total", [])},
+            )
+        capsys.readouterr()
+        assert tallies[()] == ({"drain": 40, "scalar": 0}, {})
+        rows, skips = tallies[("--failures", "2")]
+        assert rows["drain"] == 0 and rows["scalar"] >= 40
+        assert skips["not_quiescent"] >= 1
+
     def test_build_metrics_out_prometheus(self, tmp_path, capsys):
         target = tmp_path / "metrics.prom"
         assert main(

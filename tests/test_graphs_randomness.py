@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graphs import (
+    LabeledGraph,
     certify_random_graph,
+    clear_context_cache,
     complete_graph,
+    distance_matrix,
+    get_context,
     gnp_random_graph,
+    is_diameter_two,
     path_graph,
     randomness_deficiency,
     star_graph,
 )
+from repro.graphs.context import CTX_COUNTER
 from repro.graphs.encoding import edge_code_length
+from repro.observability import MetricsRegistry, set_registry
+
+_LEMMA2_GRAPHS = {
+    "n=1": lambda: LabeledGraph(1),
+    "n=2 edge": lambda: LabeledGraph(2, [(1, 2)]),
+    "n=2 empty": lambda: LabeledGraph(2),
+    "empty": lambda: LabeledGraph(9),
+    "complete": lambda: complete_graph(12),
+    "path": lambda: path_graph(10),
+    "gnp p=0.05": lambda: gnp_random_graph(40, p=0.05, seed=3),
+    "gnp p=0.5": lambda: gnp_random_graph(40, p=0.5, seed=3),
+    "gnp p=0.95": lambda: gnp_random_graph(40, p=0.95, seed=3),
+}
 
 
 class TestCertification:
@@ -40,6 +60,33 @@ class TestCertification:
     def test_complete_graph_fails(self):
         cert = certify_random_graph(complete_graph(16))
         assert not cert.certified
+
+    @pytest.mark.parametrize("name", sorted(_LEMMA2_GRAPHS))
+    def test_lemma2_read_off_the_two_hop_distances(self, name):
+        """Lemma 2 agrees with the adjacency-product check, and the
+        distances certification leaves behind are the full matrix: one
+        distance product, adopted on a diameter-2 graph and never
+        extended to the full matrix on a graph that fails Lemma 2."""
+        graph = _LEMMA2_GRAPHS[name]()
+        clear_context_cache()
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            cert = certify_random_graph(graph)
+            ctx = get_context(graph)
+            assert cert.diameter_two == is_diameter_two(graph)
+            assert ctx.has_cached_distances == cert.diameter_two
+            counts = {
+                op: registry.counter(CTX_COUNTER, kind="distances", op=op).value
+                for op in ("miss", "adopt")
+            }
+            assert counts == {"miss": 1, "adopt": int(cert.diameter_two)}
+            np.testing.assert_array_equal(
+                ctx.distances(), distance_matrix(graph)
+            )
+        finally:
+            set_registry(previous)
+            clear_context_cache()
 
 
 class TestDeficiency:
