@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.graph import LabeledGraph
 from repro.graphs.ports import PortAssignment
-from repro.graphs.properties import distance_matrix, least_hop_ranks
+from repro.graphs.properties import _seidel_distances, least_hop_ranks
 from repro.observability.profiling import profile_section
 from repro.observability.registry import get_registry
 
@@ -79,6 +79,13 @@ LEAST_HOP_PASSES = "repro_least_hop_passes"
 :meth:`GraphContext.least_hop_ranks` derivation took — its largest rank
 over pairs at distance ≥ 2, plus one.  On a ``c log n``-random graph
 Lemma 3 bounds it by ``(c+3) log n``."""
+DISTANCE_PRODUCTS = "repro_graph_ctx_distance_products"
+"""Gauge name (label: ``n``): the dense ``n × n`` products the last fresh
+:meth:`GraphContext.distances` derivation took (Seidel's algorithm, see
+:func:`~repro.graphs.properties.distance_matrix`): 1 on a diameter-2
+graph and for any ``max_distance=2`` request, ``2⌈log₂ D⌉ − 1`` on a
+connected graph of diameter ``D ≥ 2`` (15 on ``path(256)``).  Adopting or
+truncating a memoised matrix takes none and leaves the gauge alone."""
 
 
 def structural_fingerprint(graph: LabeledGraph) -> Fingerprint:
@@ -229,12 +236,18 @@ class GraphContext:
         certification's ``max_distance=2`` product on a diameter-2 graph
         serves every later consumer (counted as ``op="adopt"``).
         The returned array is marked read-only: it is shared by every
-        consumer of this graph.
+        consumer of this graph.  Each fresh derivation sets the
+        :data:`DISTANCE_PRODUCTS` gauge.
         """
 
         def _freeze(matrix: np.ndarray) -> np.ndarray:
             matrix.setflags(write=False)
             return matrix
+
+        def _derive() -> np.ndarray:
+            matrix, products = _seidel_distances(self._graph, max_distance)
+            get_registry().gauge(DISTANCE_PRODUCTS, n=self._graph.n).set(products)
+            return _freeze(matrix)
 
         if max_distance is None:
             if not self.has_cached_distances:
@@ -245,9 +258,7 @@ class GraphContext:
                             CTX_COUNTER, kind="distances", op="adopt"
                         ).inc()
                         return bounded
-            return self._memo(
-                "distances", None, lambda: _freeze(distance_matrix(self._graph))
-            )
+            return self._memo("distances", None, _derive)
         if self.has_cached_distances:
             # Truncating the cached full matrix is O(n²) masking — count it
             # as a derivation of its own so the reuse stays visible.
@@ -258,11 +269,7 @@ class GraphContext:
                 return _freeze(bounded)
 
             return self._memo("distances", max_distance, _truncate)
-        return self._memo(
-            "distances",
-            max_distance,
-            lambda: _freeze(distance_matrix(self._graph, max_distance=max_distance)),
-        )
+        return self._memo("distances", max_distance, _derive)
 
     def least_hop_ranks(self) -> np.ndarray:
         """:func:`~repro.graphs.properties.least_hop_ranks` over the

@@ -241,6 +241,9 @@ _WELL_KNOWN_HELP: Dict[str, str] = {
         "Rows a kernel drain handed to each lane, once per cohort holding them.",
     "repro_kernel_drain_skips_total":
         "Cohorts that skipped the quiescent drain, by the first reason.",
+    "repro_kernel_drain_exits_total":
+        "Rows that left the quiescent drain for the scalar step, by the "
+        "first failing check.",
     "repro_stale_deliveries_total":
         "Deliveries that routed on out-of-date topology knowledge.",
     "repro_scheme_table_bits": "Total routing-table bits of the built scheme.",
@@ -253,6 +256,8 @@ _WELL_KNOWN_HELP: Dict[str, str] = {
         "Explicit GraphContext invalidations.",
     "repro_graph_ctx_store_total":
         "Process-wide context store traffic, labelled by op.",
+    "repro_graph_ctx_distance_products":
+        "Dense n x n products the last all-pairs distance derivation took.",
     "repro_table_corruptions_total": "Injected routing-table corruptions.",
     "repro_table_corruption_detected_total":
         "Corruptions caught by integrity framing.",

@@ -31,13 +31,13 @@ cohort's lane:
   network, and a derivable next-hop matrix
   (:meth:`~repro.graphs.context.GraphContext.next_hop_matrix`).  Its
   rows walk to completion in lockstep gathers off the matrix; a row
-  with header state, at the hop limit or without a matrix entry leaves
+  without a matrix entry, with header state or at the hop limit leaves
   it through the scalar step.  Every other cohort takes the scalar lane.
 
-Each :meth:`BatchKernel.drain` tallies the rows it hands to each lane
-and the cohorts that skipped the drain, by the first reason, in plain
-ints, and publishes them once at its end as :data:`KERNEL_ROWS` and
-:data:`DRAIN_SKIPS`.
+Each :meth:`BatchKernel.drain` tallies the rows it hands to each lane,
+the cohorts that skipped the drain and the rows that left it, each by
+the first failing check, in plain ints, and publishes them once at its
+end as :data:`KERNEL_ROWS`, :data:`DRAIN_SKIPS` and :data:`DRAIN_EXITS`.
 
 Under those conditions a matrix gather is exactly the scalar step's
 decision, so the default lane choice and ``batch=False`` (every cohort
@@ -88,7 +88,7 @@ from repro.simulator.message import DeliveryRecords, DropReason, MessageBatch
 from repro.simulator.network import Network
 from repro.simulator.recovery import RetryPolicy
 
-__all__ = ["BatchKernel", "DRAIN_SKIPS", "KERNEL_ROWS"]
+__all__ = ["BatchKernel", "DRAIN_EXITS", "DRAIN_SKIPS", "KERNEL_ROWS"]
 
 KERNEL_ROWS = "repro_kernel_rows_total"
 """Counter of the rows each :meth:`BatchKernel.drain` handed to each lane
@@ -99,6 +99,16 @@ DRAIN_SKIPS = "repro_kernel_drain_skips_total"
 the quiescent drain could not take them: ``small_cohort``, ``batch_off``,
 ``service_time``, ``tracer``, ``churn``, ``events_queued``,
 ``not_quiescent`` or ``no_matrix``."""
+
+DRAIN_EXITS = "repro_kernel_drain_exits_total"
+"""Counter of the rows that left the quiescent drain for the scalar step,
+by the first check they failed: ``no_entry`` (the next-hop matrix has no
+neighbour for the row), ``header_state`` or ``hop_limit``.  Every
+:meth:`BatchKernel.drain` adds to all three, so a run whose drained rows
+all delivered reads 0."""
+
+_EXIT_REASONS = ("no_entry", "header_state", "hop_limit")
+"""The :data:`DRAIN_EXITS` reasons, in the order the drain checks them."""
 
 _MIN_BATCH_ROWS = 8
 """Smallest cohort the quiescent drain takes; smaller ones step row by row.
@@ -329,6 +339,7 @@ class BatchKernel:
         self._drain_rows = 0
         self._scalar_rows = 0
         self._drain_skips: Dict[str, int] = {}
+        self._drain_exits = dict.fromkeys(_EXIT_REASONS, 0)
         # Per-row kernel bookkeeping (sized at run()).
         self._has_state = np.zeros(0, dtype=bool)
         # Per-row trace verdicts (filled only under a tracer), a list so
@@ -411,7 +422,7 @@ class BatchKernel:
         inactive; its :meth:`~MessageBatch.records` view is what
         :meth:`run` returns.  The registry phase ``simulator.drain``
         times each call, and each call adds its lane tallies to
-        :data:`KERNEL_ROWS` and :data:`DRAIN_SKIPS`.
+        :data:`KERNEL_ROWS`, :data:`DRAIN_SKIPS` and :data:`DRAIN_EXITS`.
         """
         nw = self._network
         self._limit = nw.scheme.hop_limit()
@@ -422,6 +433,7 @@ class BatchKernel:
         self._fwd_pending = []
         self._drain_rows = self._scalar_rows = 0
         self._drain_skips = {}
+        self._drain_exits = dict.fromkeys(_EXIT_REASONS, 0)
         first = self._next_id
         size = len(self._sources)
         batch = MessageBatch(
@@ -471,6 +483,8 @@ class BatchKernel:
         registry.counter(KERNEL_ROWS, lane="scalar").inc(self._scalar_rows)
         for reason, cohorts in self._drain_skips.items():
             registry.counter(DRAIN_SKIPS, reason=reason).inc(cohorts)
+        for reason, rows in self._drain_exits.items():
+            registry.counter(DRAIN_EXITS, reason=reason).inc(rows)
         return batch
 
     # -- ready index ----------------------------------------------------------
@@ -894,6 +908,14 @@ class BatchKernel:
                 if not ok.all():
                     leave = ~ok
                     out = idx[leave]
+                    # Tally the leaving rows by the first check they fail.
+                    entry = nxt[leave] >= 1
+                    stateful = int(np.count_nonzero(self._has_state[out] & entry))
+                    missing = out.size - int(np.count_nonzero(entry))
+                    exits = self._drain_exits
+                    exits["no_entry"] += missing
+                    exits["header_state"] += stateful
+                    exits["hop_limit"] += out.size - missing - stateful
                     batch.current[out] = cur0[leave] + 1
                     batch.plen[out] = pkey[leave] // size
                     batch.ready[out] = now

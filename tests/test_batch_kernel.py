@@ -54,7 +54,7 @@ from repro.simulator.chaos import (
 )
 from repro.simulator.churn import random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
-from repro.simulator.kernel import DRAIN_SKIPS, KERNEL_ROWS
+from repro.simulator.kernel import DRAIN_EXITS, DRAIN_SKIPS, KERNEL_ROWS
 from repro.simulator.sweep import _pairs, build_run
 from tests import outcome_reference
 
@@ -286,6 +286,22 @@ class _NoRouteTo(LocalRoutingFunction):
         return self._inner.next_hop(destination, state)
 
 
+def _blocked_path_300(batch):
+    """46 t=0 pairs over path(300), whose node 150 has no entry for node
+    300, with one retry: the finished kernel and its records."""
+    graph = path_graph(300)
+    clock = random.Random(11)
+    pairs = [tuple(clock.sample(graph.nodes, 2)) for _ in range(40)]
+    pairs += [(300, 1), (1, 299), (299, 2), (1, 300), (60, 300), (200, 300)]
+    retry = RetryPolicy(max_attempts=2, base_delay=0.5, jitter=0.0)
+    scheme = build_scheme("full-table", graph, II_ALPHA)
+    scheme._function_cache[150] = _NoRouteTo(scheme.function(150), 300)
+    kernel = BatchKernel(scheme, batch=batch, retry_policy=retry)
+    for source, destination in pairs:
+        kernel.inject(source, destination)
+    return kernel, kernel.run()
+
+
 def test_lanes_agree_on_paths_that_grow_the_path_buffer():
     """Hops of up to 299 grow the column-major path buffer 64 → 256 →
     1024 columns, and the lanes still agree on every record and every
@@ -295,19 +311,10 @@ def test_lanes_agree_on_paths_that_grow_the_path_buffer():
     the drain for the scalar step at node 150, drops ``NO_ROUTE`` and is
     retried from its source, which rewrites column 0 of its path.
     """
-    graph = path_graph(300)
-    clock = random.Random(11)
-    pairs = [tuple(clock.sample(graph.nodes, 2)) for _ in range(40)]
-    pairs += [(300, 1), (1, 299), (299, 2), (1, 300), (60, 300), (200, 300)]
-    retry = RetryPolicy(max_attempts=2, base_delay=0.5, jitter=0.0)
     runs = {}
     for batch in (True, False):
-        scheme = build_scheme("full-table", graph, II_ALPHA)
-        scheme._function_cache[150] = _NoRouteTo(scheme.function(150), 300)
-        kernel = BatchKernel(scheme, batch=batch, retry_policy=retry)
-        for source, destination in pairs:
-            kernel.inject(source, destination)
-        runs[batch] = (kernel.run(), kernel.forward_counts)
+        kernel, records = _blocked_path_300(batch)
+        runs[batch] = (records, kernel.forward_counts)
         assert kernel.batch.path.shape[1] == 1024
         assert kernel.batch.path.flags.f_contiguous
     assert runs[True] == runs[False]
@@ -319,6 +326,30 @@ def test_lanes_agree_on_paths_that_grow_the_path_buffer():
         assert record.drop_reason is DropReason.NO_ROUTE
         assert record.retries == 1
         assert record.path == tuple(range(record.source, 151))
+
+
+def test_lanes_agree_past_1024_columns():
+    """Eight rows of 1,024 hops or more grow the path buffer to 4,096
+    columns, and the lanes still agree on every record and every forward
+    count."""
+    graph = path_graph(1100)
+    scheme = build_scheme("full-table", graph, II_ALPHA)
+    clock = random.Random(12)
+    pairs = [tuple(clock.sample(graph.nodes, 2)) for _ in range(24)]
+    pairs += [(1, 1100), (1100, 1), (10, 1050), (1060, 20), (30, 1080),
+              (1090, 5), (40, 1070), (1099, 70)]
+    runs = {}
+    for batch in (True, False):
+        kernel = BatchKernel(scheme, batch=batch)
+        for source, destination in pairs:
+            kernel.inject(source, destination)
+        runs[batch] = (kernel.run(), kernel.forward_counts)
+        assert kernel.batch.path.shape[1] == 4096
+        assert kernel.batch.path.flags.f_contiguous
+    assert runs[True] == runs[False]
+    records = runs[True][0]
+    assert all(r.delivered for r in records)
+    assert sum(r.hops >= 1024 for r in records) == 8
 
 
 class _AskedTracer(SamplingTracer):
@@ -450,6 +481,66 @@ def test_chaos_episode_tallies_every_cohort(registry):
     rows, skips = _lane_tallies(registry)
     assert rows["scalar"] >= 54 and rows["drain"] == 0
     assert skips["events_queued"] >= 1 and skips["small_cohort"] >= 1
+
+
+class _Bounces(LocalRoutingFunction):
+    """A broken table sending every message back to the node below: on a
+    path its node and the one below bounce a message to the hop limit."""
+
+    def next_hop(self, destination, state=None):
+        return HopDecision(self.node - 1)
+
+
+class _Tags(LocalRoutingFunction):
+    """A node's own function, except that its decisions carry a header
+    state.  Its matrix row is the inner function's, so a row it tagged in
+    a scalar step can join a drained cohort, whose header-state check
+    sends it back to the scalar step."""
+
+    def __init__(self, inner):
+        super().__init__(inner.node)
+        self._inner = inner
+
+    def next_hop(self, destination, state=None):
+        return HopDecision(self._inner.next_hop(destination).next_node, "tagged")
+
+    def next_hop_row(self, addresses, graph):
+        return self._inner.next_hop_row(addresses, graph)
+
+
+def _exit_case(reason, batch):
+    """The records of a run whose drained rows leave by ``reason``, and
+    how many rows leave."""
+    if reason == "no_entry":
+        return _blocked_path_300(batch)[1], 2
+    scheme = build_scheme("full-table", path_graph(12), II_ALPHA)
+    if reason == "hop_limit":
+        scheme._function_cache[6] = _Bounces(6)
+        return _run(scheme, [(1, 12, 0.0)] * 16, batch), 16
+    # The lone row from node 3 steps alone and is tagged there; at t=1 it
+    # joins the burst's cohort at node 4.
+    scheme._function_cache[3] = _Tags(scheme.function(3))
+    burst = [(source, 12, 1.0) for source in range(4, 11)] * 2
+    return _run(scheme, [(3, 12, 0.0)] + burst, batch), 1
+
+
+@pytest.mark.parametrize("reason", ["no_entry", "header_state", "hop_limit"])
+def test_rows_leave_the_drain_under_the_first_failing_check(registry, reason):
+    """Each row that leaves the drain counts once, under the first check
+    it fails, and the lanes still agree."""
+    records, leaving = _exit_case(reason, True)
+    exits = {
+        dict(metric.labels)["reason"]: metric.value
+        for metric in registry.metrics()
+        if metric.name == DRAIN_EXITS
+    }
+    assert exits == {
+        name: leaving if name == reason else 0
+        for name in ("no_entry", "header_state", "hop_limit")
+    }
+    assert records == _exit_case(reason, False)[0]
+    if reason == "hop_limit":
+        assert {r.drop_reason for r in records} == {DropReason.HOP_LIMIT}
 
 
 class _SkipsAhead(LocalRoutingFunction):

@@ -266,6 +266,34 @@ class TestObservabilityFlags:
         assert rows["drain"] == 0 and rows["scalar"] >= 40
         assert skips["not_quiescent"] >= 1
 
+    def test_simulate_metrics_out_carries_drain_exits(self, tmp_path, capsys):
+        """Every drain publishes its exit tallies with HELP text: a
+        fault-free full-table run delivers every drained row, so each
+        reason reads 0."""
+        from repro.observability import MetricsRegistry, set_registry
+
+        target = tmp_path / "metrics.prom"
+        previous = set_registry(MetricsRegistry())
+        try:
+            assert main(
+                ["simulate", "full-table", "24", "--messages", "40",
+                 "--metrics-out", str(target)]
+            ) == 0
+        finally:
+            set_registry(previous)
+        capsys.readouterr()
+        lines = target.read_text().splitlines()
+        assert any(
+            line.startswith("# HELP repro_kernel_drain_exits_total ")
+            for line in lines
+        )
+        exits = {
+            line.split('"')[1]: line.rsplit(" ", 1)[1]
+            for line in lines
+            if line.startswith("repro_kernel_drain_exits_total{")
+        }
+        assert exits == {"no_entry": "0", "header_state": "0", "hop_limit": "0"}
+
     def test_build_metrics_out_prometheus(self, tmp_path, capsys):
         target = tmp_path / "metrics.prom"
         assert main(

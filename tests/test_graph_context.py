@@ -29,7 +29,7 @@ from repro.graphs import (
     path_graph,
     structural_fingerprint,
 )
-from repro.graphs.context import CTX_COUNTER
+from repro.graphs.context import CTX_COUNTER, DISTANCE_PRODUCTS
 from repro.graphs.ports import PortAssignment
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import MetricsRegistry, set_registry
@@ -169,6 +169,21 @@ class TestCachingSemantics:
         # matrix — exactly one real BFS sweep happened.
         assert _ctx_count(registry, "distances", "miss") == 2
         assert bounded is ctx.distances(max_distance=1)
+
+    def test_fresh_derivations_set_the_products_gauge(self, registry):
+        """One product on G(256, 1/2) and for any ``max_distance=2``
+        request, 15 for path(256)'s full matrix; a truncation of the memo
+        takes none and leaves the gauge as it was."""
+        gauge = registry.gauge(DISTANCE_PRODUCTS, n=256)
+        GraphContext(gnp_random_graph(256, seed=0)).distances()
+        assert gauge.value == 1
+        ctx = GraphContext(path_graph(256))
+        ctx.distances()
+        assert gauge.value == 15
+        GraphContext(path_graph(256)).distances(max_distance=2)
+        assert gauge.value == 1
+        ctx.distances(max_distance=3)
+        assert gauge.value == 1
 
     def test_returned_matrix_is_read_only(self):
         ctx = get_context(path_graph(5))

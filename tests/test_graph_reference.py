@@ -17,21 +17,28 @@ require:
   ``without_edge`` to return the reference's graph or raise its error;
 * ``gnp_random_graph`` to draw the reference's graph for every
   ``n``, ``p`` and seed tried;
-* ``distance_matrix`` to equal the breadth-first search for every
-  ``max_distance`` tried, on random graphs (disconnected ones included)
-  and on paths, cycles, stars, complete graphs, grids and random trees.
+* ``distance_matrix`` (Seidel's algorithm) to equal the breadth-first
+  search for every ``max_distance`` tried: on every run, on each of the
+  fixed random graphs (disconnected ones included), paths, cycles,
+  stars, complete graphs, grids and random trees; and by a property, on
+  relabelled disjoint unions of cliques, paths, odd and even cycles,
+  stars, trees and isolated nodes, with four pinned cases; with the
+  parity products in float32 and in float64.  The pinned cases leave
+  Seidel's squaring at both of its exits (a complete level, a level that
+  stops changing) and more than four levels up.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import properties
 from repro.graphs import (
     LabeledGraph,
     complete_graph,
@@ -229,14 +236,106 @@ def distance_graphs() -> List[LabeledGraph]:
     ]
 
 
-@pytest.mark.parametrize("max_distance", (None, 0, 1, 2, 3))
+def union_graph(parts: Sequence[LabeledGraph], order: Sequence[int]) -> LabeledGraph:
+    """The disjoint union of ``parts``, its node ``k`` relabelled
+    ``order[k - 1]``."""
+    edges: Edges = []
+    offset = 0
+    for part in parts:
+        edges += [
+            (order[offset + u - 1], order[offset + v - 1])
+            for u, v in part.edges()
+        ]
+        offset += part.n
+    return LabeledGraph(offset, edges)
+
+
+COMPONENTS = {
+    "clique": lambda size, seed: complete_graph(size),
+    "path": lambda size, seed: path_graph(size),
+    "cycle": lambda size, seed: cycle_graph(size + 2),
+    "star": lambda size, seed: star_graph(size),
+    "tree": random_tree,
+    "isolated": lambda size, seed: LabeledGraph(1),
+}
+
+
+@st.composite
+def unions(draw: Any) -> LabeledGraph:
+    """A relabelled disjoint union of one to four components, each a
+    clique, path, cycle (odd or even), star, random tree or isolated
+    node of up to 26 nodes."""
+    parts = [
+        COMPONENTS[kind](draw(st.integers(1, 24)), draw(st.integers(0, 2**16)))
+        for kind in draw(
+            st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=1, max_size=4)
+        )
+    ]
+    n = sum(part.n for part in parts)
+    return union_graph(parts, draw(st.permutations(range(1, n + 1))))
+
+
+PINNED = [
+    path_graph(300),
+    union_graph(
+        [path_graph(40), cycle_graph(11), star_graph(5), LabeledGraph(1)],
+        random.Random(7).sample(range(1, 58), 57),
+    ),
+    complete_graph(6),
+    LabeledGraph(4),
+]
+"""Cases every run checks: the deep path, a disconnected union whose
+squaring stops changing six levels up, and the two graphs that stop at
+the adjacency (complete, and edgeless)."""
+
+
+DISTANCE_BOUNDS = (None, 0, 1, 2, 3, 4, 5, 8)
+
+
+def assert_distances_match_bfs(graph: LabeledGraph, max_distance: Any) -> None:
+    dist = distance_matrix(graph, max_distance)
+    assert dist.dtype == np.int32
+    np.testing.assert_array_equal(
+        dist, reference.bfs_distances(graph, max_distance)
+    )
+
+
+@pytest.mark.parametrize("max_distance", DISTANCE_BOUNDS)
 def test_distance_matrix_matches_bfs(max_distance):
     for graph in distance_graphs():
-        dist = distance_matrix(graph, max_distance)
-        assert dist.dtype == np.int32
-        np.testing.assert_array_equal(
-            dist, reference.bfs_distances(graph, max_distance)
-        )
+        assert_distances_match_bfs(graph, max_distance)
+
+
+@pytest.mark.parametrize("max_distance", DISTANCE_BOUNDS)
+@settings(max_examples=60)
+@given(graph=unions())
+@example(graph=PINNED[0])
+@example(graph=PINNED[1])
+@example(graph=PINNED[2])
+@example(graph=PINNED[3])
+def test_distance_matrix_matches_bfs_on_unions(max_distance, graph):
+    assert_distances_match_bfs(graph, max_distance)
+
+
+def test_pinned_cases_reach_both_exits_and_deep_levels():
+    """Seidel's squaring stops at a complete level (path(300), nine
+    levels up) and at a level that stops changing (the union, six levels
+    up), and at the adjacency itself under either exit."""
+    exits = []
+    for graph in PINNED:
+        levels, complete, _ = properties._seidel_levels(graph.adjacency_matrix())
+        exits.append((complete, len(levels) - 1))
+    assert exits == [(True, 9), (False, 6), (True, 0), (False, 0)]
+
+
+@pytest.mark.parametrize("max_distance", (None, 2, 5))
+def test_float64_parity_products_match_bfs(monkeypatch, max_distance):
+    """Graphs above ``FLOAT32_EXACT_N`` nodes unwind in float64;
+    lowering the constant sends the pinned cases and the fixed graphs
+    down that branch."""
+    monkeypatch.setattr(properties, "FLOAT32_EXACT_N", 0)
+    for graph in PINNED + distance_graphs():
+        assert_distances_match_bfs(graph, max_distance)
 
 
 def test_distance_graphs_span_every_regime():

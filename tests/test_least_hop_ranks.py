@@ -220,15 +220,15 @@ def test_distances_never_derive_inside_the_table_sections(monkeypatch):
 
         return section
 
-    real_distances = context.distance_matrix
+    real_distances = context._seidel_distances
 
-    def distances(*args: Any, **kwargs: Any) -> np.ndarray:
+    def distances(*args: Any, **kwargs: Any) -> Tuple[np.ndarray, int]:
         derived.append("/".join(open_sections))
         return real_distances(*args, **kwargs)
 
     for module in (full_table, context):
         monkeypatch.setattr(module, "profile_section", tracking(module))
-    monkeypatch.setattr(context, "distance_matrix", distances)
+    monkeypatch.setattr(context, "_seidel_distances", distances)
     for graph in (gnp_random_graph(40, seed=3), path_graph(12)):
         FullTableScheme(graph, II_ALPHA, ctx=GraphContext(graph))
         GraphContext(graph).least_hop_ranks()
