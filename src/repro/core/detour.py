@@ -25,7 +25,9 @@ from typing import Any, Hashable, Iterable, Optional, Sequence, Tuple
 from repro.bitio import BitArray
 from repro.errors import RoutingError, SchemeBuildError
 from repro.core.full_information import FullInformationFunction
-from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
+from repro.core.scheme import (
+    HopDecision, LocalRoutingFunction, RoutingScheme, SchemeWrapper,
+)
 from repro.graphs import GraphContext, LabeledGraph
 
 __all__ = ["DetourState", "DetourFunction", "DetourWrapper"]
@@ -131,8 +133,8 @@ class DetourFunction(LocalRoutingFunction):
         return HopDecision(alive[0], DetourState(None, bounces + 1))
 
 
-class DetourWrapper(RoutingScheme):
-    """A :class:`RoutingScheme` decorator adding bounce-once recovery.
+class DetourWrapper(SchemeWrapper):
+    """A :class:`SchemeWrapper` adding bounce-once recovery.
 
     Transparent for space accounting (tables, labels and aux bits are the
     inner scheme's) and for fault-free routing; only when the stored next
@@ -144,15 +146,9 @@ class DetourWrapper(RoutingScheme):
             raise SchemeBuildError(
                 f"max_bounces must be >= 1, got {max_bounces}"
             )
-        super().__init__(inner.graph, inner.model, ctx=inner.ctx)
-        self._inner = inner
+        super().__init__(inner)
         self._max_bounces = max_bounces
         self.scheme_name = f"detour({inner.scheme_name})"
-
-    @property
-    def inner(self) -> RoutingScheme:
-        """The wrapped scheme."""
-        return self._inner
 
     @property
     def max_bounces(self) -> int:
@@ -168,15 +164,7 @@ class DetourWrapper(RoutingScheme):
             self._inner.rebuild(graph, ctx=ctx), self._max_bounces
         )
 
-    # -- addressing: delegate -----------------------------------------------
-
-    def address_of(self, node: int) -> Hashable:
-        return self._inner.address_of(node)
-
-    def node_of_address(self, address: Hashable) -> int:
-        return self._inner.node_of_address(address)
-
-    # -- routing -------------------------------------------------------------
+    # -- routing and decoding: wrap the inner function; tables cost no bits --
 
     def _build_function(self, u: int) -> DetourFunction:
         return DetourFunction(
@@ -186,11 +174,6 @@ class DetourWrapper(RoutingScheme):
             self._max_bounces,
         )
 
-    # -- serialisation: the wrapper costs no bits ----------------------------
-
-    def encode_function(self, u: int) -> BitArray:
-        return self._inner.encode_function(u)
-
     def decode_function(self, u: int, bits: BitArray) -> DetourFunction:
         return DetourFunction(
             u,
@@ -199,15 +182,6 @@ class DetourWrapper(RoutingScheme):
             self._max_bounces,
         )
 
-    def label_bits(self, u: int) -> int:
-        return self._inner.label_bits(u)
-
-    def aux_bits(self, u: int) -> int:
-        return self._inner.aux_bits(u)
-
-    def integrity_bits(self, u: int) -> int:
-        return self._inner.integrity_bits(u)
-
     # -- guarantees ----------------------------------------------------------
 
     def stretch_bound(self) -> float:
@@ -215,6 +189,3 @@ class DetourWrapper(RoutingScheme):
         most one hop plus a fresh route from a node one hop away."""
         inner = self._inner.stretch_bound()
         return (inner + 2.0) * (1 + self._max_bounces)
-
-    def hop_limit(self) -> int:
-        return self._inner.hop_limit()

@@ -104,7 +104,8 @@ class ProbeScheme(RoutingScheme):
         from repro.observability import profile_section
 
         with profile_section("build.thm5-probe.distance-check"):
-            diameter_ok = not (self._ctx.distances(max_distance=2) < 0).any()
+            dist = self._ctx.distances()
+            diameter_ok = not ((dist < 0) | (dist > 2)).any()
         if not diameter_ok:
             raise SchemeBuildError(
                 "Theorem 5 probing delivers only when every pair is within "

@@ -27,7 +27,10 @@ from repro.graphs import GraphContext, LabeledGraph, get_context
 from repro.models import NodeSpace, RoutingModel, SpaceReport
 from repro.observability import get_registry, profile_section
 
-__all__ = ["NEXT_HOP_ROWS", "HopDecision", "LocalRoutingFunction", "RoutingScheme"]
+__all__ = [
+    "NEXT_HOP_ROWS", "HopDecision", "LocalRoutingFunction", "RoutingScheme",
+    "SchemeWrapper",
+]
 
 NEXT_HOP_ROWS = "repro_next_hop_rows_total"
 """Counter of next-hop rows derived (labels: ``scheme``, and ``form``:
@@ -324,3 +327,55 @@ class RoutingScheme(abc.ABC):
             f"stretch<= {self.stretch_bound()})"
         )
 
+
+class SchemeWrapper(RoutingScheme):
+    """A :class:`RoutingScheme` decorator over one inner scheme.
+
+    Every hook passes through to :attr:`inner` — incremental-repair
+    locality, addressing, the installed functions, the serialised tables,
+    the charged bits and the guarantees — so a subclass overrides only
+    what it changes, plus :meth:`rebuild`, which must wrap the inner
+    scheme's rebuild in the same configuration.
+    """
+
+    def __init__(self, inner: RoutingScheme) -> None:
+        super().__init__(inner.graph, inner.model, ctx=inner.ctx)
+        self._inner = inner
+
+    @property
+    def inner(self) -> RoutingScheme:
+        """The wrapped scheme."""
+        return self._inner
+
+    def supports_incremental_repair(self) -> bool:
+        return self._inner.supports_incremental_repair()
+
+    def address_of(self, node: int) -> Hashable:
+        return self._inner.address_of(node)
+
+    def node_of_address(self, address: Hashable) -> int:
+        return self._inner.node_of_address(address)
+
+    def _build_function(self, u: int) -> LocalRoutingFunction:
+        return self._inner.function(u)
+
+    def encode_function(self, u: int) -> BitArray:
+        return self._inner.encode_function(u)
+
+    def decode_function(self, u: int, bits: BitArray) -> LocalRoutingFunction:
+        return self._inner.decode_function(u, bits)
+
+    def label_bits(self, u: int) -> int:
+        return self._inner.label_bits(u)
+
+    def aux_bits(self, u: int) -> int:
+        return self._inner.aux_bits(u)
+
+    def integrity_bits(self, u: int) -> int:
+        return self._inner.integrity_bits(u)
+
+    def stretch_bound(self) -> float:
+        return self._inner.stretch_bound()
+
+    def hop_limit(self) -> int:
+        return self._inner.hop_limit()

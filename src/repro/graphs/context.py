@@ -83,9 +83,8 @@ DISTANCE_PRODUCTS = "repro_graph_ctx_distance_products"
 """Gauge name (label: ``n``): the dense ``n × n`` products the last fresh
 :meth:`GraphContext.distances` derivation took (Seidel's algorithm, see
 :func:`~repro.graphs.properties.distance_matrix`): 1 on a diameter-2
-graph and for any ``max_distance=2`` request, ``2⌈log₂ D⌉ − 1`` on a
-connected graph of diameter ``D ≥ 2`` (15 on ``path(256)``).  Adopting or
-truncating a memoised matrix takes none and leaves the gauge alone."""
+graph, ``2⌈log₂ D⌉ − 1`` on a connected graph of diameter ``D ≥ 2`` (15
+on ``path(256)``).  A memo hit takes none and leaves the gauge alone."""
 
 
 def structural_fingerprint(graph: LabeledGraph) -> Fingerprint:
@@ -108,8 +107,10 @@ class GraphContext:
 
     Accessors (all memoised, all counted):
 
-    * :meth:`distances` — all-pairs hop distances (optionally truncated);
-    * :meth:`bfs_tree` / :meth:`ball` — per-root BFS parents and hop-balls;
+    * :meth:`distances` — all-pairs hop distances, the graph's only
+      hop-distance derivation;
+    * :meth:`bfs_tree` — per-root BFS parents;
+    * :meth:`ball` — hop-balls, read off a row of :meth:`distances`;
     * :meth:`least_hop_ranks` — Lemma 3 for every node at once: the rank
       of each node's least shortest-path neighbour towards every
       destination.  Full-table's port table (and so multi-interval,
@@ -162,11 +163,6 @@ class GraphContext:
     def cached_kinds(self) -> Set[str]:
         """The derivation kinds currently memoised (first key component)."""
         return {kind for kind, _ in self._cache}
-
-    @property
-    def has_cached_distances(self) -> bool:
-        """Whether the full all-pairs matrix is memoised right now."""
-        return ("distances", None) in self._cache
 
     # -- memoisation core ----------------------------------------------------
 
@@ -225,51 +221,25 @@ class GraphContext:
 
     # -- derivations ---------------------------------------------------------
 
-    def distances(self, max_distance: Optional[int] = None) -> np.ndarray:
+    def distances(self) -> np.ndarray:
         """All-pairs hop distances (``-1`` for unreached pairs), memoised.
 
-        A bounded request (``max_distance=k``) is derived from the full
-        matrix for free whenever the full matrix is already cached — the
-        common case in a pipeline that builds a shortest-path scheme first.
-        Conversely, a full request adopts a cached bounded matrix that
-        reached every pair (no ``-1``): it already is the full matrix, so
-        certification's ``max_distance=2`` product on a diameter-2 graph
-        serves every later consumer (counted as ``op="adopt"``).
-        The returned array is marked read-only: it is shared by every
-        consumer of this graph.  Each fresh derivation sets the
+        The graph's only hop-distance derivation: Theorem 5's and
+        certification's Lemma 2 checks, the Lemma 2 codec and
+        :meth:`ball` read this one matrix, and on a diameter-2 graph it
+        costs the single product that deciding "every pair within two
+        hops" would.  The returned array is marked read-only: it is shared
+        by every consumer of this graph.  Each fresh derivation sets the
         :data:`DISTANCE_PRODUCTS` gauge.
         """
 
-        def _freeze(matrix: np.ndarray) -> np.ndarray:
+        def _derive() -> np.ndarray:
+            matrix, products = _seidel_distances(self._graph)
+            get_registry().gauge(DISTANCE_PRODUCTS, n=self._graph.n).set(products)
             matrix.setflags(write=False)
             return matrix
 
-        def _derive() -> np.ndarray:
-            matrix, products = _seidel_distances(self._graph, max_distance)
-            get_registry().gauge(DISTANCE_PRODUCTS, n=self._graph.n).set(products)
-            return _freeze(matrix)
-
-        if max_distance is None:
-            if not self.has_cached_distances:
-                for (kind, _), bounded in list(self._cache.items()):
-                    if kind == "distances" and not (bounded < 0).any():
-                        self._cache[("distances", None)] = bounded
-                        get_registry().counter(
-                            CTX_COUNTER, kind="distances", op="adopt"
-                        ).inc()
-                        return bounded
-            return self._memo("distances", None, _derive)
-        if self.has_cached_distances:
-            # Truncating the cached full matrix is O(n²) masking — count it
-            # as a derivation of its own so the reuse stays visible.
-            def _truncate() -> np.ndarray:
-                full = self._cache[("distances", None)]
-                bounded = full.copy()
-                bounded[(full > max_distance) | (full < 0)] = -1
-                return _freeze(bounded)
-
-            return self._memo("distances", max_distance, _truncate)
-        return self._memo("distances", max_distance, _derive)
+        return self._memo("distances", None, _derive)
 
     def least_hop_ranks(self) -> np.ndarray:
         """:func:`~repro.graphs.properties.least_hop_ranks` over the
@@ -295,52 +265,43 @@ class GraphContext:
 
         return self._memo("least_hop_ranks", None, _compute)
 
-    def _bfs(self, root: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Parents and depths of the BFS tree rooted at ``root`` (memoised).
+    def bfs_tree(self, root: int) -> Dict[int, int]:
+        """Parent pointers of the BFS tree at ``root`` (``parent[root] = root``).
 
         Covers the reachable component only; callers needing connectivity
-        check ``len(parents) == graph.n`` themselves.
+        check ``len(parents) == graph.n`` themselves.  Returns a copy — BFS
+        trees are handed to callers that decorate them; the memoised
+        original stays pristine.
         """
 
-        def _compute() -> Tuple[Dict[int, int], Dict[int, int]]:
+        def _compute() -> Dict[int, int]:
             graph = self._graph
             parent = {root: root}
-            depth = {root: 0}
             frontier = [root]
-            level = 0
             while frontier:
-                level += 1
                 next_frontier: List[int] = []
                 for u in frontier:
                     for v in graph.neighbors(u):
                         if v not in parent:
                             parent[v] = u
-                            depth[v] = level
                             next_frontier.append(v)
                 frontier = next_frontier
-            return parent, depth
+            return parent
 
-        return self._memo("bfs_tree", root, _compute)
-
-    def bfs_tree(self, root: int) -> Dict[int, int]:
-        """Parent pointers of the BFS tree at ``root`` (``parent[root] = root``).
-
-        Returns a copy — BFS trees are handed to callers that decorate
-        them; the memoised original stays pristine.
-        """
-        parent, _ = self._bfs(root)
-        return dict(parent)
+        return dict(self._memo("bfs_tree", root, _compute))
 
     def ball(self, center: int, radius: int) -> Set[int]:
         """Nodes within hop distance ``radius`` of ``center``.
 
-        Derived from the memoised BFS depths, so regional fault generators
-        probing several radii around one epicentre pay for one traversal.
+        Read off ``center``'s row of the memoised :meth:`distances`, so
+        regional fault generators probing any radii around any epicentres
+        share one derivation.
         """
         if radius < 0:
             raise GraphError(f"radius must be >= 0, got {radius}")
-        _, depth = self._bfs(center)
-        return {v for v, d in depth.items() if d <= radius}
+        self._graph._check_node(center)
+        row = self.distances()[center - 1]
+        return set((np.flatnonzero((row >= 0) & (row <= radius)) + 1).tolist())
 
     def port_table(self) -> PortAssignment:
         """The canonical identity port assignment of model IB (memoised).

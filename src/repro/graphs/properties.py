@@ -97,22 +97,20 @@ float32: every partial sum of ``D′·A`` is a nonnegative integer at most
 Larger graphs take float64."""
 
 
-def _seidel_levels(
-    adjacency: np.ndarray, depth: int | None = None
-) -> Tuple[List[np.ndarray], bool, int]:
+def _seidel_levels(adjacency: np.ndarray) -> Tuple[List[np.ndarray], bool, int]:
     """Seidel's levels ``A₀ = adjacency``, ``A_{j+1} = A_j ∨ A_j²`` (bool,
     diagonal clear), whether the top one is complete, and the products.
 
-    Squaring stops at the first complete level, after ``depth`` levels, or
-    when a product adds no pair: the level below is then closed (every
-    component a clique) and the product's result is dropped.
+    Squaring stops at the first complete level, or when a product adds no
+    pair: the level below is then closed (every component a clique) and
+    the product's result is dropped.
     """
     n = adjacency.shape[0]
     pairs = n * (n - 1)
     levels = [adjacency]
     edges = int(np.count_nonzero(adjacency))
     products = 0
-    while edges < pairs and len(levels) - 1 != depth:
+    while edges < pairs:
         work = levels[-1].astype(np.float32)
         above = np.matmul(work, work) > 0
         above |= levels[-1]
@@ -126,20 +124,11 @@ def _seidel_levels(
     return levels, edges == pairs, products
 
 
-def _seidel_distances(
-    graph: LabeledGraph, max_distance: int | None = None
-) -> Tuple[np.ndarray, int]:
+def _seidel_distances(graph: LabeledGraph) -> Tuple[np.ndarray, int]:
     """:func:`distance_matrix` and the number of dense ``n × n`` products
     it took."""
     n = graph.n
-    if max_distance is not None and max_distance < 1:
-        dist = np.full((n, n), -1, dtype=np.int32)
-        np.fill_diagonal(dist, 0)
-        return dist, 0
-    depth: int | None = None
-    if max_distance is not None and max_distance <= 2:
-        depth = max_distance - 1  # 1 reads the adjacency, 2 the first level
-    levels, complete, products = _seidel_levels(graph.adjacency_matrix(), depth)
+    levels, complete, products = _seidel_levels(graph.adjacency_matrix())
     top = levels.pop()
     if not levels:
         dist = top.astype(np.int32)
@@ -156,17 +145,14 @@ def _seidel_distances(
     if not complete:
         dist[~top] = -1
         np.fill_diagonal(dist, 0)
-    if max_distance is not None and max_distance > 2:
-        dist[dist > max_distance] = -1
     return dist, products
 
 
-def distance_matrix(graph: LabeledGraph, max_distance: int | None = None) -> np.ndarray:
+def distance_matrix(graph: LabeledGraph) -> np.ndarray:
     """All-pairs hop distances by Seidel's algorithm (JCSS 1995), as int32.
 
     Entry ``[u - 1, w - 1]`` is the hop distance from ``u`` to ``w``: 0 on
-    the diagonal, ``-1`` for unreached pairs and, with ``max_distance``,
-    for pairs farther apart.
+    the diagonal and ``-1`` for unreached pairs.
 
     Level ``j + 1`` joins the pairs within two hops at level ``j``
     (``A ∨ A²``, one float32 BLAS product), so level ``j`` holds the pairs
@@ -187,11 +173,9 @@ def distance_matrix(graph: LabeledGraph, max_distance: int | None = None) -> np.
     per product would take ``D − 1``: one fewer at ``D`` = 3 and 5, as
     many at 2, 4 and 6, and more from ``D = 7`` up.  A disconnected
     graph takes ``2⌈log₂ D⌉`` for its largest component diameter
-    ``D ≥ 2``, a complete graph none.  ``max_distance ≤ 2`` reads the
-    first level, at most one product on any graph; larger bounds mask the
-    full matrix.
+    ``D ≥ 2``, a complete graph none.
     """
-    return _seidel_distances(graph, max_distance)[0]
+    return _seidel_distances(graph)[0]
 
 
 def diameter(graph: LabeledGraph) -> int:

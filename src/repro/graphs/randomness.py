@@ -77,15 +77,14 @@ def certify_random_graph(
     """
     n = graph.n
     stats = degree_statistics(graph, deficiency=c * max(n, 2).bit_length())
-    # Lemma 2 off the distances within two hops: every pair reached and
-    # some pair two hops apart.  On a diameter-2 graph that matrix is the
-    # full one, which the context adopts, so certification pays one
-    # product; a graph failing Lemma 2 never derives its full matrix.
+    # Lemma 2 off the distance matrix: every pair reached and the largest
+    # distance 2, one product on a diameter-2 graph.  Lemma 3 reads the
+    # same array.
     ctx = get_context(graph)
-    near = ctx.distances(max_distance=2)
-    diameter_ok = n > 1 and not (near < 0).any() and bool((near == 2).any())
+    dist = ctx.distances()
+    diameter_ok = n > 1 and not (dist < 0).any() and int(dist.max()) == 2
     if diameter_ok:
-        prefixes = least_cover_prefixes(ctx.distances(), ctx.least_hop_ranks())
+        prefixes = least_cover_prefixes(dist, ctx.least_hop_ranks())
         max_prefix = int(prefixes.max())
     else:
         max_prefix = n

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph, get_context
@@ -26,13 +28,12 @@ __all__ = ["Lemma2Codec", "find_distant_pair"]
 
 def find_distant_pair(graph: LabeledGraph) -> Optional[Tuple[int, int]]:
     """The least pair ``u < v`` at distance > 2 (or unreachable), if any."""
-    dist = get_context(graph).distances(max_distance=2)
-    n = graph.n
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if dist[u - 1, v - 1] < 0:
-                return (u, v)
-    return None
+    dist = get_context(graph).distances()
+    far = np.argwhere(np.triu((dist < 0) | (dist > 2), k=1))
+    if not far.size:
+        return None
+    u, v = far[0].tolist()
+    return (u + 1, v + 1)
 
 
 class Lemma2Codec(GraphCodec):

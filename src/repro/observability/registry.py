@@ -258,6 +258,10 @@ _WELL_KNOWN_HELP: Dict[str, str] = {
         "Process-wide context store traffic, labelled by op.",
     "repro_graph_ctx_distance_products":
         "Dense n x n products the last all-pairs distance derivation took.",
+    "repro_least_hop_passes":
+        "Passes the last Lemma 3 least-hop-rank derivation took.",
+    "repro_next_hop_rows_total":
+        "Next-hop matrix rows derived, labelled by scheme and form (fast or loop).",
     "repro_table_corruptions_total": "Injected routing-table corruptions.",
     "repro_table_corruption_detected_total":
         "Corruptions caught by integrity framing.",

@@ -501,8 +501,8 @@ def regional_failures(
     for _ in range(regions):
         epicenter = rng.randrange(1, graph.n + 1)
         start = rng.uniform(0.0, horizon - duration)
-        # The shared context's memoised BFS serves every region (and
-        # repeated schedules on one graph) one traversal per epicentre.
+        # Every region (and every repeated schedule on one graph) reads
+        # its ball off the shared context's one distance matrix.
         for node in sorted(get_context(graph).ball(epicenter, radius)):
             if node in protected:
                 continue

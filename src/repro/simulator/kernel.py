@@ -298,7 +298,8 @@ class BatchKernel:
         self._corrupted_at: Dict[int, float] = {}
         self._hop_sets: Dict[Tuple[int, int], Set[Tuple[int, Any]]] = {}
         self._addresses: Dict[int, Any] = {}
-        self._forward_counts: Dict[int, int] = {}
+        # Path prefixes of attempts a retry discarded (forward counts).
+        self._retried_prefixes: List[np.ndarray] = []
         self._busy_until: Dict[int, float] = {}
         # Ready index: a heap of distinct pending ready times, and the
         # rows filed under each one.
@@ -334,7 +335,6 @@ class BatchKernel:
         self._matrix_scheme: Optional[RoutingScheme] = None
         self._matrix: Optional[np.ndarray] = None
         self._matrix_complete = False
-        self._fwd_pending: List[np.ndarray] = []
         # Lane tallies of the current drain(), published once at its end.
         self._drain_rows = 0
         self._scalar_rows = 0
@@ -356,17 +356,24 @@ class BatchKernel:
 
     @property
     def forward_counts(self) -> Dict[int, int]:
-        """Messages forwarded per node in the last :meth:`run`."""
-        counts = self._forward_counts
-        if self._fwd_pending:
-            # The quiescent drain defers its (0-based) hop sources here;
-            # one bincount on first read replaces a per-step accumulate.
-            hop0 = np.concatenate(self._fwd_pending)
-            self._fwd_pending = []
-            for node0, count in enumerate(np.bincount(hop0).tolist()):
-                if count:
-                    counts[node0 + 1] = counts.get(node0 + 1, 0) + count
-        return dict(counts)
+        """Messages forwarded per node in the last :meth:`run`, keyed in
+        ascending node order.
+
+        Every node on an attempt's path but the last forwarded the message
+        once, so the counts are one ``bincount`` over the last batch's
+        path prefixes and those of the attempts its retries discarded.
+        """
+        batch = self.batch
+        if batch is None:
+            return {}
+        hops = batch.plen - 1
+        width = int(hops.max(initial=0))
+        taken = np.arange(width) < hops[:, None]
+        counts = np.bincount(
+            np.concatenate([batch.path[:, :width][taken], *self._retried_prefixes])
+        )
+        nodes = np.flatnonzero(counts)
+        return dict(zip(nodes.tolist(), counts[nodes].tolist()))
 
     def churn_summary(self) -> Dict[str, object]:
         """Episode accounting of the last run's churn convergence.
@@ -428,9 +435,8 @@ class BatchKernel:
         self._limit = nw.scheme.hop_limit()
         self._hop_sets = {}
         self._retry_rngs = {}
-        self._forward_counts = {}
+        self._retried_prefixes = []
         self._busy_until = {}
-        self._fwd_pending = []
         self._drain_rows = self._scalar_rows = 0
         self._drain_skips = {}
         self._drain_exits = dict.fromkeys(_EXIT_REASONS, 0)
@@ -878,8 +884,8 @@ class BatchKernel:
         safe_steps = limit - int(plen.max())
         needed = int(plen.max()) + 1
         complete = self._matrix_complete
-        # Deliveries and forward counts are deferred and flushed in one
-        # shot after the loop; nothing inside the drain reads them back.
+        # Deliveries are deferred and flushed in one shot after the loop;
+        # nothing inside the drain reads them back.
         done_idx: List[np.ndarray] = []
         done_key: List[np.ndarray] = []
         done_time: List[float] = []
@@ -940,7 +946,6 @@ class BatchKernel:
                         break
                     if state_any:
                         state_any = bool(self._has_state[idx].any())
-            self._fwd_pending.append(cur0)
             batch.ensure_path_capacity(needed)
             batch.path.ravel(order="F")[pkey] = nxt
             pkey += size
@@ -1107,9 +1112,6 @@ class BatchKernel:
                 return
             departure = max(now, busy) + self._service
             self._busy_until[current] = departure
-        self._forward_counts[current] = (
-            self._forward_counts.get(current, 0) + 1
-        )
         arrival = departure + self._latency
         tracer = self._tracer
         if tracer is not None and self._traced[i]:
@@ -1227,6 +1229,7 @@ class BatchKernel:
                     reason=reason.name,
                     duration=backoff,
                 )
+            self._retried_prefixes.append(batch.path[i, :hops].copy())
             batch.reset_for_retry(i, now + backoff)
             self._bucket(now + backoff)[0].append(i)
             self._has_state[i] = False

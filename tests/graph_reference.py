@@ -7,7 +7,9 @@ as an oracle: one Python set per node, filled edge by edge with the range
 and self-loop checks made in input order.  Beside it are the list
 comprehension ``gnp_random_graph`` used to hand that constructor, and a
 per-source breadth-first search over neighbour sets for
-``repro.graphs.properties.distance_matrix``.  ``tests/test_graph_reference.py``
+``repro.graphs.properties.distance_matrix``, and the double loop over its
+two-hop cut that ``repro.incompressibility.find_distant_pair`` replaced.
+``tests/test_graph_reference.py``
 requires the array graph to agree with them.  They are deliberately slow
 and must not be optimised.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["LabeledGraph", "gnp_random_graph", "bfs_distances"]
+__all__ = ["LabeledGraph", "gnp_random_graph", "bfs_distances", "find_distant_pair"]
 
 
 class LabeledGraph:
@@ -199,3 +201,15 @@ def bfs_distances(graph, max_distance: int | None = None) -> np.ndarray:
         for w, hops in seen.items():
             dist[source - 1, w - 1] = hops
     return dist
+
+
+def find_distant_pair(graph):
+    """The least pair ``u < v`` farther than two hops apart or unreachable,
+    if any: a double loop over the search cut at two hops."""
+    dist = bfs_distances(graph, 2)
+    n = graph.n
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if dist[u - 1, v - 1] < 0:
+                return (u, v)
+    return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -254,7 +255,7 @@ def test_batch_matches_scalar_under_churn(scheme_name):
 
 
 def test_drained_forward_counts_match_scalar():
-    """The quiescent drain's deferred forward counts equal the scalar
+    """Forward counts read off a drained batch's paths equal the scalar
     step's, including on a second read."""
     scheme, graph = _scheme("full-table")
     injections = _injections(graph, 10, seed=3, burst=40)
@@ -268,6 +269,23 @@ def test_drained_forward_counts_match_scalar():
         assert kernel.forward_counts == counts[batch]
     assert counts[True] == counts[False]
     assert sum(counts[True].values()) >= 40
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_counts_tally_the_traced_hops(seed):
+    """Forward counts equal the hop spans a recording tracer sees per
+    node, on composed runs (renewal faults, framed corruption, churn,
+    detour) whose retries discard attempts' path prefixes."""
+    tracer = RecordingTracer()
+    task = SweepTask(
+        "full-table", 32, seed=seed, schedule="renewal", corrupt_nodes=4,
+        framing="crc8", mutation="burst", detour=True, events=3, retries=2,
+    )
+    kernel = build_run(task, tracer=tracer).kernel
+    records = kernel.run()
+    assert sum(record.retries for record in records) > 0
+    hops = Counter(event.node for event in tracer.events if event.event == "hop")
+    assert kernel.forward_counts == dict(hops)
 
 
 class _NoRouteTo(LocalRoutingFunction):

@@ -242,6 +242,29 @@ class TestRepairPlanning:
         assert plan.dirty == frozenset(graph.nodes)
         assert not plan.clean
 
+    @pytest.mark.parametrize("name", ["full-table", "full-information"])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda scheme: IntegrityWrapper(scheme, FramingPolicy.CRC8),
+            lambda scheme: DetourWrapper(scheme),
+        ],
+        ids=["framed", "detour"],
+    )
+    def test_wrapped_schemes_repair_incrementally(self, wrap, name):
+        """A wrapper repairs like the scheme it wraps: the same dirty/clean
+        split, and every table carried forward is the rebuilt wrapper's."""
+        graph = gnp_random_graph(32, seed=0)
+        new_graph = graph.without_edge(*next(iter(graph.edges())))
+        bare = plan_repair(build_scheme(name, graph, IA_ALPHA), new_graph)
+        plan = plan_repair(wrap(build_scheme(name, graph, IA_ALPHA)), new_graph)
+        assert bare.clean
+        assert (plan.dirty, plan.clean) == (bare.dirty, bare.clean)
+        rebuilt = plan.new_scheme
+        for node in plan.clean:
+            carried = rebuilt.ctx.pristine_bits(rebuilt, node)
+            assert carried == rebuilt.encode_function(node)
+
     def test_repaired_scheme_routes_the_new_topology(self):
         graph = gnp_random_graph(16, seed=11)
         scheme = build_scheme("full-table", graph, IA_ALPHA)
@@ -258,7 +281,7 @@ class TestSelectiveInvalidation:
         ctx.distances()
         ctx.bfs_tree(4)
         assert ctx.invalidate(kinds=["distances"]) == 1
-        assert not ctx.has_cached_distances
+        assert "distances" not in ctx.cached_kinds()
         before = registry.counter(
             "repro_graph_ctx_invalidations_total"
         ).value

@@ -294,6 +294,37 @@ class TestObservabilityFlags:
         }
         assert exits == {"no_entry": "0", "header_state": "0", "hop_limit": "0"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "full-table", "24"],
+            ["build", "full-table", "64"],
+            ["simulate", "full-table", "24", "--messages", "120",
+             "--schedule", "renewal", "--corrupt-nodes", "4",
+             "--framing", "crc8", "--mutation", "burst", "--detour",
+             "--events", "3", "--repair-rate", "500", "--retries", "2"],
+        ],
+        ids=["simulate", "build", "composed"],
+    )
+    def test_every_metric_family_has_help_text(self, argv, tmp_path, capsys):
+        """A cold run's exposition carries ``# HELP`` for every family."""
+        from repro.graphs import clear_context_cache
+        from repro.observability import MetricsRegistry, set_registry
+
+        target = tmp_path / "metrics.prom"
+        clear_context_cache()
+        previous = set_registry(MetricsRegistry())
+        try:
+            assert main([*argv, "--metrics-out", str(target)]) == 0
+        finally:
+            set_registry(previous)
+        capsys.readouterr()
+        lines = target.read_text().splitlines()
+        typed = {line.split()[2] for line in lines if line.startswith("# TYPE ")}
+        helped = {line.split()[2] for line in lines if line.startswith("# HELP ")}
+        assert "repro_least_hop_passes" in typed
+        assert typed - helped == set()
+
     def test_build_metrics_out_prometheus(self, tmp_path, capsys):
         target = tmp_path / "metrics.prom"
         assert main(

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from repro.core import ProbeScheme, ProbeState, route_message, verify_scheme
-from repro.errors import RoutingError
-from repro.graphs import gnp_random_graph, star_graph
+from repro.errors import RoutingError, SchemeBuildError
+from repro.graphs import LabeledGraph, gnp_random_graph, path_graph, star_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 
 
@@ -53,6 +53,15 @@ class TestCorrectness:
         scheme = ProbeScheme(graph, model_ii_alpha)
         trace = route_message(scheme, 2, 9)
         assert trace.path == (2, 1, 9)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(4), LabeledGraph(3, [(1, 2)])],
+        ids=["diameter-3", "disconnected"],
+    )
+    def test_refuses_a_pair_beyond_two_hops(self, graph, model_ii_alpha):
+        with pytest.raises(SchemeBuildError, match="within distance 2"):
+            ProbeScheme(graph, model_ii_alpha)
 
 
 class TestState:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_scheme, verify_scheme
+from repro.errors import GraphError
 from repro.graphs import (
     GraphContext,
     LabeledGraph,
@@ -74,9 +75,6 @@ class TestAccessorsMatchRawProperties:
     def test_distances(self, graph):
         ctx = GraphContext(graph)
         np.testing.assert_array_equal(ctx.distances(), distance_matrix(graph))
-        np.testing.assert_array_equal(
-            ctx.distances(max_distance=2), distance_matrix(graph, max_distance=2)
-        )
 
     @given(graph=random_graph, data=st.data())
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
@@ -110,6 +108,12 @@ class TestAccessorsMatchRawProperties:
             if 0 <= dist[center - 1][v - 1] <= radius
         }
         assert ctx.ball(center, radius) == expected
+
+    @pytest.mark.parametrize("center, radius", [(0, 1), (5, 1), (2, -1)])
+    def test_ball_rejects_a_node_or_radius_out_of_range(self, center, radius):
+        """Node 0 would read the last row of the matrix, not fail."""
+        with pytest.raises(GraphError):
+            GraphContext(path_graph(4)).ball(center, radius)
 
     @given(graph=random_graph, data=st.data())
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
@@ -146,7 +150,7 @@ class TestCachingSemantics:
         ctx = get_context(graph)
         first = ctx.distances()
         ctx.invalidate()
-        assert not ctx.has_cached_distances
+        assert "distances" not in ctx.cached_kinds()
         second = ctx.distances()
         assert second is not first
         np.testing.assert_array_equal(second, first)
@@ -155,35 +159,19 @@ class TestCachingSemantics:
             registry.counter("repro_graph_ctx_invalidations_total").value == 1
         )
 
-    def test_bounded_distances_derive_from_the_cached_full_matrix(
-        self, registry
-    ):
-        graph = gnp_random_graph(14, seed=3)
-        ctx = get_context(graph)
-        ctx.distances()
-        bounded = ctx.distances(max_distance=1)
-        np.testing.assert_array_equal(
-            bounded, distance_matrix(graph, max_distance=1)
-        )
-        # The truncation is its own memo kind entry, served from the full
-        # matrix — exactly one real BFS sweep happened.
-        assert _ctx_count(registry, "distances", "miss") == 2
-        assert bounded is ctx.distances(max_distance=1)
-
     def test_fresh_derivations_set_the_products_gauge(self, registry):
-        """One product on G(256, 1/2) and for any ``max_distance=2``
-        request, 15 for path(256)'s full matrix; a truncation of the memo
-        takes none and leaves the gauge as it was."""
+        """One product on G(256, 1/2), 15 for path(256); a memo hit takes
+        none and leaves the gauge as it was."""
         gauge = registry.gauge(DISTANCE_PRODUCTS, n=256)
-        GraphContext(gnp_random_graph(256, seed=0)).distances()
+        dense = GraphContext(gnp_random_graph(256, seed=0))
+        dense.distances()
         assert gauge.value == 1
-        ctx = GraphContext(path_graph(256))
-        ctx.distances()
+        GraphContext(path_graph(256)).distances()
         assert gauge.value == 15
-        GraphContext(path_graph(256)).distances(max_distance=2)
-        assert gauge.value == 1
-        ctx.distances(max_distance=3)
-        assert gauge.value == 1
+        dense.distances()
+        assert gauge.value == 15
+        assert dense.cached_kinds() == {"distances"}
+        assert len(dense._cache) == 1
 
     def test_returned_matrix_is_read_only(self):
         ctx = get_context(path_graph(5))

@@ -18,14 +18,18 @@ require:
 * ``gnp_random_graph`` to draw the reference's graph for every
   ``n``, ``p`` and seed tried;
 * ``distance_matrix`` (Seidel's algorithm) to equal the breadth-first
-  search for every ``max_distance`` tried: on every run, on each of the
-  fixed random graphs (disconnected ones included), paths, cycles,
-  stars, complete graphs, grids and random trees; and by a property, on
-  relabelled disjoint unions of cliques, paths, odd and even cycles,
-  stars, trees and isolated nodes, with four pinned cases; with the
-  parity products in float32 and in float64.  The pinned cases leave
-  Seidel's squaring at both of its exits (a complete level, a level that
-  stops changing) and more than four levels up.
+  search, and every ``GraphContext.ball`` read off its rows to hold the
+  nodes a search cut at that radius reaches, for every radius tried: on
+  every run, on each of the fixed random graphs (disconnected ones
+  included), paths, cycles, stars, complete graphs, grids and random
+  trees; and by a property, on relabelled disjoint unions of cliques,
+  paths, odd and even cycles, stars, trees and isolated nodes, with four
+  pinned cases; with the parity products in float32 and in float64.  The
+  pinned cases leave Seidel's squaring at both of its exits (a complete
+  level, a level that stops changing) and more than four levels up;
+* ``find_distant_pair`` (the Lemma 2 codec's pair) to name the pair the
+  reference's double loop over the two-hop search names, on the fixed
+  graphs and the pinned cases.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import properties
 from repro.graphs import (
+    GraphContext,
     LabeledGraph,
     complete_graph,
     cycle_graph,
@@ -50,6 +55,7 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
+from repro.incompressibility import find_distant_pair
 from tests import graph_reference as reference
 
 Edges = List[Tuple[Any, Any]]
@@ -289,32 +295,42 @@ squaring stops changing six levels up, and the two graphs that stop at
 the adjacency (complete, and edgeless)."""
 
 
-DISTANCE_BOUNDS = (None, 0, 1, 2, 3, 4, 5, 8)
+RADII = (None, 0, 1, 2, 3, 4, 5, 8)
+"""Hop-ball radii each distance check also reads the matrix at (``None``:
+the full matrix alone)."""
 
 
-def assert_distances_match_bfs(graph: LabeledGraph, max_distance: Any) -> None:
-    dist = distance_matrix(graph, max_distance)
+def assert_distances_match_bfs(graph: LabeledGraph, radius: Any) -> None:
+    """The full matrix is the breadth-first search's, and every ball of
+    ``radius`` holds the nodes a search cut at that depth reaches."""
+    dist = distance_matrix(graph)
     assert dist.dtype == np.int32
-    np.testing.assert_array_equal(
-        dist, reference.bfs_distances(graph, max_distance)
-    )
+    np.testing.assert_array_equal(dist, reference.bfs_distances(graph))
+    if radius is None:
+        return
+    reached = reference.bfs_distances(graph, radius)
+    ctx = GraphContext(graph)
+    for center in graph.nodes:
+        assert ctx.ball(center, radius) == {
+            w for w in graph.nodes if reached[center - 1, w - 1] >= 0
+        }
 
 
-@pytest.mark.parametrize("max_distance", DISTANCE_BOUNDS)
-def test_distance_matrix_matches_bfs(max_distance):
+@pytest.mark.parametrize("radius", RADII)
+def test_distance_matrix_matches_bfs(radius):
     for graph in distance_graphs():
-        assert_distances_match_bfs(graph, max_distance)
+        assert_distances_match_bfs(graph, radius)
 
 
-@pytest.mark.parametrize("max_distance", DISTANCE_BOUNDS)
+@pytest.mark.parametrize("radius", RADII)
 @settings(max_examples=60)
 @given(graph=unions())
 @example(graph=PINNED[0])
 @example(graph=PINNED[1])
 @example(graph=PINNED[2])
 @example(graph=PINNED[3])
-def test_distance_matrix_matches_bfs_on_unions(max_distance, graph):
-    assert_distances_match_bfs(graph, max_distance)
+def test_distance_matrix_matches_bfs_on_unions(radius, graph):
+    assert_distances_match_bfs(graph, radius)
 
 
 def test_pinned_cases_reach_both_exits_and_deep_levels():
@@ -328,18 +344,28 @@ def test_pinned_cases_reach_both_exits_and_deep_levels():
     assert exits == [(True, 9), (False, 6), (True, 0), (False, 0)]
 
 
-@pytest.mark.parametrize("max_distance", (None, 2, 5))
-def test_float64_parity_products_match_bfs(monkeypatch, max_distance):
+@pytest.mark.parametrize("radius", (None, 2, 5))
+def test_float64_parity_products_match_bfs(monkeypatch, radius):
     """Graphs above ``FLOAT32_EXACT_N`` nodes unwind in float64;
     lowering the constant sends the pinned cases and the fixed graphs
     down that branch."""
     monkeypatch.setattr(properties, "FLOAT32_EXACT_N", 0)
     for graph in PINNED + distance_graphs():
-        assert_distances_match_bfs(graph, max_distance)
+        assert_distances_match_bfs(graph, radius)
+
+
+def test_find_distant_pair_matches_the_double_loop():
+    """The least pair beyond two hops, or ``None``; both outcomes occur."""
+    graphs = PINNED + distance_graphs()
+    pairs = [reference.find_distant_pair(graph) for graph in graphs]
+    assert None in pairs and any(pair is not None for pair in pairs)
+    for graph, expected in zip(graphs, pairs):
+        assert find_distant_pair(graph) == expected
 
 
 def test_distance_graphs_span_every_regime():
-    """Disconnected, diameter 1 and 2, and pairs beyond ``max_distance=3``."""
+    """Disconnected, diameter 1 and 2, and pairs more than three hops
+    apart."""
     dists = [reference.bfs_distances(graph) for graph in distance_graphs()]
     assert any((dist < 0).any() for dist in dists)
     assert {1, 2} <= {int(dist.max()) for dist in dists if (dist >= 0).all()}

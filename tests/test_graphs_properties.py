@@ -37,11 +37,6 @@ class TestDistances:
         dist = distance_matrix(LabeledGraph(3, [(1, 2)]))
         assert dist[0, 2] == -1
 
-    def test_max_distance_cutoff(self):
-        dist = distance_matrix(path_graph(6), max_distance=2)
-        assert dist[0, 2] == 2
-        assert dist[0, 3] == -1
-
     def test_matches_networkx(self):
         networkx = pytest.importorskip("networkx")
         from repro.graphs.nxadapter import to_networkx

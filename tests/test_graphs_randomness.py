@@ -18,7 +18,7 @@ from repro.graphs import (
     randomness_deficiency,
     star_graph,
 )
-from repro.graphs.context import CTX_COUNTER
+from repro.graphs.context import CTX_COUNTER, DISTANCE_PRODUCTS
 from repro.graphs.encoding import edge_code_length
 from repro.observability import MetricsRegistry, set_registry
 
@@ -31,6 +31,7 @@ _LEMMA2_GRAPHS = {
     "path": lambda: path_graph(10),
     "gnp p=0.05": lambda: gnp_random_graph(40, p=0.05, seed=3),
     "gnp p=0.5": lambda: gnp_random_graph(40, p=0.5, seed=3),
+    "gnp n=256 p=0.5": lambda: gnp_random_graph(256, seed=0),
     "gnp p=0.95": lambda: gnp_random_graph(40, p=0.95, seed=3),
 }
 
@@ -63,26 +64,32 @@ class TestCertification:
 
     @pytest.mark.parametrize("name", sorted(_LEMMA2_GRAPHS))
     def test_lemma2_read_off_the_two_hop_distances(self, name):
-        """Lemma 2 agrees with the adjacency-product check, and the
-        distances certification leaves behind are the full matrix: one
-        distance product, adopted on a diameter-2 graph and never
-        extended to the full matrix on a graph that fails Lemma 2."""
+        """Lemma 2 agrees with the adjacency-product check, read off the
+        context's one distance matrix: certification derives it once, in
+        one product on G(n, 1/2), and only a graph that passes Lemma 2
+        reads it again (Lemma 3's ranks).  The memoised matrix is the
+        full one on every graph."""
         graph = _LEMMA2_GRAPHS[name]()
         clear_context_cache()
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
             cert = certify_random_graph(graph)
-            ctx = get_context(graph)
             assert cert.diameter_two == is_diameter_two(graph)
-            assert ctx.has_cached_distances == cert.diameter_two
-            counts = {
-                op: registry.counter(CTX_COUNTER, kind="distances", op=op).value
-                for op in ("miss", "adopt")
+            ops = {
+                dict(metric.labels)["op"]: metric.value
+                for metric in registry.metrics()
+                if metric.name == CTX_COUNTER
+                and dict(metric.labels)["kind"] == "distances"
             }
-            assert counts == {"miss": 1, "adopt": int(cert.diameter_two)}
+            expected = {"miss": 1, "hit": 1} if cert.diameter_two else {"miss": 1}
+            assert ops == expected
+            assert cert.diameter_two or "p=0.5" not in name
+            if cert.diameter_two:
+                gauge = registry.gauge(DISTANCE_PRODUCTS, n=graph.n)
+                assert gauge.value == 1
             np.testing.assert_array_equal(
-                ctx.distances(), distance_matrix(graph)
+                get_context(graph).distances(), distance_matrix(graph)
             )
         finally:
             set_registry(previous)
