@@ -22,7 +22,11 @@ from repro.models import RoutingModel
 from repro.core.full_table import shortest_hop_mask
 from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
 
-__all__ = ["FullInformationScheme", "FullInformationFunction"]
+__all__ = [
+    "FullInformationScheme",
+    "FullInformationFunction",
+    "decode_full_information_function",
+]
 
 
 class FullInformationFunction(LocalRoutingFunction):
@@ -122,14 +126,9 @@ class FullInformationScheme(RoutingScheme):
         return BitArray._from_packed(np.packbits(bitmaps).tobytes(), bitmaps.size)
 
     def decode_function(self, u: int, bits: BitArray) -> FullInformationFunction:
-        neighbors = self._graph.neighbors(u)
-        shape = (self._graph.n - 1, len(neighbors))
-        if len(bits) < shape[0] * shape[1]:
-            raise BitstreamError("read past end of bit stream")
-        raw = np.frombuffer(bits.to_bytes(), dtype=np.uint8)
-        bitmaps = np.unpackbits(raw, count=shape[0] * shape[1]).reshape(shape)
-        mask = np.insert(bitmaps.T.astype(bool), u - 1, False, axis=1)
-        return FullInformationFunction(u, neighbors, mask)
+        return decode_full_information_function(
+            u, self._graph.n, self._graph.neighbors(u), bits
+        )
 
     def stretch_bound(self) -> float:
         return 1.0
@@ -142,3 +141,17 @@ class FullInformationScheme(RoutingScheme):
         the full-table scheme's unreachable tolerance.
         """
         return True
+
+
+def decode_full_information_function(
+    u: int, n: int, neighbors: Tuple[int, ...], bits: BitArray
+) -> FullInformationFunction:
+    """Rebuild ``F(u)`` from its bitmaps, given ``n`` and ``u``'s sorted
+    neighbours: the Theorem 10 codec reads its embedded ``F(u)`` here."""
+    shape = (n - 1, len(neighbors))
+    if len(bits) < shape[0] * shape[1]:
+        raise BitstreamError("read past end of bit stream")
+    raw = np.frombuffer(bits.to_bytes(), dtype=np.uint8)
+    bitmaps = np.unpackbits(raw, count=shape[0] * shape[1]).reshape(shape)
+    mask = np.insert(bitmaps.T.astype(bool), u - 1, False, axis=1)
+    return FullInformationFunction(u, neighbors, mask)

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
+import numpy as np
+
 from repro.core.scheme import RoutingScheme
 from repro.errors import GraphError
 from repro.graphs import LabeledGraph, get_context
@@ -106,16 +108,13 @@ def dirty_nodes(old: LabeledGraph, new: LabeledGraph) -> FrozenSet[int]:
     old_dist = get_context(old).distances()
     new_dist = get_context(new).distances()
     row_changed = (old_dist != new_dist).any(axis=1)
-    dirty = set()
-    for u in new.nodes:
-        old_nb = old.neighbor_set(u)
-        new_nb = new.neighbor_set(u)
-        if old_nb != new_nb or row_changed[u - 1]:
-            dirty.add(u)
-            continue
-        if any(row_changed[w - 1] for w in new_nb):
-            dirty.add(u)
-    return frozenset(dirty)
+    new_adj = new.adjacency_matrix()
+    dirty = (
+        (old.adjacency_matrix() != new_adj).any(axis=1)
+        | row_changed
+        | (new_adj & row_changed).any(axis=1)
+    )
+    return frozenset((np.flatnonzero(dirty) + 1).tolist())
 
 
 def plan_repair(

@@ -3,14 +3,19 @@
 A graph on ``n`` nodes is identified with the binary string of length
 ``n(n-1)/2`` whose i-th bit records the presence of the i-th possible edge
 in standard lexicographic order ``(1,2), (1,3), ..., (1,n), (2,3), ...``.
-Every incompressibility argument in the paper manipulates exactly this
-string, so the codecs in :mod:`repro.incompressibility` are built on the
-positional helpers exposed here.
+Every incompressibility argument in the paper writes this string with some
+provably known bits deleted, so the bit layout lives here alone:
+:func:`write_pairs` writes the bits of the pairs an ``(n, n)`` bool mask
+selects, in ``E(G)`` order, and :func:`read_pairs` reads them back as the
+selected edges.  ``E(G)`` itself selects every pair; each phase of a codec
+in :mod:`repro.incompressibility` selects its own.
 """
 
 from __future__ import annotations
 
-from repro.bitio import BitArray, BitWriter
+import numpy as np
+
+from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import GraphError
 from repro.graphs.graph import LabeledGraph
 
@@ -20,6 +25,8 @@ __all__ = [
     "index_to_edge",
     "encode_graph",
     "decode_graph",
+    "read_pairs",
+    "write_pairs",
 ]
 
 
@@ -58,17 +65,29 @@ def index_to_edge(index: int, n: int) -> tuple[int, int]:
     return (u, u + 1 + remaining)
 
 
+def write_pairs(writer: BitWriter, graph: LabeledGraph, pairs: np.ndarray) -> None:
+    """Append the ``E(G)`` bits of the pairs ``pairs`` selects, in ``E(G)`` order.
+
+    ``pairs`` is an ``(n, n)`` bool array read on its upper triangle:
+    entry ``[a - 1, b - 1]`` with ``a < b`` selects the bit of ``{a, b}``.
+    """
+    bits = graph.adjacency_matrix()[np.triu(pairs, k=1)]
+    writer.write_bits(BitArray._from_packed(np.packbits(bits).tobytes(), bits.size))
+
+
+def read_pairs(reader: BitReader, pairs: np.ndarray) -> np.ndarray:
+    """Read what :func:`write_pairs` wrote over ``pairs``: one bit per
+    selected pair, returning the pairs read as edges, an ``(m, 2)`` array
+    of labels ``a < b`` in ``E(G)`` order."""
+    selected = np.argwhere(np.triu(pairs, k=1))
+    raw = np.frombuffer(reader.read_bits(len(selected)).to_bytes(), dtype=np.uint8)
+    return selected[np.unpackbits(raw, count=len(selected)).astype(bool)] + 1
+
+
 def encode_graph(graph: LabeledGraph) -> BitArray:
     """Produce ``E(G)``: the ``n(n-1)/2``-bit edge-presence string."""
-    n = graph.n
     writer = BitWriter()
-    for u in range(1, n + 1):
-        # Row u holds the bits of (u, u+1) .. (u, n); v sits at n - v.
-        row = 0
-        for v in graph.neighbor_set(u):
-            if v > u:
-                row |= 1 << (n - v)
-        writer.write_uint(row, n - u)
+    write_pairs(writer, graph, np.ones((graph.n, graph.n), dtype=bool))
     return writer.getvalue()
 
 
@@ -79,11 +98,4 @@ def decode_graph(bits: BitArray, n: int) -> LabeledGraph:
         raise GraphError(
             f"E(G) for n={n} must be {expected} bits, got {len(bits)}"
         )
-    edges = []
-    position = 0
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if bits[position]:
-                edges.append((u, v))
-            position += 1
-    return LabeledGraph(n, edges)
+    return LabeledGraph(n, read_pairs(BitReader(bits), np.ones((n, n), dtype=bool)))

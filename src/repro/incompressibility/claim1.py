@@ -18,7 +18,9 @@ coverage step is skewed, which on certified random graphs it never is.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.bitio import (
     BitArray,
@@ -29,33 +31,39 @@ from repro.bitio import (
     unrank_subset,
 )
 from repro.errors import CodecError
-from repro.graphs import LabeledGraph
+from repro.graphs import LabeledGraph, get_context
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.incompressibility.framework import GraphCodec
+from repro.incompressibility.framework import GraphCodec, pairs_between, rest_pairs
 
 __all__ = ["Claim1Codec", "coverage_deviation"]
 
 
 def _coverage_sets(
     graph: LabeledGraph, u: int, t: int
-) -> Tuple[List[int], List[int], int]:
-    """The remainder ``S = A₀ − ∪_{s<t} A_s``, the new block ``A_t ⊆ S``,
-    and ``v_t`` (the t-th least neighbour of ``u``)."""
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The remainder ``S = A₀ − ∪_{s<t} A_s``, the new block ``A_t ⊆ S``
+    (both as increasing label arrays), and ``v_t`` (the t-th least
+    neighbour of ``u``).
+
+    Both sets are read off ``u``'s rows of the distances and the least-hop
+    ranks: a node two hops away with rank ``r`` is first covered by
+    ``v_{r+1}``, a farther or unreachable one never.
+    """
     neighbors = graph.neighbors(u)
     if t < 1 or t > len(neighbors):
         raise CodecError(f"node {u} has no covering step t={t}")
-    remainder = set(graph.non_neighbors(u))
-    for v in neighbors[: t - 1]:
-        remainder -= graph.neighbor_set(v)
-    v_t = neighbors[t - 1]
-    block = sorted(remainder & graph.neighbor_set(v_t))
-    return sorted(remainder), block, v_t
+    ctx = get_context(graph)
+    dist, ranks = ctx.distances()[u - 1], ctx.least_hop_ranks()[u - 1]
+    remainder = np.where(dist == 2, ranks >= t - 1, (dist < 0) | (dist > 2))
+    block = (dist == 2) & (ranks == t - 1)
+    return np.flatnonzero(remainder) + 1, np.flatnonzero(block) + 1, neighbors[t - 1]
 
 
 def coverage_deviation(graph: LabeledGraph, u: int, t: int) -> float:
     """``||A_t| - m_{t-1}/2| / m_{t-1}`` — Claim 1 bounds this by ~1/6."""
     remainder, block, _ = _coverage_sets(graph, u, t)
-    if not remainder:
+    if not remainder.size:
         return 0.0
     return abs(len(block) - len(remainder) / 2.0) / len(remainder)
 
@@ -78,32 +86,21 @@ class Claim1Codec(GraphCodec):
         writer = BitWriter()
         writer.write_uint(u - 1, width)
         writer.write_gamma(t)
-        # Rows of u and v₁..v_{t-1}: every yet-unwritten incident bit, in
-        # canonical order relative to the already-described node set.
-        described = [u] + list(graph.neighbors(u)[: t - 1])
+        # Rows of u and v₁..v_{t-1}, each less the pairs already written.
+        described = [u, *graph.neighbors(u)[: t - 1]]
         for i, a in enumerate(described):
-            for b in graph.nodes:
-                if b == a or b in described[:i]:
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+            row = pairs_between(n, [a]) & rest_pairs(n, described[:i])
+            write_pairs(writer, graph, row)
         # A_t inside the remainder, enumeratively.
-        positions = [remainder.index(w) for w in block]
+        positions = np.searchsorted(remainder, block).tolist()
         writer.write_gamma(len(block))
         writer.write_uint(
             rank_subset(positions, len(remainder)),
             subset_code_width(len(remainder), len(block)),
         )
-        # The rest of E(G): bits not incident to the described nodes and
-        # not of the form {v_t, w} for w in the remainder.
-        described_set = set(described)
-        deleted = {frozenset((v_t, w)) for w in remainder}
-        for a in graph.nodes:
-            if a in described_set:
-                continue
-            for b in range(a + 1, n + 1):
-                if b in described_set or frozenset((a, b)) in deleted:
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        # The rest of E(G), less every {v_t, w} for w in the remainder.
+        deleted = pairs_between(n, [v_t], remainder)
+        write_pairs(writer, graph, rest_pairs(n, described, deleted))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
@@ -111,47 +108,25 @@ class Claim1Codec(GraphCodec):
         width = minimal_label_bits(n)
         u = reader.read_uint(width) + 1
         t = reader.read_gamma()
-        edges = []
-        described: List[int] = [u]
         # u's row first; the least neighbours v₁.. are then derivable.
-        u_neighbors: List[int] = []
-        for b in range(1, n + 1):
-            if b != u and reader.read_bit():
-                edges.append((u, b))
-                u_neighbors.append(b)
-        for v in sorted(u_neighbors)[: t - 1]:
-            for b in range(1, n + 1):
-                if b == v or b in described:
-                    continue
-                if reader.read_bit():
-                    edges.append((v, b))
-            described.append(v)
-        rebuilt = LabeledGraph(n, edges)  # partial: described rows only
-        remainder = set(w for w in range(1, n + 1)
-                        if w != u and w not in set(u_neighbors))
-        for v in sorted(u_neighbors)[: t - 1]:
-            remainder -= rebuilt.neighbor_set(v)
-        remainder_sorted = sorted(remainder)
-        v_t = sorted(u_neighbors)[t - 1]
+        rows = [read_pairs(reader, pairs_between(n, [u]))]
+        neighbors = rows[0][rows[0] != u]
+        described = [u, *neighbors[: t - 1].tolist()]
+        for i, a in enumerate(described[1:], start=1):
+            row = pairs_between(n, [a]) & rest_pairs(n, described[:i])
+            rows.append(read_pairs(reader, row))
+        # Every edge read so far joins u or some v_s to a neighbour, so
+        # the nodes they name are u, N(u) and the N(v_s) (u has a
+        # neighbour, since t ≥ 1): the remainder is every other node.
+        remainder = np.setdiff1d(np.arange(1, n + 1), np.vstack(rows))
+        v_t = int(neighbors[t - 1])
         k = reader.read_gamma()
-        rank = reader.read_uint(subset_code_width(len(remainder_sorted), k))
-        block = {
-            remainder_sorted[i]
-            for i in unrank_subset(rank, len(remainder_sorted), k)
-        }
-        for w in block:
-            edges.append((v_t, w))
-        described_set = set(described)
-        deleted = {frozenset((v_t, w)) for w in remainder_sorted}
-        for a in range(1, n + 1):
-            if a in described_set:
-                continue
-            for b in range(a + 1, n + 1):
-                if b in described_set or frozenset((a, b)) in deleted:
-                    continue
-                if reader.read_bit():
-                    edges.append((a, b))
-        return LabeledGraph(n, edges)
+        rank = reader.read_uint(subset_code_width(len(remainder), k))
+        block = remainder[list(unrank_subset(rank, len(remainder), k))]
+        deleted = pairs_between(n, [v_t], remainder)
+        rest = read_pairs(reader, rest_pairs(n, described, deleted))
+        block_edges = np.column_stack((np.full(k, v_t), block))
+        return LabeledGraph(n, np.vstack((*rows, block_edges, rest)))
 
     def expected_code_width(self, graph: LabeledGraph) -> int:
         """Enumerative width of the A_t block (vs ``m_{t-1}`` literal bits)."""

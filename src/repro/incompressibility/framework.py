@@ -11,19 +11,49 @@ on that graph:
 * positive net savings ⇒ the graph was compressible ⇒ not ``δ``-random;
 * on a random graph the codec must fail to save bits — and the measured
   deficit is exactly the quantity the theorem turns into a lower bound.
+
+Each phase of a codec writes the ``E(G)`` bits of one pair mask through
+:func:`~repro.graphs.encoding.write_pairs`; :func:`pairs_between` and
+:func:`rest_pairs` build the two kinds of mask every proof uses.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.bitio import BitArray
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph, edge_code_length
 from repro.observability import profile_section
 
-__all__ = ["GraphCodec", "CodecReport", "evaluate_codec"]
+__all__ = ["GraphCodec", "CodecReport", "evaluate_codec", "pairs_between", "rest_pairs"]
+
+
+def pairs_between(
+    n: int, left: Iterable[int], right: Optional[Iterable[int]] = None
+) -> np.ndarray:
+    """The ``(n, n)`` mask of the pairs ``{a, b}`` with ``a`` in ``left``
+    and ``b`` in ``right`` (any node when ``right`` is None): "``u``'s
+    row" is ``pairs_between(n, [u])``."""
+    labels = np.arange(1, n + 1)
+    cross = np.outer(
+        np.isin(labels, list(left)),
+        np.isin(labels, list(labels if right is None else right)),
+    )
+    return cross | cross.T
+
+
+def rest_pairs(
+    n: int, described: Iterable[int], deleted: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """"The rest of ``E(G)``": the pairs incident to no ``described`` node,
+    less the ``deleted`` ones."""
+    rest = ~pairs_between(n, described)
+    return rest if deleted is None else rest & ~deleted
 
 
 class GraphCodec(abc.ABC):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.bitio import (
     BitArray,
     BitReader,
@@ -26,8 +28,9 @@ from repro.bitio import (
 )
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.incompressibility.framework import GraphCodec
+from repro.incompressibility.framework import GraphCodec, rest_pairs
 
 __all__ = ["Lemma1Codec"]
 
@@ -52,24 +55,15 @@ class Lemma1Codec(GraphCodec):
             raise CodecError("Lemma 1 codec needs at least two nodes")
         u = self._pick_node(graph)
         width = minimal_label_bits(n)
-        others = [v for v in graph.nodes if v != u]
-        positions = [
-            i for i, v in enumerate(others) if graph.has_edge(u, v)
-        ]
+        positions = np.flatnonzero(np.delete(graph.adjacency_matrix()[u - 1], u - 1))
         d = len(positions)
         writer = BitWriter()
         writer.write_uint(u - 1, width)
         writer.write_uint(d, width)
         writer.write_uint(
-            rank_subset(positions, n - 1), subset_code_width(n - 1, d)
+            rank_subset(positions.tolist(), n - 1), subset_code_width(n - 1, d)
         )
-        for a in graph.nodes:
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u:
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        write_pairs(writer, graph, rest_pairs(n, [u]))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
@@ -78,17 +72,11 @@ class Lemma1Codec(GraphCodec):
         u = reader.read_uint(width) + 1
         d = reader.read_uint(width)
         rank = reader.read_uint(subset_code_width(n - 1, d))
-        others = [v for v in range(1, n + 1) if v != u]
-        edges = [(u, others[i]) for i in unrank_subset(rank, n - 1, d)]
-        for a in range(1, n + 1):
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u:
-                    continue
-                if reader.read_bit():
-                    edges.append((a, b))
-        return LabeledGraph(n, edges)
+        others = np.delete(np.arange(1, n + 1), u - 1)
+        pattern = others[list(unrank_subset(rank, n - 1, d))]
+        row = np.column_stack((np.full(d, u), pattern))
+        rest = read_pairs(reader, rest_pairs(n, [u]))
+        return LabeledGraph(n, np.vstack((row, rest)))
 
     def overhead_bits(self, n: int) -> int:
         """Header cost: node identity plus degree, ``2 ⌈log(n+1)⌉`` bits."""

@@ -3,6 +3,8 @@
 If nodes ``u < v`` are at distance greater than 2, then for every
 neighbour ``w`` of ``u`` the edge ``{w, v}`` is *guaranteed absent* — so
 all those bits of ``E(G)`` can be deleted and reconstructed as zeros.
+The description is ``u, v``, ``u``'s row (so the decoder knows ``N(u)``
+before it meets a deleted bit), then the rest of ``E(G)`` less those bits.
 The saving is ``d(u) ≈ n/2`` bits against a ``2 log n`` header, which a
 ``o(n)``-random graph cannot afford: hence random graphs have diameter 2.
 
@@ -20,8 +22,9 @@ import numpy as np
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph, get_context
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.incompressibility.framework import GraphCodec
+from repro.incompressibility.framework import GraphCodec, pairs_between, rest_pairs
 
 __all__ = ["Lemma2Codec", "find_distant_pair"]
 
@@ -66,22 +69,12 @@ class Lemma2Codec(GraphCodec):
         writer = BitWriter()
         writer.write_uint(u - 1, width)
         writer.write_uint(v - 1, width)
-        # Stream E(G) in canonical order, dropping every bit {w, v} with
-        # w ∈ N(u).  Because u < v, the bit for {w, u} always precedes the
-        # bit for {w, v}, so the decoder knows N(u) membership in time.
-        neighbors_of_u = graph.neighbor_set(u)
-        for a in graph.nodes:
-            for b in range(a + 1, n + 1):
-                skip = (b == v and a in neighbors_of_u) or (
-                    a == v and b in neighbors_of_u
-                )
-                if skip:
-                    if graph.has_edge(a, b):
-                        raise CodecError(
-                            f"pair ({u}, {v}) is not distant: {a}-{b} exists"
-                        )
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        # u's row first, then the rest of E(G) less every {w, v} with
+        # w ∈ N(u): no such edge exists, since w would be a common
+        # neighbour of u and v.
+        write_pairs(writer, graph, pairs_between(n, [u]))
+        deleted = pairs_between(n, graph.neighbors(u), [v])
+        write_pairs(writer, graph, rest_pairs(n, [u], deleted))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
@@ -89,22 +82,10 @@ class Lemma2Codec(GraphCodec):
         width = minimal_label_bits(n)
         u = reader.read_uint(width) + 1
         v = reader.read_uint(width) + 1
-        neighbors_of_u: set[int] = set()
-        edges = []
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                skip = (b == v and a in neighbors_of_u) or (
-                    a == v and b in neighbors_of_u
-                )
-                if skip:
-                    continue  # a provably-absent edge: bit is 0
-                if reader.read_bit():
-                    edges.append((a, b))
-                    if a == u:
-                        neighbors_of_u.add(b)
-                    elif b == u:
-                        neighbors_of_u.add(a)
-        return LabeledGraph(n, edges)
+        row = read_pairs(reader, pairs_between(n, [u]))
+        deleted = pairs_between(n, row[row != u], [v])
+        rest = read_pairs(reader, rest_pairs(n, [u], deleted))
+        return LabeledGraph(n, np.vstack((row, rest)))
 
     def overhead_bits(self, n: int) -> int:
         """Header cost: the two node identities."""

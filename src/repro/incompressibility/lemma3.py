@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import CodecError
-from repro.graphs import LabeledGraph
+from repro.graphs import LabeledGraph, get_context
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.incompressibility.framework import GraphCodec
+from repro.incompressibility.framework import GraphCodec, pairs_between, rest_pairs
 
 __all__ = ["Lemma3Codec", "cover_prefix_size", "find_uncovered_witness"]
 
@@ -34,22 +37,20 @@ def cover_prefix_size(n: int, c: float = 3.0) -> int:
 def find_uncovered_witness(
     graph: LabeledGraph, c: float = 3.0
 ) -> Optional[Tuple[int, int]]:
-    """A pair ``(u, w)`` violating the Lemma 3 cover, if one exists.
+    """The least pair ``(u, w)`` violating the Lemma 3 cover, if one exists.
 
     ``w`` is adjacent to neither ``u`` nor any of the least
-    ``(c+3) log n`` neighbours of ``u``.
+    ``(c+3) log n`` neighbours of ``u``: it is unreachable or farther than
+    two hops, or two hops away with a least-hop rank past the prefix.
     """
-    prefix_size = cover_prefix_size(graph.n, c)
-    for u in graph.nodes:
-        neighbors = graph.neighbor_set(u)
-        prefix = graph.neighbors(u)[:prefix_size]
-        covered = set(prefix)
-        for v in prefix:
-            covered |= graph.neighbor_set(v)
-        for w in graph.nodes:
-            if w != u and w not in neighbors and w not in covered:
-                return (u, w)
-    return None
+    ctx = get_context(graph)
+    dist, ranks = ctx.distances(), ctx.least_hop_ranks()
+    past_prefix = ranks >= cover_prefix_size(graph.n, c)
+    uncovered = np.argwhere((dist < 0) | (dist > 2) | ((dist == 2) & past_prefix))
+    if not uncovered.size:
+        return None
+    u, w = uncovered[0].tolist()
+    return (u + 1, w + 1)
 
 
 class Lemma3Codec(GraphCodec):
@@ -75,29 +76,16 @@ class Lemma3Codec(GraphCodec):
         if u == w:
             raise CodecError("witness nodes must differ")
         width = minimal_label_bits(n)
-        prefix = graph.neighbors(u)[: cover_prefix_size(n, self._c)]
-        known_absent = set(prefix) | {u}
-        if graph.has_edge(u, w) or any(graph.has_edge(v, w) for v in prefix):
+        known_absent = graph.neighbors(u)[: cover_prefix_size(n, self._c)] + (u,)
+        if graph.adjacency_matrix()[w - 1, np.array(known_absent) - 1].any():
             raise CodecError(f"({u}, {w}) is not an uncovered witness")
         writer = BitWriter()
         writer.write_uint(u - 1, width)
         writer.write_uint(w - 1, width)
-        # u's full interconnection row (literal, n-1 bits).
-        for x in graph.nodes:
-            if x != u:
-                writer.write_bit(1 if graph.has_edge(u, x) else 0)
-        # w's row, omitting the provably-absent entries into A ∪ {u}.
-        for x in graph.nodes:
-            if x != w and x not in known_absent:
-                writer.write_bit(1 if graph.has_edge(w, x) else 0)
-        # The rest of E(G), all positions not incident to u or w.
-        for a in graph.nodes:
-            if a in (u, w):
-                continue
-            for b in range(a + 1, n + 1):
-                if b in (u, w):
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        write_pairs(writer, graph, pairs_between(n, [u]))
+        # w's row, less the provably absent pairs into A ∪ {u}.
+        write_pairs(writer, graph, pairs_between(n, [w]) & rest_pairs(n, known_absent))
+        write_pairs(writer, graph, rest_pairs(n, [u, w]))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
@@ -105,27 +93,11 @@ class Lemma3Codec(GraphCodec):
         width = minimal_label_bits(n)
         u = reader.read_uint(width) + 1
         w = reader.read_uint(width) + 1
-        edges = []
-        u_neighbors = []
-        for x in range(1, n + 1):
-            if x != u and reader.read_bit():
-                edges.append((u, x))
-                u_neighbors.append(x)
-        prefix = sorted(u_neighbors)[: cover_prefix_size(n, self._c)]
-        known_absent = set(prefix) | {u}
-        for x in range(1, n + 1):
-            if x != w and x not in known_absent:
-                if reader.read_bit():
-                    edges.append((w, x))
-        for a in range(1, n + 1):
-            if a in (u, w):
-                continue
-            for b in range(a + 1, n + 1):
-                if b in (u, w):
-                    continue
-                if reader.read_bit():
-                    edges.append((a, b))
-        return LabeledGraph(n, edges)
+        row = read_pairs(reader, pairs_between(n, [u]))
+        known_absent = [*row[row != u][: cover_prefix_size(n, self._c)], u]
+        w_row = read_pairs(reader, pairs_between(n, [w]) & rest_pairs(n, known_absent))
+        rest = read_pairs(reader, rest_pairs(n, [u, w]))
+        return LabeledGraph(n, np.vstack((row, w_row, rest)))
 
     def overhead_bits(self, n: int) -> int:
         """Header cost: the two node identities."""

@@ -15,12 +15,18 @@ Randomness of ``G`` then forces ``|F(u)| ≥ n²/4 - o(n²)`` per node and
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.core.full_information import FullInformationScheme
-from repro.incompressibility.framework import GraphCodec
+from repro.core.full_information import (
+    FullInformationScheme,
+    decode_full_information_function,
+)
+from repro.incompressibility.framework import GraphCodec, pairs_between, rest_pairs
 
 __all__ = ["Theorem10Codec"]
 
@@ -39,77 +45,39 @@ class Theorem10Codec(GraphCodec):
             raise CodecError("codec must encode the scheme's own graph")
         n = graph.n
         u = self._node
+        # The reconstruction identity needs distance(u, w) == 2.
+        far = np.flatnonzero(self._scheme.ctx.distances()[u - 1] > 2)
+        if far.size:
+            raise CodecError(
+                f"full-information entry for {far[0] + 1} is not distance-2-clean"
+            )
         width = minimal_label_bits(n)
-        neighbors = set(graph.neighbors(u))
-        non_neighbors = set(graph.non_neighbors(u))
-        for w in non_neighbors:
-            # The reconstruction identity needs distance(u, w) == 2.
-            hops = self._scheme.function(u).shortest_edges(w)
-            if any(not graph.has_edge(v, w) for v in hops):
-                raise CodecError(
-                    f"full-information entry for {w} is not distance-2-clean"
-                )
         writer = BitWriter()
         writer.write_uint(u - 1, width)
-        for x in graph.nodes:
-            if x != u:
-                writer.write_bit(1 if graph.has_edge(u, x) else 0)
+        write_pairs(writer, graph, pairs_between(n, [u]))
         writer.write_prime(self._scheme.encode_function(u))
         # E(G) minus bits incident to u and minus every neighbour/non-neighbour
         # pair (those live inside F(u)).
-        for a in graph.nodes:
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u:
-                    continue
-                crossing = (a in neighbors and b in non_neighbors) or (
-                    a in non_neighbors and b in neighbors
-                )
-                if crossing:
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        crossing = pairs_between(n, graph.neighbors(u), graph.non_neighbors(u))
+        write_pairs(writer, graph, rest_pairs(n, [u], crossing))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
         reader = BitReader(bits)
         width = minimal_label_bits(n)
         u = reader.read_uint(width) + 1
-        neighbors = []
-        for x in range(1, n + 1):
-            if x != u and reader.read_bit():
-                neighbors.append(x)
-        neighbor_set = set(neighbors)
-        non_neighbors = [
-            w for w in range(1, n + 1) if w != u and w not in neighbor_set
-        ]
-        function_bits = reader.read_prime()
-        edges = [(u, x) for x in neighbors]
-        # Replay the scheme's per-destination bitmaps to recover every
-        # neighbour/non-neighbour edge: vw ∈ E iff v is flagged for w.
-        fn_reader = BitReader(function_bits)
-        for w in range(1, n + 1):
-            if w == u:
-                continue
-            flagged = [v for v in neighbors if fn_reader.read_bit()]
-            if w in neighbor_set:
-                continue  # bitmap {w} itself carries no extra edges
-            for v in flagged:
-                edges.append((v, w))
-        for a in range(1, n + 1):
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u:
-                    continue
-                crossing = (a in neighbor_set and b not in neighbor_set) or (
-                    a not in neighbor_set and b in neighbor_set
-                )
-                if crossing:
-                    continue
-                if reader.read_bit():
-                    edges.append((a, b))
-        return LabeledGraph(n, edges)
+        row = read_pairs(reader, pairs_between(n, [u]))
+        neighbors = tuple(row[row != u].tolist())
+        non_neighbors = np.setdiff1d(np.arange(1, n + 1), (u, *neighbors)).tolist()
+        function = decode_full_information_function(
+            u, n, neighbors, reader.read_prime()
+        )
+        # Every neighbour/non-neighbour edge: vw ∈ E iff F(u) lists v for w.
+        crossing = [(v, w) for w in non_neighbors for v in function.shortest_edges(w)]
+        deleted = pairs_between(n, neighbors, non_neighbors)
+        rest = read_pairs(reader, rest_pairs(n, [u], deleted))
+        implied = np.array(crossing, dtype=np.int64).reshape(-1, 2)
+        return LabeledGraph(n, np.vstack((row, implied, rest)))
 
     # -- accounting -------------------------------------------------------------
 

@@ -17,14 +17,33 @@ computes the per-instance version of that inequality from measured sizes.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import CodecError
 from repro.graphs import LabeledGraph
+from repro.graphs.encoding import read_pairs, write_pairs
 from repro.models import minimal_label_bits
-from repro.core.two_level import TwoLevelScheme, decode_two_level_function
-from repro.incompressibility.framework import GraphCodec
+from repro.core.two_level import (
+    TwoLevelFunction,
+    TwoLevelScheme,
+    decode_two_level_function,
+)
+from repro.incompressibility.framework import GraphCodec, pairs_between, rest_pairs
 
 __all__ = ["Theorem6Codec"]
+
+
+def _implied_edges(
+    function: TwoLevelFunction, non_neighbors: Iterable[int]
+) -> np.ndarray:
+    """``(intermediary, w)`` for every non-neighbour ``w`` of ``F(u)``'s
+    node: on a diameter-2 graph each is an edge, so its bit is deleted
+    (the deleted pairs are these edges' adjacency matrix)."""
+    edges = [(function.intermediate_for(w), w) for w in non_neighbors]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 class Theorem6Codec(GraphCodec):
@@ -36,19 +55,17 @@ class Theorem6Codec(GraphCodec):
         self._scheme = scheme
         self._node = node
 
-    def _deleted_positions(self, graph: LabeledGraph) -> set[frozenset[int]]:
-        """Edges recoverable from F(u): ``{intermediary(w), w}`` per non-neighbour."""
+    def _deleted_edges(self, graph: LabeledGraph) -> np.ndarray:
+        """The edges F(u) implies, checked against the graph."""
         u = self._node
-        function = self._scheme.function(u)
-        deleted = set()
-        for w in graph.non_neighbors(u):
-            v = function.intermediate_for(w)
-            if not graph.has_edge(v, w):
-                raise CodecError(
-                    f"scheme routes {u} → {w} via non-adjacent intermediary {v}"
-                )
-            deleted.add(frozenset((v, w)))
-        return deleted
+        edges = _implied_edges(self._scheme.function(u), graph.non_neighbors(u))
+        absent = ~graph.adjacency_matrix()[edges[:, 0] - 1, edges[:, 1] - 1]
+        if absent.any():
+            v, w = edges[absent.argmax()].tolist()
+            raise CodecError(
+                f"scheme routes {u} → {w} via non-adjacent intermediary {v}"
+            )
+        return edges
 
     def encode(self, graph: LabeledGraph) -> BitArray:
         if graph is not self._scheme.graph and graph != self._scheme.graph:
@@ -57,50 +74,26 @@ class Theorem6Codec(GraphCodec):
         u = self._node
         width = minimal_label_bits(n)
         function_bits = self._scheme.encode_function(u)
-        deleted = self._deleted_positions(graph)
+        deleted = LabeledGraph(n, self._deleted_edges(graph)).adjacency_matrix()
         writer = BitWriter()
         writer.write_uint(u - 1, width)
-        for x in graph.nodes:
-            if x != u:
-                writer.write_bit(1 if graph.has_edge(u, x) else 0)
+        write_pairs(writer, graph, pairs_between(n, [u]))
         writer.write_prime(function_bits)
-        for a in graph.nodes:
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u or frozenset((a, b)) in deleted:
-                    continue
-                writer.write_bit(1 if graph.has_edge(a, b) else 0)
+        write_pairs(writer, graph, rest_pairs(n, [u], deleted))
         return writer.getvalue()
 
     def decode(self, bits: BitArray, n: int) -> LabeledGraph:
         reader = BitReader(bits)
         width = minimal_label_bits(n)
         u = reader.read_uint(width) + 1
-        neighbors = []
-        for x in range(1, n + 1):
-            if x != u and reader.read_bit():
-                neighbors.append(x)
-        function = decode_two_level_function(
-            u, n, tuple(neighbors), reader.read_prime()
-        )
-        edges = [(u, x) for x in neighbors]
-        neighbor_set = set(neighbors)
-        deleted = set()
-        for w in range(1, n + 1):
-            if w != u and w not in neighbor_set:
-                v = function.intermediate_for(w)
-                deleted.add(frozenset((v, w)))
-                edges.append((v, w))
-        for a in range(1, n + 1):
-            if a == u:
-                continue
-            for b in range(a + 1, n + 1):
-                if b == u or frozenset((a, b)) in deleted:
-                    continue
-                if reader.read_bit():
-                    edges.append((a, b))
-        return LabeledGraph(n, edges)
+        row = read_pairs(reader, pairs_between(n, [u]))
+        neighbors = tuple(row[row != u].tolist())
+        function = decode_two_level_function(u, n, neighbors, reader.read_prime())
+        non_neighbors = np.setdiff1d(np.arange(1, n + 1), (u, *neighbors)).tolist()
+        implied = _implied_edges(function, non_neighbors)
+        deleted = LabeledGraph(n, implied).adjacency_matrix()
+        rest = read_pairs(reader, rest_pairs(n, [u], deleted))
+        return LabeledGraph(n, np.vstack((row, implied, rest)))
 
     # -- the inequality the theorem extracts ---------------------------------
 
@@ -114,7 +107,7 @@ class Theorem6Codec(GraphCodec):
         n = graph.n
         u = self._node
         function_bits = len(self._scheme.encode_function(u))
-        deleted = len(self._deleted_positions(graph))
+        deleted = len(self._deleted_edges(graph))
         encoded = len(self.encode(graph))
         baseline = n * (n - 1) // 2
         # encoded = baseline - deleted - (n-1) + header(u)+row+prime wrapper

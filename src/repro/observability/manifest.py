@@ -160,14 +160,6 @@ class RunManifest:
         """Copy of this manifest with the final wall time stamped in."""
         return dataclasses.replace(self, wall_time_s=wall_time_s)
 
-    def with_graph(self, graph: Any) -> "RunManifest":
-        """Copy with the graph fingerprint filled in (post-build)."""
-        from repro.graphs.context import structural_fingerprint
-
-        return dataclasses.replace(
-            self, graph_fingerprint=structural_fingerprint(graph)
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict (tuples become lists; round-trips via from_dict)."""
         row = dataclasses.asdict(self)

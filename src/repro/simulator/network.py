@@ -137,11 +137,6 @@ class Network:
         """Bring one link back up."""
         self._failed.discard(frozenset((u, v)))
 
-    @property
-    def failed_nodes(self) -> Set[int]:
-        """Currently crashed nodes."""
-        return set(self._failed_nodes)
-
     def fail_node(self, node: int) -> None:
         """Crash one node: it neither forwards nor receives."""
         self._failed_nodes.add(node)
@@ -172,11 +167,6 @@ class Network:
     def live_graph(self) -> LabeledGraph:
         """The topology as it currently exists (mutations applied)."""
         return self._live_graph
-
-    @property
-    def churned(self) -> bool:
-        """Whether any topology mutation has been applied."""
-        return self._churned
 
     def apply_mutation(self, mutation: TopologyMutation) -> None:
         """Apply one live topology mutation.

@@ -108,15 +108,6 @@ class Catalog:
         """Number of stored (name, generation) pairs."""
         return sum(len(versions) for versions in self.entries.values())
 
-    @property
-    def total_blob_bits(self) -> int:
-        """Packed size of every stored generation, summed."""
-        return sum(
-            entry.blob_bits
-            for versions in self.entries.values()
-            for entry in versions.values()
-        )
-
     def is_consistent(self) -> bool:
         """Structural invariant: every active pointer names a stored entry."""
         for name, generation in self.active.items():

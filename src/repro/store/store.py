@@ -241,15 +241,16 @@ class SchemeStore:
         re-read **from disk** — a fresh recovery pass over snapshot plus
         journal, deliberately not the in-memory catalog (which still
         holds the very bytes object just written and would make the
-        comparison vacuous) — decoded again, and compared **bit-exact
-        per node** against the candidate before the SWAP record is
-        written.  Any failure raises :class:`~repro.errors.StoreError`
-        and leaves the previously active generation serving (the
+        comparison vacuous) — and compared **byte for byte** against the
+        candidate before the SWAP record is written; equal bytes decode
+        to equal tables, so the read-back is not decoded again.  Any
+        failure raises :class:`~repro.errors.StoreError` and leaves the
+        previously active generation serving (the
         stored-but-never-activated generation remains visible in
         ``list`` for forensics).
         """
         try:
-            candidate = unpack_blob(blob)
+            unpack_blob(blob)
         except CodecError as exc:
             raise StoreError(
                 f"hot-swap candidate for {name!r} failed verification: {exc}"
@@ -273,22 +274,6 @@ class SchemeStore:
                 f"hot-swap read-back of {name}@{generation} from disk is "
                 "not byte-identical to the candidate; active generation "
                 "left untouched"
-            )
-        try:
-            readback = unpack_blob(stored.blob)
-        except CodecError as exc:
-            raise StoreError(
-                f"hot-swap read-back of {name}@{generation} is undecodable: "
-                f"{exc}"
-            ) from exc
-        if (
-            readback.scheme_name != candidate.scheme_name
-            or readback.n != candidate.n
-            or readback.functions != candidate.functions
-        ):
-            raise StoreError(
-                f"hot-swap read-back of {name}@{generation} is not bit-exact "
-                "to the candidate; active generation left untouched"
             )
         self.swap(name, generation)
         return generation

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import build_scheme, plan_repair, route_message
 from repro.core.repair import dirty_nodes
-from repro.graphs import gnp_random_graph
+from repro.graphs import LabeledGraph, get_context, gnp_random_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.simulator import (
     BatchKernel,
@@ -153,3 +153,39 @@ def test_dirty_closure_is_monotone_under_composition(graph_seed, churn_seed):
                 new_nb = final.neighbor_set(node)
                 if old_nb != new_nb:
                     assert node in dirty
+
+
+def dirty_nodes_loop(old: LabeledGraph, new: LabeledGraph) -> frozenset:
+    """The per-node form of :func:`dirty_nodes`, its reference: a node is
+    dirty when its neighbour set or its distance row changed, or the
+    distance row of one of its new neighbours did."""
+    row_changed = (
+        get_context(old).distances() != get_context(new).distances()
+    ).any(axis=1)
+    dirty = set()
+    for u in new.nodes:
+        new_nb = new.neighbor_set(u)
+        if old.neighbor_set(u) != new_nb or row_changed[u - 1]:
+            dirty.add(u)
+        elif any(row_changed[w - 1] for w in new_nb):
+            dirty.add(u)
+    return frozenset(dirty)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from([8, 20, 64, 128]),
+    p=st.sampled_from([0.1, 0.5]),
+    graph_seed=st.integers(min_value=0, max_value=2**16),
+    churn_seed=st.integers(min_value=0, max_value=2**16),
+    events=st.integers(min_value=1, max_value=3),
+)
+def test_dirty_nodes_matches_the_per_node_loop(n, p, graph_seed, churn_seed, events):
+    """Edge adds, edge removes and node leaves, disconnecting ones included."""
+    graph = gnp_random_graph(n, p, seed=graph_seed)
+    schedule = random_churn(
+        graph, events, horizon=10.0, seed=churn_seed, kinds=ALL_KINDS[:3],
+        keep_connected=False,
+    )
+    final = schedule.final_graph(graph)
+    assert dirty_nodes(graph, final) == dirty_nodes_loop(graph, final)

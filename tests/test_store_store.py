@@ -228,8 +228,8 @@ class TestHotSwap:
 
 
     def test_hot_swap_phase_counts(self, scheme):
-        # The candidate is decoded once; the disk read-back decodes it
-        # a second time.  Only the read-back runs a recovery pass.
+        # Only the candidate is decoded: the disk read-back is compared
+        # byte for byte.  Only the read-back runs a recovery pass.
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
@@ -244,7 +244,7 @@ class TestHotSwap:
         }
         assert calls == {
             "persist.pack": 1,
-            "persist.unpack": 2,
+            "persist.unpack": 1,
             "store.put": 1,
             "store.hot_swap": 1,
             "store.recover": 1,
